@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .datasets import gen_mutually_repelling, gen_quadratically_separable, gen_r
 from .landscape import (
     CertificateContradiction,
     NotCriticalError,
-    _resolve_workers,
     certificate_matrices_zA,
     certificate_matrix_adversarial,
     certificate_matrix_monte_carlo,
@@ -37,12 +35,12 @@ from .landscape import (
     overdetermined_no_solution,
     perturbation_stability,
 )
-from .models import load_net, net_from_flat, net_to_flat, save_net
+from .models import load_net, save_net
 from .numkit import conv_matrix, frobenius, min_singular_value, sym_eigvals
 from .objective import (
+    FlatObjective,
     ObjectiveConfig,
     coercivity_lower_bound,
-    empirical_loss,
     gradient,
     logistic,
     smooth_hinge,
@@ -102,7 +100,7 @@ PROBE_DEFAULTS = {
     },
     "lemma2": {
         "trials": 1000, "seed": 0, "n": 5, "d": 3, "m": 6,
-        "lambda0": 1e-2, "workers": None, "adversarial": True,
+        "lambda0": 1e-2, "adversarial": True,
     },
     "lidskii": {"trials": 10_000, "seed": 0, "d_max": 20, "slack": 1e-10},
     "overdetermined": {"trials": 200, "seed": 0, "n": 5, "m": 6, "floor": 1e-10},
@@ -131,7 +129,6 @@ SWEEP_DEFAULTS = {
     "lambda0": "auto",
     "grad_tol": 1e-7,
     "max_iter": 200_000,
-    "workers": None,
 }
 
 
@@ -345,8 +342,8 @@ def _probe_coercivity(cfg: dict) -> dict:
     m = int(cfg["m"])
     lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
     ocfg = ObjectiveConfig(loss=loss, lam=lam)
-    like = init_single(m, ds.d, seed=0)
-    size = net_to_flat(like).size
+    fob = FlatObjective(init_single(m, ds.d, seed=0), ds, ocfg)
+    size = fob.layout.size
     rng = np.random.default_rng(int(cfg["seed"]))
     lam_min = float(np.min(lam))
     slack = float(cfg["slack"])
@@ -356,8 +353,7 @@ def _probe_coercivity(cfg: dict) -> dict:
         u = rng.standard_normal(size)
         radius = 10.0 ** rng.uniform(-2.0, np.log10(float(cfg["norm_max"])))
         theta = radius * u / np.linalg.norm(u)
-        net = net_from_flat(like, theta)
-        value = empirical_loss(net, ds, ocfg)
+        value = fob.value(theta)
         floor = coercivity_lower_bound(radius, lam_min, m)
         worst = min(worst, value - floor)
         if value < floor - slack * (1.0 + abs(floor)):
@@ -370,7 +366,7 @@ def _probe_lemma2(cfg: dict) -> dict:
     m = int(cfg["m"])
     lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
     minmax = certificate_matrix_monte_carlo(
-        ds, m, lam, trials=int(cfg["trials"]), seed=int(cfg["seed"]), workers=cfg["workers"]
+        ds, m, lam, trials=int(cfg["trials"]), seed=int(cfg["seed"])
     )
     result = {"min_max_sigma": float(minmax), "pass": minmax > 0.0}
     if cfg["adversarial"] and m == ds.n:
@@ -449,7 +445,7 @@ PROBE_RUNNERS = {
 
 def cmd_probe(args) -> int:
     defaults = PROBE_DEFAULTS[args.kind]
-    cfg = _merge_config(defaults, args, ["trials", "seed", "workers"])
+    cfg = _merge_config(defaults, args, ["trials", "seed"])
     result = PROBE_RUNNERS[args.kind](cfg)
     report = {"kind": args.kind, **{k: cfg[k] for k in sorted(cfg)}, **result}
     if args.out:
@@ -544,7 +540,7 @@ def _sweep_cell(n: int, m: int, seed: int, cfg: dict):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge_config(SWEEP_DEFAULTS, args, ["d", "grad_tol", "max_iter", "workers"])
+    cfg = _merge_config(SWEEP_DEFAULTS, args, ["d", "grad_tol", "max_iter"])
     if args.n is not None:
         cfg["n_values"] = [int(args.n)]
     if args.m_values is not None:
@@ -560,12 +556,7 @@ def cmd_sweep(args) -> int:
             for seed in cfg["seeds"]:
                 cells.append((int(n), int(m), int(seed)))
 
-    workers = _resolve_workers(cfg["workers"])
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(*c, cfg), cells))
-    else:
-        rows = [_sweep_cell(*c, cfg) for c in cells]
+    rows = [_sweep_cell(*c, cfg) for c in cells]
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
     resolved = dict(cfg)
@@ -635,7 +626,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("counterexample", help="build and verify a bad local minimum")
@@ -665,7 +655,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int)
     p.add_argument("--grad-tol", type=float, dest="grad_tol")
     p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_sweep)
 
     return parser

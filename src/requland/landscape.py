@@ -22,9 +22,7 @@ singular, showing the overparameterization hypothesis is load-bearing.
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,30 +59,33 @@ def _head_features(net, ds: Dataset) -> np.ndarray:
     return net.head_inputs(ds.X) if isinstance(net, DeepConvNet) else ds.X
 
 
+def _certificate_sum(lifted, weights, lam) -> np.ndarray:
+    """M_j = -sum_i weights_ij l_i l_i^T + lam_j I over the lifted rows l_i."""
+    p = lifted.shape[1]
+    out = np.empty((lam.size, p, p))
+    for j in range(lam.size):
+        weighted = lifted * weights[:, j][:, None]
+        out[j] = -(weighted.T @ lifted) + lam[j] * np.eye(p)
+    return out
+
+
 def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
     """Certificate matrices M_j, one per head block, shape (m, p+1, p+1).
 
-    For the squared-hinge-of-preactivation head the active-set indicator is
-    1{pre_ij >= 0}; the quadratic head has no indicator (its activation is
-    smooth), so the same sum runs over every sample and all blocks share one
-    matrix up to the sign of a_j and the lam_j shift.  For a conv stack the
-    lifted features are the last hidden states rather than the raw inputs.
+    The per-block weights are sgn(a_j) l'_i y_i 1{pre_ij >= 0}.  The
+    quadratic head has no indicator (its activation is smooth), so the same
+    sum runs over every sample and all blocks share one matrix up to the
+    sign of a_j and the lam_j shift.  For a conv stack the lifted features
+    are the last hidden states rather than the raw inputs.
     """
     F = _head_features(net, ds)
     lifted = np.hstack([F, np.ones((F.shape[0], 1))])
-    lp = loss_deriv(cfg.loss, margins(net, ds))
-    coef = lp * ds.y
+    coef = loss_deriv(cfg.loss, margins(net, ds)) * ds.y
     if isinstance(net, QuadraticNet):
         ind = np.ones((F.shape[0], net.m))
     else:
         ind = (F @ net.W.T + net.b >= 0.0).astype(float)
-    sgn = np.sign(net.a)
-    p = lifted.shape[1]
-    out = np.empty((net.m, p, p))
-    for j in range(net.m):
-        weighted = lifted * (coef * ind[:, j])[:, None]
-        out[j] = -sgn[j] * (weighted.T @ lifted) + cfg.lam[j] * np.eye(p)
-    return out
+    return _certificate_sum(lifted, coef[:, None] * ind * np.sign(net.a), cfg.lam)
 
 
 @dataclass
@@ -288,27 +289,11 @@ def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
     return float(worst)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get("REQULAND_WORKERS", "").strip()
-        workers = int(env) if env else min(4, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def certificate_matrices_zA(ds: Dataset, z, A, lam) -> np.ndarray:
     """M_j(z, A) = -sum_i z_i A_ij (x_i;1)(x_i;1)^T + lam_j I, shape (m, d+1, d+1)."""
     z = np.asarray(z, dtype=float)
     A = np.asarray(A, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    lifted = np.hstack([ds.X, np.ones((ds.n, 1))])
-    p = lifted.shape[1]
-    out = np.empty((lam.size, p, p))
-    for j in range(lam.size):
-        weighted = lifted * (z * A[:, j])[:, None]
-        out[j] = -(weighted.T @ lifted) + lam[j] * np.eye(p)
-    return out
+    return _certificate_sum(ds.lifted(), z[:, None] * A, np.asarray(lam, dtype=float))
 
 
 def _mc_trial(ds: Dataset, lam, seed_pair) -> float:
@@ -323,7 +308,7 @@ def _mc_trial(ds: Dataset, lam, seed_pair) -> float:
 
 
 def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
-                                   seed: int = 0, workers: int | None = None) -> float:
+                                   seed: int = 0) -> float:
     """Min over trials of max_j sigma_min(M_j(z, A)) for sampled (z, A).
 
     With m >= n+1 and pairwise-distinct lam the return value is positive:
@@ -343,13 +328,7 @@ def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
             "all-singular configurations exist in this regime",
             stacklevel=2,
         )
-    workers = _resolve_workers(workers)
-    if workers == 1:
-        vals = [_mc_trial(ds, lam, (seed, t)) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            vals = list(ex.map(lambda t: _mc_trial(ds, lam, (seed, t)), range(trials)))
-    return float(min(vals))
+    return float(min(_mc_trial(ds, lam, (seed, t)) for t in range(trials)))
 
 
 def certificate_matrix_adversarial(ds: Dataset, lam):

@@ -71,6 +71,8 @@ class SingleLayerReQUNet:
     W: np.ndarray  # (m, d)
     b: np.ndarray  # (m,)
 
+    activation = staticmethod(requ)
+
     def __post_init__(self):
         self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
 
@@ -86,33 +88,13 @@ class SingleLayerReQUNet:
         return np.atleast_2d(np.asarray(X, dtype=float)) @ self.W.T + self.b
 
     def value(self, X) -> np.ndarray:
-        return requ(self.preactivations(X)) @ self.a
+        return self.activation(self.preactivations(X)) @ self.a
 
 
-@dataclass
-class QuadraticNet:
+class QuadraticNet(SingleLayerReQUNet):
     """f(x) = sum_j a_j * (w_j . x + b_j)^2; every neuron is everywhere active."""
 
-    a: np.ndarray
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
-
-    @property
-    def m(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.W.shape[1]
-
-    def preactivations(self, X) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float)) @ self.W.T + self.b
-
-    def value(self, X) -> np.ndarray:
-        return np.square(self.preactivations(X)) @ self.a
+    activation = staticmethod(np.square)
 
 
 @dataclass
@@ -189,19 +171,40 @@ class DeepConvNet:
         return requ(self.preactivations(X)) @ self.a
 
 
-def forward_single(net: SingleLayerReQUNet, x) -> float:
-    return float(net.value(np.atleast_2d(x))[0])
+@dataclass(frozen=True)
+class FlatLayout:
+    """Where each parameter lives in the flat vector (see the module docstring)."""
 
+    m: int
+    width: int
+    filter_sizes: tuple = ()
 
-def forward_quadratic(net: QuadraticNet, x) -> float:
-    return float(net.value(np.atleast_2d(x))[0])
+    @classmethod
+    def of(cls, net) -> "FlatLayout":
+        sizes = tuple(v.size for v in net.filters) if isinstance(net, DeepConvNet) else ()
+        return cls(net.W.shape[0], net.W.shape[1], sizes)
 
+    @property
+    def size(self) -> int:
+        return self.m * (self.width + 2) + sum(self.filter_sizes)
 
-def forward_deep(net: DeepConvNet, x):
-    """Returns (f(x), [h^(1), ..., h^(l-1)]) for a single input."""
-    x2 = np.atleast_2d(x)
-    hidden = [H[0] for H in net.hidden_states(x2)]
-    return float(net.value(x2)[0]), hidden
+    def split(self, theta):
+        """Views (a, W, b, [v_1, ..., v_{l-1}]) into theta."""
+        m, w = self.m, self.width
+        a = theta[:m]
+        W = theta[m : m + m * w].reshape(m, w)
+        b = theta[m + m * w : m * (w + 2)]
+        filts = []
+        pos = m * (w + 2)
+        for s in self.filter_sizes:
+            filts.append(theta[pos : pos + s])
+            pos += s
+        return a, W, b, filts
+
+    def blocks(self) -> np.ndarray:
+        """Row j holds the flat indices of neuron block (a_j, w_j, b_j)."""
+        a, W, b, _ = self.split(np.arange(self.size))
+        return np.column_stack([a, W, b])
 
 
 def net_to_flat(net) -> np.ndarray:
@@ -214,21 +217,11 @@ def net_to_flat(net) -> np.ndarray:
 def net_from_flat(like, theta) -> object:
     """Rebuild a network with the shapes of ``like`` from a flat vector."""
     theta = np.asarray(theta, dtype=float)
-    m, width = like.W.shape
-    expected = m * (width + 2)
+    layout = FlatLayout.of(like)
+    if theta.shape != (layout.size,):
+        raise ValueError(f"flat vector has shape {theta.shape}, expected ({layout.size},)")
+    a, W, b, filts = layout.split(theta)
     if isinstance(like, DeepConvNet):
-        expected += sum(v.size for v in like.filters)
-    if theta.shape != (expected,):
-        raise ValueError(f"flat vector has shape {theta.shape}, expected ({expected},)")
-    a = theta[:m]
-    W = theta[m : m + m * width].reshape(m, width)
-    b = theta[m + m * width : m * (width + 2)]
-    if isinstance(like, DeepConvNet):
-        filts = []
-        pos = m * (width + 2)
-        for v in like.filters:
-            filts.append(theta[pos : pos + v.size])
-            pos += v.size
         return DeepConvNet(tuple(filts), a, W, b, like.slope)
     return type(like)(a, W, b)
 

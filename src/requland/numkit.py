@@ -89,22 +89,29 @@ def conv_padded(alpha, beta) -> np.ndarray:
     return np.convolve(alpha[::-1], beta, mode="full")
 
 
+def conv_band(d_v: int, d_z: int):
+    """Index arrays (rows, cols, taps) of the banded conv matrix.
+
+    The matrix V with V @ z == conv_padded(v, z) has V[rows, cols] = v[taps]
+    and zeros elsewhere: row j, column c holds v[c + d_v - 1 - j] whenever
+    that tap exists.
+    """
+    taps, cols = np.divmod(np.arange(d_v * d_z), d_z)
+    return cols + d_v - 1 - taps, cols, taps
+
+
 def conv_matrix(v, d_z: int) -> np.ndarray:
     """Banded matrix V with V @ z == conv_padded(v, z) for every z of length d_z.
 
-    V has shape (d_v + d_z - 1, d_z).  Built entry by entry from the defining
-    sum, deliberately not via numpy's convolve, so the matrix route and the
-    direct route stay independent checks of each other.
+    V has shape (d_v + d_z - 1, d_z).  Filled from conv_band's index pattern,
+    deliberately not via numpy's convolve, so the matrix route and the direct
+    route stay independent checks of each other.
     """
     v = _as_vector(v, "v")
     if int(d_z) != d_z or d_z < 1:
         raise ValueError(f"d_z must be a positive integer, got {d_z!r}")
     d_z = int(d_z)
-    d_v = v.size
-    V = np.zeros((d_v + d_z - 1, d_z))
-    for j in range(d_v + d_z - 1):
-        for c in range(d_z):
-            i = c + d_v - 1 - j
-            if 0 <= i < d_v:
-                V[j, c] = v[i]
+    rows, cols, taps = conv_band(v.size, d_z)
+    V = np.zeros((v.size + d_z - 1, d_z))
+    V[rows, cols] = v[taps]
     return V

@@ -3,6 +3,8 @@
 The empirical objective is sum_i loss(-y_i f(x_i)) plus a per-neuron cubic
 regularizer (1/3) sum_j lam_j (|a_j|^3 + 2 (||w_j||^2 + b_j^2)^(3/2)); deep
 nets add (lam_c/4) sum_k (||v_k||^2 - 1)^2 to anchor filter norms near 1.
+FlatObjective is its one implementation, value and gradient alike;
+empirical_loss, value_and_gradient and gradient evaluate it at a network.
 
 Both supported losses are nonnegative, non-decreasing, and twice continuously
 differentiable, and each has an activation threshold eps with
@@ -17,18 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .models import (
-    DeepConvNet,
-    QuadraticNet,
-    SingleLayerReQUNet,
-    leaky_relu,
-    leaky_relu_prime,
-    net_from_flat,
-    net_to_flat,
-    requ,
-    requ_prime,
-)
-from .numkit import conv_matrix
+from .models import DeepConvNet, FlatLayout, QuadraticNet, net_to_flat
+from .numkit import conv_band
 
 _LN2 = float(np.log(2.0))
 
@@ -77,10 +69,6 @@ def loss_deriv(kind: LossKind, z):
     return kind.p * np.maximum(1.0 + z, 0.0) ** (kind.p - 1)
 
 
-def epsilon_for(kind: LossKind) -> float:
-    return kind.epsilon
-
-
 @dataclass
 class ObjectiveConfig:
     loss: LossKind
@@ -106,33 +94,9 @@ class ObjectiveConfig:
             raise ValueError(f"lam has {self.lam.size} entries but the net has {net.m} neurons")
 
 
-def head_block_norms(net) -> np.ndarray:
-    """Per-neuron sqrt(||w_j||^2 + b_j^2)."""
-    return np.sqrt(np.sum(net.W**2, axis=1) + net.b**2)
-
-
-def regularizer_single(net, lam) -> float:
-    lam = np.asarray(lam, dtype=float)
-    u = head_block_norms(net)
-    return float(np.sum(lam * (np.abs(net.a) ** 3 + 2.0 * u**3)) / 3.0)
-
-
-def regularizer_deep(net: DeepConvNet, lam, lam_c: float) -> float:
-    conv = sum((float(v @ v) - 1.0) ** 2 for v in net.filters)
-    return regularizer_single(net, lam) + 0.25 * lam_c * conv
-
-
 def margins(net, ds) -> np.ndarray:
     """Loss arguments z_i = -y_i f(x_i)."""
     return -ds.y * net.value(ds.X)
-
-
-def empirical_loss(net, ds, cfg: ObjectiveConfig) -> float:
-    cfg.check_m(net)
-    data = float(np.sum(loss_value(cfg.loss, margins(net, ds))))
-    if isinstance(net, DeepConvNet):
-        return data + regularizer_deep(net, cfg.lam, cfg.lam_c)
-    return data + regularizer_single(net, cfg.lam)
 
 
 def training_error(net, ds) -> float:
@@ -150,218 +114,121 @@ def epsilon_criterion(net, ds, cfg: ObjectiveConfig):
     return worst < cfg.loss.epsilon, worst
 
 
-def _head_gradient(net, F, y, cfg, squared: bool):
-    """Gradient blocks (da, dW, db), d(loss)/d(head input), and the data term.
-
-    F is the matrix of head inputs (the features x_i, or h^(l-1) for deep
-    nets).  squared selects the plain square activation over requ.
-    """
-    pre = F @ net.W.T + net.b
-    phi = np.square(pre) if squared else requ(pre)
-    phi_p = 2.0 * pre if squared else requ_prime(pre)
-    f = phi @ net.a
-    z = -y * f
-    g = -loss_deriv(cfg.loss, z) * y  # d(data term)/d f_i
-
-    u = head_block_norms(net)
-    da = phi.T @ g + cfg.lam * np.abs(net.a) * net.a
-    S = g[:, None] * phi_p  # (n, m)
-    dW = (S.T @ F) * net.a[:, None] + 2.0 * cfg.lam[:, None] * u[:, None] * net.W
-    db = S.sum(axis=0) * net.a + 2.0 * cfg.lam * u * net.b
-    dF = (S * net.a[None, :]) @ net.W
-    return da, dW, db, dF, float(np.sum(loss_value(cfg.loss, z)))
-
-
-def value_and_gradient(net, ds, cfg: ObjectiveConfig):
-    """(empirical_loss, flat gradient) sharing one forward pass."""
-    cfg.check_m(net)
-    X, y = ds.X, ds.y
-
-    if isinstance(net, (SingleLayerReQUNet, QuadraticNet)):
-        squared = isinstance(net, QuadraticNet)
-        da, dW, db, _, data = _head_gradient(net, X, y, cfg, squared)
-        return data + regularizer_single(net, cfg.lam), np.concatenate([da, dW.ravel(), db])
-
-    # Deep net: forward pass keeping preactivations, then backprop.
-    H = X
-    pres, states = [], [H]
-    for v in net.filters:
-        P = H @ conv_matrix(v, H.shape[1]).T
-        H = leaky_relu(P, net.slope)
-        pres.append(P)
-        states.append(H)
-
-    da, dW, db, dH, data = _head_gradient(net, states[-1], y, cfg, squared=False)
-
-    dfilters = []
-    for k in range(len(net.filters) - 1, -1, -1):
-        v, P, H_prev = net.filters[k], pres[k], states[k]
-        dpre = dH * leaky_relu_prime(P, net.slope)
-        s = v.size
-        Hp = np.pad(H_prev, ((0, 0), (s - 1, s - 1)))
-        dv = np.array(
-            [np.sum(dpre * Hp[:, i : i + dpre.shape[1]]) for i in range(s)]
-        )
-        dv += cfg.lam_c * (float(v @ v) - 1.0) * v
-        dfilters.append(dv)
-        dH = dpre @ conv_matrix(v, H_prev.shape[1])
-    dfilters.reverse()
-
-    value = data + regularizer_deep(net, cfg.lam, cfg.lam_c)
-    return value, np.concatenate([da, dW.ravel(), db, *dfilters])
-
-
-def gradient(net, ds, cfg: ObjectiveConfig) -> np.ndarray:
-    """Flat gradient of empirical_loss in the standard parameter layout."""
-    return value_and_gradient(net, ds, cfg)[1]
-
-
 def neuron_block_norms(net) -> np.ndarray:
     """Per-neuron sqrt(a_j^2 + ||w_j||^2 + b_j^2), the full block magnitude."""
     return np.sqrt(net.a**2 + np.sum(net.W**2, axis=1) + net.b**2)
 
 
 class FlatObjective:
-    """Loss and gradient evaluated directly on flat parameter vectors.
+    """The objective and its gradient on flat parameter vectors.
 
-    Same mathematics as empirical_loss / gradient, but with shapes frozen at
-    construction so the training loop skips per-call network rebuilding and
-    validation.  The generic entry points stay the reference implementation;
-    tests pin this class against them.
+    Shapes, the parameter layout and each conv layer's banded index pattern
+    are frozen at construction, so evaluations skip network rebuilding and
+    validation.  value and value_and_grad share one forward pass, which also
+    holds the one regularizer formula, so value(theta) equals
+    value_and_grad(theta)[0] exactly.  The tests pin the gradient to central
+    differences, the conv layers to numkit.conv_padded, and the regularizer
+    to closed forms.
     """
 
     def __init__(self, like, ds, cfg: ObjectiveConfig):
         cfg.check_m(like)
         self.X, self.y = ds.X, ds.y
         self.lam, self.lam_c, self.loss = cfg.lam, cfg.lam_c, cfg.loss
-        self.m, self.width = like.W.shape
+        self.layout = FlatLayout.of(like)
         self.squared = isinstance(like, QuadraticNet)
-        self.deep = isinstance(like, DeepConvNet)
-        self.filter_sizes = [v.size for v in like.filters] if self.deep else []
-        self.slope = like.slope if self.deep else None
-        if self.deep:
-            # Index template for each layer's banded conv matrix V[j, c] = v[i].
-            self.conv_idx = []
-            dim = like.input_dim
-            for s in self.filter_sizes:
-                rows, cols, vi = [], [], []
-                for j in range(dim + s - 1):
-                    for c in range(dim):
-                        i = c + s - 1 - j
-                        if 0 <= i < s:
-                            rows.append(j)
-                            cols.append(c)
-                            vi.append(i)
-                self.conv_idx.append((dim, np.array(rows), np.array(cols), np.array(vi)))
-                dim += s - 1
-
-    def split(self, theta):
-        m, w = self.m, self.width
-        a = theta[:m]
-        W = theta[m : m + m * w].reshape(m, w)
-        b = theta[m + m * w : m * (w + 2)]
-        filts = []
-        pos = m * (w + 2)
-        for s in self.filter_sizes:
-            filts.append(theta[pos : pos + s])
-            pos += s
-        return a, W, b, filts
+        self.slope = like.slope if isinstance(like, DeepConvNet) else None
+        self.bands = []  # per conv layer: (input length, rows, cols, taps)
+        dim = self.X.shape[1]
+        for s in self.layout.filter_sizes:
+            self.bands.append((dim, *conv_band(s, dim)))
+            dim += s - 1
 
     def _conv_mat(self, k, v):
-        dim, rows, cols, vi = self.conv_idx[k]
+        dim, rows, cols, taps = self.bands[k]
         V = np.zeros((dim + v.size - 1, dim))
-        V[rows, cols] = v[vi]
+        V[rows, cols] = v[taps]
         return V
 
-    def value_and_grad(self, theta):
-        a, W, b, filts = self.split(theta)
-        X, y, lam = self.X, self.y, self.lam
-
-        pres, states = [], [X]
-        H = X
-        for k, v in enumerate(filts):
-            P = H @ self._conv_mat(k, v).T
-            H = np.where(P >= 0.0, P, self.slope * P)
-            pres.append(P)
-            states.append(H)
-
-        F = states[-1]
-        pre = F @ W.T + b
-        act = pre if self.squared else np.maximum(pre, 0.0)
-        phi = act * act
-        phi_p = 2.0 * act
-        f = phi @ a
-        z = -y * f
-        lp = loss_deriv(self.loss, z)
-        data = float(np.sum(loss_value(self.loss, z)))
-
-        u = np.sqrt(np.sum(W * W, axis=1) + b * b)
-        absa = np.abs(a)
-        reg = float(np.sum(lam * (absa**3 + 2.0 * u**3)) / 3.0)
-        g = -lp * y
-        da = phi.T @ g + lam * absa * a
-        S = g[:, None] * phi_p
-        dW = (S.T @ F) * a[:, None] + 2.0 * lam[:, None] * u[:, None] * W
-        db = S.sum(axis=0) * a + 2.0 * lam * u * b
-
-        if not self.deep:
-            return data + reg, np.concatenate([da, dW.ravel(), db])
-
-        dH = (S * a[None, :]) @ W
-        dfilts = [None] * len(filts)
-        for k in range(len(filts) - 1, -1, -1):
-            v, P, H_prev = filts[k], pres[k], states[k]
-            dpre = dH * np.where(P >= 0.0, 1.0, self.slope)
-            s = v.size
-            Hp = np.pad(H_prev, ((0, 0), (s - 1, s - 1)))
-            dv = np.array([np.sum(dpre * Hp[:, i : i + dpre.shape[1]]) for i in range(s)])
-            sq = float(v @ v)
-            dv += self.lam_c * (sq - 1.0) * v
-            reg += 0.25 * self.lam_c * (sq - 1.0) ** 2
-            dfilts[k] = dv
-            if k > 0:
-                dH = dpre @ self._conv_mat(k, v)
-
-        return data + reg, np.concatenate([da, dW.ravel(), db, *dfilts])
-
-    def value(self, theta):
-        a, W, b, filts = self.split(theta)
+    def _forward(self, theta):
+        """One evaluation: the objective value, then what the gradient needs
+        -- (a, W, b, filters), per conv layer (input, conv matrix,
+        preactivation), the head input, the head activation, phi, the
+        margins z and the joint weight-bias norms u_j."""
+        params = self.layout.split(theta)
+        a, W, b, filts = params
+        layers = []
         H = self.X
         for k, v in enumerate(filts):
-            P = H @ self._conv_mat(k, v).T
+            V = self._conv_mat(k, v)
+            P = H @ V.T
+            layers.append((H, V, P))
             H = np.where(P >= 0.0, P, self.slope * P)
         pre = H @ W.T + b
         act = pre if self.squared else np.maximum(pre, 0.0)
-        f = (act * act) @ a
-        data = float(np.sum(loss_value(self.loss, -self.y * f)))
+        phi = act * act
+        z = -self.y * (phi @ a)
         u = np.sqrt(np.sum(W * W, axis=1) + b * b)
         reg = float(np.sum(self.lam * (np.abs(a) ** 3 + 2.0 * u**3)) / 3.0)
         for v in filts:
             reg += 0.25 * self.lam_c * (float(v @ v) - 1.0) ** 2
-        return data + reg
+        value = float(np.sum(loss_value(self.loss, z))) + reg
+        return value, params, layers, H, act, phi, z, u
+
+    def value(self, theta) -> float:
+        return self._forward(theta)[0]
+
+    def value_and_grad(self, theta):
+        value, (a, W, b, filts), layers, F, act, phi, z, u = self._forward(theta)
+        lam = self.lam
+        g = -loss_deriv(self.loss, z) * self.y  # d(data term)/d f_i
+        S = g[:, None] * (2.0 * act)
+        da = phi.T @ g + lam * np.abs(a) * a
+        dW = (S.T @ F) * a[:, None] + 2.0 * lam[:, None] * u[:, None] * W
+        db = S.sum(axis=0) * a + 2.0 * lam * u * b
+        if not filts:
+            return value, np.concatenate([da, dW.ravel(), db])
+
+        dH = (S * a[None, :]) @ W
+        dfilts = [None] * len(filts)
+        for k in range(len(filts) - 1, -1, -1):
+            v, (H_prev, V, P) = filts[k], layers[k]
+            dpre = dH * np.where(P >= 0.0, 1.0, self.slope)
+            s = v.size
+            Hp = np.pad(H_prev, ((0, 0), (s - 1, s - 1)))
+            dv = np.array([np.sum(dpre * Hp[:, i : i + dpre.shape[1]]) for i in range(s)])
+            dv += self.lam_c * (float(v @ v) - 1.0) * v
+            dfilts[k] = dv
+            if k > 0:
+                dH = dpre @ V
+        return value, np.concatenate([da, dW.ravel(), db, *dfilts])
 
 
-def loss_from_flat(like, ds, cfg: ObjectiveConfig):
-    """Closure theta -> empirical_loss for optimizers and difference checks."""
+def empirical_loss(net, ds, cfg: ObjectiveConfig) -> float:
+    return FlatObjective(net, ds, cfg).value(net_to_flat(net))
 
-    def fn(theta):
-        return empirical_loss(net_from_flat(like, theta), ds, cfg)
 
-    return fn
+def value_and_gradient(net, ds, cfg: ObjectiveConfig):
+    """(empirical_loss, flat gradient in the standard parameter layout)."""
+    return FlatObjective(net, ds, cfg).value_and_grad(net_to_flat(net))
+
+
+def gradient(net, ds, cfg: ObjectiveConfig) -> np.ndarray:
+    return value_and_gradient(net, ds, cfg)[1]
 
 
 def finite_diff_check(net, ds, cfg: ObjectiveConfig, step: float = 1e-6) -> float:
     """Max relative gap between the analytic gradient and central differences."""
-    fn = loss_from_flat(net, ds, cfg)
+    fob = FlatObjective(net, ds, cfg)
     theta = net_to_flat(net)
-    g = gradient(net, ds, cfg)
+    g = fob.value_and_grad(theta)[1]
     fd = np.empty_like(theta)
     for i in range(theta.size):
         h = step * (1.0 + abs(theta[i]))
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (fn(up) - fn(dn)) / (2.0 * h)
+        fd[i] = (fob.value(up) - fob.value(dn)) / (2.0 * h)
     return float(np.max(np.abs(g - fd) / (1.0 + np.abs(g))))
 
 

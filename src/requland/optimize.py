@@ -23,22 +23,13 @@ import numpy as np
 
 from .constructions import build_interpolating_requ
 from .datasets import Dataset
-from .models import (
-    DeepConvNet,
-    QuadraticNet,
-    SingleLayerReQUNet,
-    net_from_flat,
-    net_to_flat,
-    requ,
-)
+from .models import DeepConvNet, SingleLayerReQUNet, net_from_flat, net_to_flat, requ
 from .objective import (
     FlatObjective,
     LossKind,
     ObjectiveConfig,
     coercivity_lower_bound,
-    epsilon_for,
     loss_deriv,
-    margins,
     neuron_block_norms,
     training_error,
 )
@@ -162,19 +153,7 @@ def estimate_lambda0(ds: Dataset, loss: LossKind, seed: int = 0) -> float:
     lam_hat = interp.margin / rho**3
     if not lam_hat > 0.0:
         raise RuntimeError("normalized interpolator margin underflowed to zero")
-    return epsilon_for(loss) * lam_hat
-
-
-def _block_slices(net):
-    """Index arrays of each neuron block (a_j, w_j, b_j) in the flat layout."""
-    m, width = net.W.shape
-    out = []
-    for j in range(m):
-        idx = [j]
-        idx.extend(range(m + j * width, m + (j + 1) * width))
-        idx.append(m + m * width + j)
-        out.append(np.array(idx))
-    return out
+    return loss.epsilon * lam_hat
 
 
 def _try_snaps(theta, loss, fn, blocks, norms, opts):
@@ -239,7 +218,7 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     drive = (lp * ds.y) @ act
     signs = np.where(drive >= 0.0, 1.0, -1.0)
 
-    blocks = _block_slices(net)
+    blocks = fob.layout.blocks()
     best_loss, best_theta = loss, None
     deltas = opts.escape_delta * 2.0 ** np.arange(-4, 13)
     order = np.argsort(-np.abs(drive))[: max(32, opts.escape_directions // 4)]
@@ -318,10 +297,10 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0xE5CA)))
     fob = FlatObjective(like, ds, cfg)
 
-    is_single = isinstance(net, (SingleLayerReQUNet, QuadraticNet))
+    is_single = isinstance(net, SingleLayerReQUNet)
     lam_min = float(np.min(cfg.lam))
     theta = net_to_flat(net)
-    blocks = _block_slices(net)
+    blocks = fob.layout.blocks()
     traj = Trajectory()
     eta = opts.step0
     escapes = 0

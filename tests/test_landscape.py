@@ -317,14 +317,6 @@ def test_monte_carlo_overparameterized_stays_nonsingular():
     assert worst > 0.0
 
 
-def test_monte_carlo_worker_count_does_not_change_result():
-    ds = gen_random(4, 2, seed=8)
-    lam = optimize.sample_lambda(5, 0.2, seed=8)
-    a = landscape.certificate_matrix_monte_carlo(ds, 5, lam, trials=50, seed=3, workers=1)
-    b = landscape.certificate_matrix_monte_carlo(ds, 5, lam, trials=50, seed=3, workers=3)
-    assert a == b
-
-
 def test_monte_carlo_validates_lam():
     ds = gen_random(3, 2, seed=2)
     with pytest.raises(ValueError, match="distinct"):
@@ -480,12 +472,3 @@ def test_perturbation_stability_at_bad_min():
     ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
     worst = landscape.perturbation_stability(net, ds, cfg, radius=1e-3, trials=200, seed=0)
     assert worst >= 0.0
-
-
-def test_workers_resolution_env(monkeypatch):
-    monkeypatch.setenv("REQULAND_WORKERS", "2")
-    assert landscape._resolve_workers(None) == 2
-    monkeypatch.delenv("REQULAND_WORKERS")
-    assert landscape._resolve_workers(None) >= 1
-    with pytest.raises(ValueError):
-        landscape._resolve_workers(0)

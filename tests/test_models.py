@@ -49,7 +49,7 @@ def test_forward_single_matches_neuron_loop():
         want = sum(
             net.a[j] * max(net.W[j] @ x + net.b[j], 0.0) ** 2 for j in range(net.m)
         )
-        np.testing.assert_allclose(models.forward_single(net, x), want, atol=1e-12)
+        np.testing.assert_allclose(net.value(x)[0], want, atol=1e-12)
 
 
 def test_forward_quadratic_matches_neuron_loop():
@@ -58,7 +58,7 @@ def test_forward_quadratic_matches_neuron_loop():
     for _ in range(10):
         x = rng.standard_normal(net.d)
         want = sum(net.a[j] * (net.W[j] @ x + net.b[j]) ** 2 for j in range(net.m))
-        np.testing.assert_allclose(models.forward_quadratic(net, x), want, atol=1e-12)
+        np.testing.assert_allclose(net.value(x)[0], want, atol=1e-12)
 
 
 def test_forward_deep_worked_example():
@@ -70,12 +70,13 @@ def test_forward_deep_worked_example():
         np.array([-1.0]),
         slope=0.5,
     )
-    out, hidden = models.forward_deep(net, np.array([3.0, 4.0]))
+    X = np.array([[3.0, 4.0], [-3.0, 4.0]])
+    (hidden,) = net.hidden_states(X)
     np.testing.assert_allclose(hidden[0], [6.0, 11.0, 4.0])
-    assert out == pytest.approx(2.0 * (6.0 - 4.0 - 1.0) ** 2)
-    out2, hidden2 = models.forward_deep(net, np.array([-3.0, 4.0]))
-    np.testing.assert_allclose(hidden2[0], [-3.0, 5.0, 4.0])  # leaky kicks in on -6
-    assert out2 == pytest.approx(0.0)  # preactivation -8 is clipped by requ
+    np.testing.assert_allclose(hidden[1], [-3.0, 5.0, 4.0])  # leaky kicks in on -6
+    out = net.value(X)
+    assert out[0] == pytest.approx(2.0 * (6.0 - 4.0 - 1.0) ** 2)
+    assert out[1] == pytest.approx(0.0)  # preactivation -8 is clipped by requ
 
 
 def test_hidden_dims_grow_by_s_minus_one():
@@ -107,6 +108,19 @@ def test_flat_round_trip_and_layout():
     np.testing.assert_array_equal(models.net_to_flat(back), theta)
     with pytest.raises(ValueError):
         models.net_from_flat(net, theta[:-1])
+    blocks = models.FlatLayout.of(net).blocks()
+    for j in range(m):
+        np.testing.assert_array_equal(theta[blocks[j]], [net.a[j], *net.W[j], net.b[j]])
+
+
+def test_quadratic_net_is_a_single_layer_net_with_the_square():
+    rng = np.random.default_rng(10)
+    quad = random_single(rng, cls=QuadraticNet)
+    assert isinstance(quad, SingleLayerReQUNet)
+    X = rng.standard_normal((6, quad.d))
+    np.testing.assert_array_equal(quad.value(X), np.square(quad.preactivations(X)) @ quad.a)
+    requ_net = SingleLayerReQUNet(quad.a, quad.W, quad.b)
+    np.testing.assert_array_equal(requ_net.value(X), models.requ(quad.preactivations(X)) @ quad.a)
 
 
 def test_scale_params_homogeneity_single():

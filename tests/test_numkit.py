@@ -63,6 +63,8 @@ def test_conv_matrix_reproduces_conv_padded():
         v = rng.standard_normal(dv)
         V = numkit.conv_matrix(v, dz)
         assert V.shape == (dv + dz - 1, dz)
+        # Column c is the padded convolution of the c-th unit vector, exactly.
+        np.testing.assert_array_equal(V, np.column_stack([numkit.conv_padded(v, e) for e in np.eye(dz)]))
         for _ in range(4):
             z = rng.standard_normal(dz)
             np.testing.assert_allclose(V @ z, numkit.conv_padded(v, z), atol=1e-12)

@@ -84,9 +84,18 @@ def test_losses_stable_in_far_tails():
     assert np.isfinite(objective.loss_value(hinge, 1e9))
 
 
+def kernel_regularizer(net, lam, lam_c=0.0):
+    """The kernel's objective less its data term, on one sample."""
+    dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+    ds = datasets.Dataset(np.zeros((1, dim)), np.array([1]))
+    cfg = objective.ObjectiveConfig(objective.logistic(), lam, lam_c)
+    data = float(np.sum(objective.loss_value(cfg.loss, objective.margins(net, ds))))
+    return objective.FlatObjective(net, ds, cfg).value(models.net_to_flat(net)) - data
+
+
 def test_regularizer_single_pinned():
     net = SingleLayerReQUNet(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
-    assert objective.regularizer_single(net, np.array([3.0])) == pytest.approx(3.0)
+    assert kernel_regularizer(net, np.array([3.0])) == pytest.approx(3.0)
 
 
 def test_regularizer_deep_pinned():
@@ -97,12 +106,12 @@ def test_regularizer_deep_pinned():
         np.array([0.0]),
         0.5,
     )
-    assert objective.regularizer_deep(net, np.array([1.0]), lam_c=4.0) == pytest.approx(1.0)
+    assert kernel_regularizer(net, np.array([1.0]), lam_c=4.0) == pytest.approx(1.0)
     zero = DeepConvNet(
         (np.zeros(2), np.zeros(2)), np.array([0.0]), np.zeros((1, 4)), np.array([0.0]), 0.5
     )
     # Each zero filter contributes (lam_c/4) * 1.
-    assert objective.regularizer_deep(zero, np.array([1.0]), lam_c=4.0) == pytest.approx(2.0)
+    assert kernel_regularizer(zero, np.array([1.0]), lam_c=4.0) == pytest.approx(2.0)
 
 
 def test_empirical_loss_of_zero_net():
@@ -130,7 +139,7 @@ def test_training_error_zero_when_margins_positive():
 def brute_single_gradient(net, ds, cfg):
     """Per-neuron stationarity formulas, written as plain loops."""
     n, m, d = ds.n, net.m, net.d
-    f = np.array([models.forward_single(net, x) for x in ds.X])
+    f = net.value(ds.X)
     lp = objective.loss_deriv(cfg.loss, -ds.y * f)
     da = np.zeros(m)
     dW = np.zeros((m, d))
@@ -186,6 +195,32 @@ def test_gradient_fd_deep():
             objective.logistic(), rng.uniform(0.05, 0.4, net.m), lam_c=1.0
         )
         assert objective.finite_diff_check(net, ds, cfg) < 1e-5
+
+
+@pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"])
+def test_value_gradient_and_generic_paths_are_one_function(family):
+    # Exact equality, not approx: the trainer's Armijo test compares value
+    # against value_and_grad, and certify audits the function train minimized.
+    rng = np.random.default_rng(16)
+    for t in range(100):
+        if family.startswith("deep"):
+            net = make_deep(rng, s=int(rng.integers(2, 4)), l=int(family[-1]))
+            lam_c = float(rng.uniform(0.5, 2.0))
+        else:
+            net = make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet)
+            lam_c = 0.0
+        dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+        ds = datasets.gen_random(6, dim, seed=t)
+        loss = objective.logistic() if t % 2 else objective.smooth_hinge(3)
+        cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
+        fob = objective.FlatObjective(net, ds, cfg)
+        theta = models.net_to_flat(net)
+        value, grad = fob.value_and_grad(theta)
+        assert fob.value(theta) == value
+        assert objective.empirical_loss(models.net_from_flat(net, theta), ds, cfg) == value
+        generic_value, generic_grad = objective.value_and_gradient(net, ds, cfg)
+        assert generic_value == value
+        np.testing.assert_array_equal(generic_grad, grad)
 
 
 def test_inactive_neuron_block_has_zero_gradient():
