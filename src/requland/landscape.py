@@ -275,17 +275,27 @@ def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
 
     A nonnegative return certifies that no sampled direction descends --
     the Monte-Carlo signature of a local minimum.  Directions are uniform
-    on the sphere of the full parameter space.
+    on the sphere of the full parameter space.  The trials are drawn and
+    evaluated (FlatObjective.values) a chunk at a time; the draws follow
+    the same generator stream as one draw per trial, so the result does
+    not depend on the chunking.  A non-finite objective at the base point
+    or at any trial certifies nothing and returns NaN.
     """
     fob = FlatObjective(net, ds, cfg)
     theta = net_to_flat(net)
     base = fob.value(theta)
+    if not np.isfinite(base):
+        return float("nan")
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
-        u = rng.standard_normal(theta.size)
-        u *= radius / np.linalg.norm(u)
-        worst = min(worst, fob.value(theta + u) - base)
+    for start in range(0, trials, fob.CHUNK):
+        U = rng.standard_normal((min(fob.CHUNK, trials - start), theta.size))
+        for u in U:
+            u *= radius / np.linalg.norm(u)
+        deltas = fob.values(theta + U) - base
+        if not np.all(np.isfinite(deltas)):
+            return float("nan")
+        worst = min(worst, float(deltas.min()))
     return float(worst)
 
 

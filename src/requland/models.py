@@ -189,15 +189,16 @@ class FlatLayout:
         return self.m * (self.width + 2) + sum(self.filter_sizes)
 
     def split(self, theta):
-        """Views (a, W, b, [v_1, ..., v_{l-1}]) into theta."""
+        """Views (a, W, b, [v_1, ..., v_{l-1}]) into theta, or into each row
+        of a (..., size) stack, whose leading axes every view keeps."""
         m, w = self.m, self.width
-        a = theta[:m]
-        W = theta[m : m + m * w].reshape(m, w)
-        b = theta[m + m * w : m * (w + 2)]
+        a = theta[..., :m]
+        W = theta[..., m : m + m * w].reshape(theta.shape[:-1] + (m, w))
+        b = theta[..., m + m * w : m * (w + 2)]
         filts = []
         pos = m * (w + 2)
         for s in self.filter_sizes:
-            filts.append(theta[pos : pos + s])
+            filts.append(theta[..., pos : pos + s])
             pos += s
         return a, W, b, filts
 

@@ -3,8 +3,11 @@
 The empirical objective is sum_i loss(-y_i f(x_i)) plus a per-neuron cubic
 regularizer (1/3) sum_j lam_j (|a_j|^3 + 2 (||w_j||^2 + b_j^2)^(3/2)); deep
 nets add (lam_c/4) sum_k (||v_k||^2 - 1)^2 to anchor filter norms near 1.
-FlatObjective is its one implementation, value and gradient alike;
-empirical_loss, value_and_gradient and gradient evaluate it at a network.
+FlatObjective is its one implementation, value and gradient alike; its
+values evaluates a (K, P) stack of parameter vectors in one pass, each
+result equal (==) to value at that row, so Monte-Carlo probes batch their
+points without changing what they select.  empirical_loss,
+value_and_gradient and gradient evaluate it at a network.
 
 Both supported losses are nonnegative, non-decreasing, and twice continuously
 differentiable, and each has an activation threshold eps with
@@ -124,12 +127,18 @@ class FlatObjective:
 
     Shapes, the parameter layout and each conv layer's banded index pattern
     are frozen at construction, so evaluations skip network rebuilding and
-    validation.  value and value_and_grad share one forward pass, which also
-    holds the one regularizer formula, so value(theta) equals
-    value_and_grad(theta)[0] exactly.  The tests pin the gradient to central
-    differences, the conv layers to numkit.conv_padded, and the regularizer
-    to closed forms.
+    validation.  value, values and value_and_grad share one forward pass,
+    written over a leading batch axis, which also holds the one regularizer
+    formula.  value(theta) equals value_and_grad(theta)[0] exactly, and
+    values(thetas)[k] equals value(thetas[k]) exactly (==, not approx): a
+    stacked row goes through the same BLAS calls and elementwise operations
+    as a single point, so batched searches select what point-by-point loops
+    would.  The tests pin the gradient to central differences, the conv
+    layers to numkit.conv_padded, the regularizer to closed forms, and
+    values to value.
     """
+
+    CHUNK = 480  # rows per stacked forward pass; bounds its temporaries
 
     def __init__(self, like, ds, cfg: ObjectiveConfig):
         cfg.check_m(like)
@@ -146,40 +155,57 @@ class FlatObjective:
 
     def _conv_mat(self, k, v):
         dim, rows, cols, taps = self.bands[k]
-        V = np.zeros((dim + v.size - 1, dim))
-        V[rows, cols] = v[taps]
+        V = np.zeros(v.shape[:-1] + (dim + v.shape[-1] - 1, dim))
+        V.T[cols, rows] = v.T[taps]  # indexes the band axes first, stacked or not
         return V
 
+    def _anchor(self, v):
+        """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack
+        of them, always in per-point Python-float arithmetic: numpy's stacked
+        v.v and its square both differ from it in the last bit."""
+        if v.ndim > 1:
+            return np.array([self._anchor(x) for x in v])
+        return 0.25 * self.lam_c * (float(v @ v) - 1.0) ** 2
+
     def _forward(self, theta):
-        """One evaluation: the objective value, then what the gradient needs
-        -- (a, W, b, filters), per conv layer (input, conv matrix,
-        preactivation), the head input, the head activation, phi, the
-        margins z and the joint weight-bias norms u_j."""
+        """Evaluate at theta, or at each row of a (K, size) stack: the
+        objective value, then what the gradient needs -- (a, W, b, filters),
+        per conv layer (input, conv matrix, preactivation), the head input,
+        the head activation, phi, the margins z and the joint weight-bias
+        norms u_j, each with the stack's leading axis."""
         params = self.layout.split(theta)
         a, W, b, filts = params
         layers = []
         H = self.X
         for k, v in enumerate(filts):
             V = self._conv_mat(k, v)
-            P = H @ V.T
+            P = H @ V.swapaxes(-1, -2)
             layers.append((H, V, P))
             H = np.where(P >= 0.0, P, self.slope * P)
-        pre = H @ W.T + b
+        pre = H @ W.swapaxes(-1, -2) + b[..., None, :]
         act = pre if self.squared else np.maximum(pre, 0.0)
         phi = act * act
-        z = -self.y * (phi @ a)
-        u = np.sqrt(np.sum(W * W, axis=1) + b * b)
-        reg = float(np.sum(self.lam * (np.abs(a) ** 3 + 2.0 * u**3)) / 3.0)
+        z = -self.y * (phi @ a[..., None])[..., 0]
+        u = np.sqrt((W * W).sum(axis=-1) + b * b)
+        reg = (self.lam * (np.abs(a) ** 3 + 2.0 * u**3)).sum(axis=-1) / 3.0
         for v in filts:
-            reg += 0.25 * self.lam_c * (float(v @ v) - 1.0) ** 2
-        value = float(np.sum(loss_value(self.loss, z))) + reg
+            reg = reg + self._anchor(v)
+        value = loss_value(self.loss, z).sum(axis=-1) + reg
         return value, params, layers, H, act, phi, z, u
 
     def value(self, theta) -> float:
-        return self._forward(theta)[0]
+        return float(self._forward(theta)[0])
+
+    def values(self, thetas) -> np.ndarray:
+        """value at each row of a (K, size) stack, CHUNK rows per pass."""
+        out = np.empty(len(thetas))
+        for s in range(0, len(out), self.CHUNK):
+            out[s : s + self.CHUNK] = self._forward(thetas[s : s + self.CHUNK])[0]
+        return out
 
     def value_and_grad(self, theta):
         value, (a, W, b, filts), layers, F, act, phi, z, u = self._forward(theta)
+        value = float(value)
         lam = self.lam
         g = -loss_deriv(self.loss, z) * self.y  # d(data term)/d f_i
         S = g[:, None] * (2.0 * act)
@@ -196,7 +222,7 @@ class FlatObjective:
             dpre = dH * np.where(P >= 0.0, 1.0, self.slope)
             s = v.size
             Hp = np.pad(H_prev, ((0, 0), (s - 1, s - 1)))
-            dv = np.array([np.sum(dpre * Hp[:, i : i + dpre.shape[1]]) for i in range(s)])
+            dv = np.array([(dpre * Hp[:, i : i + dpre.shape[1]]).sum() for i in range(s)])
             dv += self.lam_c * (float(v @ v) - 1.0) * v
             dfilts[k] = dv
             if k > 0:
@@ -236,9 +262,16 @@ def coercivity_lower_bound(theta_norm: float, lam_min: float, m: int) -> float:
     """Cubic floor lam_min / (3 sqrt(2 m)) * ||theta||^3 for single-layer nets.
 
     Follows from the power-mean inequality applied to the 2m squared block
-    norms; the data term only adds on top.
+    norms; the data term only adds on top.  Where ||theta||^3 alone
+    overflows, the floor is multiplied out factor by factor instead, which
+    reaches inf only when the floor itself does.
     """
-    return lam_min / (3.0 * np.sqrt(2.0 * m)) * theta_norm**3
+    c = lam_min / (3.0 * np.sqrt(2.0 * m))
+    t = float(theta_norm)
+    try:
+        return c * t**3
+    except OverflowError:
+        return float(c) * t * t * t
 
 
 def coercivity_gap(net, ds, cfg: ObjectiveConfig) -> float:

@@ -191,6 +191,18 @@ def _escape_candidates(features, y, misclassified, rng, count):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+def _last_decrease(vals, best, tiny):
+    """Scan vals in order, moving best to every value below best - tiny, as a
+    point-by-point search would; return (best, position of the last move or
+    None).  best only falls, so a value that misses the first threshold
+    misses every later one and the scan skips it."""
+    last = None
+    for k in np.flatnonzero(vals < best - tiny):
+        if vals[k] < best - tiny:
+            best, last = float(vals[k]), int(k)
+    return best, last
+
+
 def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     """Point an inactive neuron along a sampled direction if that helps.
 
@@ -201,7 +213,9 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     perturbation (the loss change is third order in delta), whereas rewriting
     an active block would be a non-local jump that can tunnel out of true
     local minima the descent method is supposed to terminate at.  Returns
-    (None, loss) when every block is active.
+    (None, loss) when every block is active.  The (candidate, delta) grid is
+    evaluated through FlatObjective.values a few candidates at a time and
+    scanned in candidate-major order; the last strict improvement wins.
     """
     net = net_from_flat(like, theta)
     norms = neuron_block_norms(net)
@@ -218,18 +232,21 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     drive = (lp * ds.y) @ act
     signs = np.where(drive >= 0.0, 1.0, -1.0)
 
-    blocks = fob.layout.blocks()
+    block = fob.layout.blocks()[j]
+    tiny = 1e-14 * (1.0 + abs(loss))
     best_loss, best_theta = loss, None
     deltas = opts.escape_delta * 2.0 ** np.arange(-4, 13)
     order = np.argsort(-np.abs(drive))[: max(32, opts.escape_directions // 4)]
-    for c in order:
-        for delta in deltas:
-            trial = theta.copy()
-            block = np.concatenate([[signs[c] * delta], delta * dirs[c, :-1], [delta * dirs[c, -1]]])
-            trial[blocks[j]] = block
-            trial_loss = fob.value(trial)
-            if trial_loss < best_loss - 1e-14 * (1.0 + abs(loss)):
-                best_loss, best_theta = trial_loss, trial
+    per = max(1, fob.CHUNK // deltas.size)
+    for c in range(0, order.size, per):
+        cands = order[c : c + per]
+        trials = np.tile(theta, (cands.size * deltas.size, 1))
+        trials[:, block[0]] = (signs[cands, None] * deltas).ravel()
+        scaled = deltas[None, :, None] * dirs[cands, None, :]  # (cands, deltas, w + 1)
+        trials[:, block[1:]] = scaled.reshape(-1, dirs.shape[1])
+        best_loss, k = _last_decrease(fob.values(trials), best_loss, tiny)
+        if k is not None:
+            best_theta = trials[k].copy()
     return best_theta, best_loss
 
 
@@ -242,6 +259,14 @@ def _attempt_stall_escape(theta, loss, fob, blocks, rng, opts):
     off the manifold.  Probing random unit directions over live coordinates
     (pruned blocks stay pruned; a revived block only re-enters at cubic order
     anyway) finds one whenever the pin is not a genuine local minimum.
+
+    The directions come from two stacked draws, which follow the same
+    generator stream as one draw per direction.  Every probe point
+    theta + r u is evaluated through FlatObjective.values, a chunk of
+    directions at a time, and scanned in order (directions as drawn, radii
+    ascending): the last point that beats the running best by more than
+    tiny wins.  The greedy doubling that follows a hit calls value one step
+    at a time.
     """
     live = np.ones(theta.size, dtype=bool)
     head = np.zeros(theta.size, dtype=bool)
@@ -249,28 +274,24 @@ def _attempt_stall_escape(theta, loss, fob, blocks, rng, opts):
         head[b] = True
         if not theta[b].any():
             live[b] = False
-    n_live = int(live.sum())
-    dirs = []
-    for _ in range(opts.stall_probes):
-        u = np.zeros(theta.size)
-        u[live] = rng.standard_normal(n_live)
-        dirs.append(u)
     # Kinks live in the filter coordinates; concentrated probes there reach
     # across the manifold where full-space directions dilute by 1/sqrt(dim).
     n_filt = int((~head).sum())
-    for _ in range(0 if n_filt == 0 else 64):
-        u = np.zeros(theta.size)
-        u[~head] = rng.standard_normal(n_filt)
-        dirs.append(u)
+    U = np.zeros((opts.stall_probes + (0 if n_filt == 0 else 64), theta.size))
+    U[: opts.stall_probes, live] = rng.standard_normal((opts.stall_probes, int(live.sum())))
+    U[opts.stall_probes :, ~head] = rng.standard_normal((len(U) - opts.stall_probes, n_filt))
+    for u in U:
+        u /= np.linalg.norm(u)
     radii = opts.escape_delta * 2.0 ** np.arange(-6, 9)
     tiny = 1e-15 * (1.0 + abs(loss))
     best_loss, best_step = loss, None
-    for u in dirs:
-        u /= np.linalg.norm(u)
-        for r in radii:
-            trial_loss = fob.value(theta + r * u)
-            if trial_loss < best_loss - tiny:
-                best_loss, best_step = trial_loss, (u, r)
+    per = max(1, fob.CHUNK // radii.size)
+    for c in range(0, len(U), per):
+        dirs = U[c : c + per]
+        trials = theta + radii[None, :, None] * dirs[:, None, :]
+        best_loss, k = _last_decrease(fob.values(trials.reshape(-1, theta.size)), best_loss, tiny)
+        if k is not None:
+            best_step = (dirs[k // radii.size], radii[k % radii.size])
     if best_step is None:
         return None, loss
     u, r = best_step

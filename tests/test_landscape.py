@@ -472,3 +472,48 @@ def test_perturbation_stability_at_bad_min():
     ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
     worst = landscape.perturbation_stability(net, ds, cfg, radius=1e-3, trials=200, seed=0)
     assert worst >= 0.0
+
+
+def serial_perturbation_stability_oracle(net, ds, cfg, radius, trials, seed):
+    """perturbation_stability as one draw and one value call per trial."""
+    fob = objective.FlatObjective(net, ds, cfg)
+    theta = net_to_flat(net)
+    base = fob.value(theta)
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        u = rng.standard_normal(theta.size)
+        u *= radius / np.linalg.norm(u)
+        worst = min(worst, fob.value(theta + u) - base)
+    return float(worst)
+
+
+def test_perturbation_stability_matches_serial_oracle():
+    # 1100 trials cross two chunk borders; the bad minimum repels every
+    # probe, the random net does not, so both signs of the minimum are hit.
+    lam = np.random.default_rng(0).uniform(0.05, 0.45, size=3)
+    ds, net, cfg = build_bad_local_min(10, 3, lam, seed=0, mode="generalized")
+    rng = np.random.default_rng(3)
+    other = SingleLayerReQUNet(rng.standard_normal(3), rng.standard_normal((3, ds.d)),
+                               rng.standard_normal(3))
+    for seed in range(3):
+        for at, radius, want_sign in ((net, 1e-3, 1.0), (other, 1e-2, -1.0)):
+            got = landscape.perturbation_stability(at, ds, cfg, radius, 1100, seed)
+            assert got == serial_perturbation_stability_oracle(at, ds, cfg, radius, 1100, seed)
+            assert np.sign(got) == want_sign
+
+
+def test_perturbation_stability_is_nan_on_a_non_finite_objective():
+    # At scale 1e110 the cubic terms overflow and the objective is NaN.  A
+    # plain running min(worst, nan) keeps +inf there, which reads as "no
+    # sampled direction descends".
+    ds = gen_random(10, 3, seed=0)
+    net = optimize.init_single(11, 3, seed=0, scale=1e110)
+    cfg = ObjectiveConfig(loss=logistic(), lam=optimize.sample_lambda(11, 0.1, seed=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(objective.empirical_loss(net, ds, cfg))
+        assert np.isnan(landscape.perturbation_stability(net, ds, cfg, trials=50))
+        # A finite base with overflowing trials certifies nothing either.
+        small = optimize.init_single(11, 3, seed=0)
+        assert np.isfinite(objective.empirical_loss(small, ds, cfg))
+        assert np.isnan(landscape.perturbation_stability(small, ds, cfg, radius=1e120, trials=5))

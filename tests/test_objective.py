@@ -223,6 +223,33 @@ def test_value_gradient_and_generic_paths_are_one_function(family):
         np.testing.assert_array_equal(generic_grad, grad)
 
 
+@pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"])
+def test_values_equals_value_at_every_row(family):
+    # Exact equality, not approx: the stall probe, the escape grid and
+    # perturbation_stability select from values what point-by-point value
+    # loops selected.  K straddles the chunk size to cover chunk borders.
+    rng = np.random.default_rng(17)
+    chunk = objective.FlatObjective.CHUNK
+    for t, K in enumerate((1, chunk - 1, chunk, chunk + 1)):
+        if family.startswith("deep"):
+            net = make_deep(rng, s=int(rng.integers(2, 4)), l=int(family[-1]))
+            lam_c = float(rng.uniform(0.5, 2.0))
+        else:
+            net = make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet)
+            lam_c = 0.0
+        dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+        ds = datasets.gen_random(6, dim, seed=t)
+        loss = objective.logistic() if t % 2 else objective.smooth_hinge(3)
+        cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
+        fob = objective.FlatObjective(net, ds, cfg)
+        theta = models.net_to_flat(net)
+        thetas = theta + rng.standard_normal((K, theta.size)) * 10.0 ** rng.uniform(-4, 0, (K, 1))
+        vals = fob.values(thetas)
+        assert vals.shape == (K,)
+        for k in range(K):
+            assert vals[k] == fob.value(thetas[k])
+
+
 def test_inactive_neuron_block_has_zero_gradient():
     # A neuron with a = w = b = 0 sits at a flat spot of both terms.
     rng = np.random.default_rng(14)
@@ -251,6 +278,20 @@ def test_coercivity_bound_holds_at_scale():
         gap = objective.coercivity_gap(net, ds, cfg)
         loss = objective.empirical_loss(net, ds, cfg)
         assert gap >= -1e-9 * (1.0 + loss)
+
+
+def test_coercivity_bound_past_float_overflow():
+    # ||theta||^3 overflows a float at both norms; the floor is infinite at
+    # 1e110 and finite at 1e103 (about 7.1e306), and neither may raise.
+    assert objective.coercivity_lower_bound(1e110, 0.1, 11) == np.inf
+    assert objective.coercivity_lower_bound(np.float64(1e110), 0.1, 11) == np.inf
+    c = 0.1 / (3.0 * np.sqrt(22.0))
+    for norm in (1e103, np.float64(1e103)):
+        floor = objective.coercivity_lower_bound(norm, 0.1, 11)
+        assert np.isfinite(floor)
+        assert floor == pytest.approx(c * 1e9 * 1e300, rel=1e-12)  # c * 1e309
+    # Below the overflow the floor is the plain formula, to the last bit.
+    assert objective.coercivity_lower_bound(2.0, 0.1, 11) == c * 2.0**3
 
 
 def test_epsilon_criterion_on_confident_net():
