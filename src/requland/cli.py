@@ -36,7 +36,7 @@ from .landscape import (
     perturbation_stability,
 )
 from .models import load_net, save_net
-from .numkit import conv_matrix, frobenius, min_singular_value, sym_eigvals
+from .numkit import conv_matrix, frobenius, min_singular_value, min_singular_values, sym_eigvals
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
@@ -226,6 +226,12 @@ def _build_dataset(cfg: dict):
     return ds
 
 
+def _check_trials(cfg: dict) -> None:
+    """A Monte-Carlo check over no trials would pass vacuously."""
+    if int(cfg["trials"]) < 1:
+        raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
+
+
 def _resolve_coefficients(cfg: dict, ds, loss, m: int):
     """Returns (lambda0 or None, lam array); explicit lam wins over lambda0."""
     if cfg.get("lam") is not None:
@@ -347,17 +353,25 @@ def _probe_coercivity(cfg: dict) -> dict:
     rng = np.random.default_rng(int(cfg["seed"]))
     lam_min = float(np.min(lam))
     slack = float(cfg["slack"])
+    trials = int(cfg["trials"])
+    log_max = np.log10(float(cfg["norm_max"]))
     worst = np.inf
     violations = 0
-    for _ in range(int(cfg["trials"])):
-        u = rng.standard_normal(size)
-        radius = 10.0 ** rng.uniform(-2.0, np.log10(float(cfg["norm_max"])))
-        theta = radius * u / np.linalg.norm(u)
-        value = fob.value(theta)
-        floor = coercivity_lower_bound(radius, lam_min, m)
-        worst = min(worst, value - floor)
-        if value < floor - slack * (1.0 + abs(floor)):
-            violations += 1
+    # Trials draw direction then radius, interleaved on one stream, so a
+    # chunk is filled row by row and then evaluated as one stack.
+    for start in range(0, trials, fob.CHUNK):
+        thetas = np.empty((min(fob.CHUNK, trials - start), size))
+        radii = []
+        for theta in thetas:
+            u = rng.standard_normal(size)
+            radius = 10.0 ** rng.uniform(-2.0, log_max)
+            theta[:] = radius * u / np.linalg.norm(u)
+            radii.append(radius)
+        for radius, value in zip(radii, fob.values(thetas)):
+            floor = coercivity_lower_bound(radius, lam_min, m)
+            worst = min(worst, value - floor)
+            if value < floor - slack * (1.0 + abs(floor)):
+                violations += 1
     return {"violations": violations, "worst_margin": float(worst), "pass": violations == 0}
 
 
@@ -371,7 +385,7 @@ def _probe_lemma2(cfg: dict) -> dict:
     result = {"min_max_sigma": float(minmax), "pass": minmax > 0.0}
     if cfg["adversarial"] and m == ds.n:
         z, A = certificate_matrix_adversarial(ds, lam)
-        sigma = [min_singular_value(M) for M in certificate_matrices_zA(ds, z, A, lam)]
+        sigma = min_singular_values(certificate_matrices_zA(ds, z, A, lam))
         result["adversarial_max_sigma"] = float(np.max(sigma))
     return result
 
@@ -446,6 +460,7 @@ PROBE_RUNNERS = {
 def cmd_probe(args) -> int:
     defaults = PROBE_DEFAULTS[args.kind]
     cfg = _merge_config(defaults, args, ["trials", "seed"])
+    _check_trials(cfg)
     result = PROBE_RUNNERS[args.kind](cfg)
     report = {"kind": args.kind, **{k: cfg[k] for k in sorted(cfg)}, **result}
     if args.out:
@@ -464,6 +479,7 @@ def cmd_counterexample(args) -> int:
     cfg = _merge_config(
         COUNTEREXAMPLE_DEFAULTS, args, ["n", "m", "seed", "mode", "trials", "radius"]
     )
+    _check_trials(cfg)
     out = _prepare_outdir(args.out)
     n, m = int(cfg["n"]), int(cfg["m"])
     if cfg["lam"] is not None:

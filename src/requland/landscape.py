@@ -17,6 +17,11 @@ require lam to hit a measure-zero row-space condition (the failure
 overdetermined_no_solution quantifies); at m = n the explicit adversarial
 configuration from certificate_matrix_adversarial does make every matrix
 singular, showing the overparameterization hypothesis is load-bearing.
+
+_certificate_sum builds the certificate matrices of one network, one (z, A)
+draw or a whole stack of draws, and numkit.min_singular_values takes a
+stack's sigma_min in one batched SVD.  Stacking is exact: each matrix and
+each sigma_min equals (==) the one built and factored alone.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .models import DeepConvNet, QuadraticNet, net_to_flat
-from .numkit import min_singular_value
+from .numkit import min_singular_values
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
@@ -60,13 +65,14 @@ def _head_features(net, ds: Dataset) -> np.ndarray:
 
 
 def _certificate_sum(lifted, weights, lam) -> np.ndarray:
-    """M_j = -sum_i weights_ij l_i l_i^T + lam_j I over the lifted rows l_i."""
-    p = lifted.shape[1]
-    out = np.empty((lam.size, p, p))
-    for j in range(lam.size):
-        weighted = lifted * weights[:, j][:, None]
-        out[j] = -(weighted.T @ lifted) + lam[j] * np.eye(p)
-    return out
+    """M_j = -sum_i weights_ij l_i l_i^T + lam_j I over the lifted rows l_i.
+
+    Weights of shape (..., n, m) give matrices of shape (..., m, p, p), each
+    == its one-matrix build: the same product, negation and shift per block.
+    """
+    weighted = lifted * weights.swapaxes(-1, -2)[..., None]  # (..., m, n, p)
+    shift = lam[:, None, None] * np.eye(lifted.shape[1])
+    return -(weighted.swapaxes(-1, -2) @ lifted) + shift
 
 
 def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
@@ -190,7 +196,7 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
         for j in range(net.m)
         if abs_a[j] < tol and w_norms[j] < tol and abs_b[j] < tol
     ]
-    sigma = np.array([min_singular_value(M) for M in build_M_matrices(net, ds, cfg)])
+    sigma = min_singular_values(build_M_matrices(net, ds, cfg))
     marg = float(np.min(ds.y * net.value(ds.X)))
     err = training_error(net, ds)
     lp = loss_deriv(cfg.loss, margins(net, ds))
@@ -281,6 +287,8 @@ def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
     not depend on the chunking.  A non-finite objective at the base point
     or at any trial certifies nothing and returns NaN.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     fob = FlatObjective(net, ds, cfg)
     theta = net_to_flat(net)
     base = fob.value(theta)
@@ -306,15 +314,17 @@ def certificate_matrices_zA(ds: Dataset, z, A, lam) -> np.ndarray:
     return _certificate_sum(ds.lifted(), z[:, None] * A, np.asarray(lam, dtype=float))
 
 
-def _mc_trial(ds: Dataset, lam, seed_pair) -> float:
+_MC_CHUNK = 256  # trials per stacked build and SVD; bounds the stack's memory
+
+
+def _mc_weights(n: int, m: int, seed_pair) -> np.ndarray:
+    """One trial's certificate weights z_i A_ij, from its own SeedSequence."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    n = ds.n
     # Heavy-tailed mix: Cauchy draws stress near-singular regimes that
     # bounded sampling would essentially never reach.
     z = np.where(rng.random(n) < 0.5, rng.standard_normal(n), rng.standard_cauchy(n))
-    A = rng.integers(-1, 2, size=(n, lam.size)).astype(float)
-    sig = [min_singular_value(M) for M in certificate_matrices_zA(ds, z, A, lam)]
-    return float(max(sig))
+    A = rng.integers(-1, 2, size=(n, m)).astype(float)
+    return z[:, None] * A
 
 
 def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
@@ -326,7 +336,12 @@ def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
     overdetermined linear system whose solution set has measure zero.  With
     m <= n that protection is gone (a warning says so), and the adversarial
     configuration below shows the failure is real, not just unproven.
+
+    Trial t draws (z, A) from SeedSequence((seed, t)); each chunk of trials
+    is built and factored as one stack, exactly as trial by trial.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     lam = np.asarray(lam, dtype=float)
     if lam.size != m:
         raise ValueError(f"lam has {lam.size} entries, expected m={m}")
@@ -338,7 +353,14 @@ def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
             "all-singular configurations exist in this regime",
             stacklevel=2,
         )
-    return float(min(_mc_trial(ds, lam, (seed, t)) for t in range(trials)))
+    lifted = ds.lifted()
+    worst = np.inf
+    for start in range(0, trials, _MC_CHUNK):
+        weights = np.stack([_mc_weights(ds.n, m, (seed, t))
+                            for t in range(start, min(start + _MC_CHUNK, trials))])
+        sigma = min_singular_values(_certificate_sum(lifted, weights, lam))  # (chunk, m)
+        worst = min(worst, float(sigma.max(axis=1).min()))
+    return worst
 
 
 def certificate_matrix_adversarial(ds: Dataset, lam):

@@ -13,10 +13,11 @@ import numpy as np
 NONSING_RTOL = 1e-8
 
 
-def as_matrix(A) -> np.ndarray:
-    """Coerce to a 2-D float array, rejecting anything else."""
+def as_matrix(A, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 2-D float array (any ndim >= 2 when stacked), rejecting
+    anything else."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
+    if A.ndim < 2 or (A.ndim != 2 and not stacked):
         raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
     if A.size == 0:
         raise ValueError("empty matrix")
@@ -50,10 +51,15 @@ def sym_eigvals(A, sym_tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
+def min_singular_values(stack) -> np.ndarray:
+    """Smallest singular value of each matrix in a (..., r, c) stack, from one
+    batched LAPACK call; entry k equals min_singular_value(stack[k]) exactly."""
+    return np.linalg.svd(as_matrix(stack, stacked=True), compute_uv=False)[..., -1]
+
+
 def min_singular_value(A) -> float:
     """Smallest singular value of a 2-D matrix (square or rectangular)."""
-    A = as_matrix(A)
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
+    return float(min_singular_values(as_matrix(A)))
 
 
 def is_nonsingular(A, rtol: float = NONSING_RTOL) -> bool:

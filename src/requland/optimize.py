@@ -17,6 +17,7 @@ trainer probes random nearby points for a strict decrease before giving up.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .objective import (
     training_error,
 )
 
-TERMINAL_STATUSES = ("converged", "budget-exhausted", "stalled")
+TERMINAL_STATUSES = ("converged", "budget-exhausted", "stalled", "non-finite")
 
 
 class CoercivityViolationError(RuntimeError):
@@ -69,9 +70,10 @@ class Trajectory:
     """Recorded (iter, loss, grad_norm, param_norm, status) rows.
 
     Row statuses are "descent", "snap", or "escape"; the final row carries the
-    terminal status: "converged", "budget-exhausted", or "stalled" (no
-    representable step could decrease the loss).  Escapes that later converge
-    still end in "converged"; the escape rows keep the history.
+    terminal status: "converged", "budget-exhausted", "stalled" (no
+    representable step could decrease the loss), or "non-finite" (the loss
+    or the gradient norm is inf or NaN).  Escapes that later converge still
+    end in "converged"; the escape rows keep the history.
     """
 
     rows: list = field(default_factory=list)
@@ -344,6 +346,9 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         pn = float(np.linalg.norm(theta))
         if it % opts.record_every == 0:
             traj.record(it, loss, gn, pn, "descent")
+        if not (math.isfinite(loss) and math.isfinite(gn)):
+            traj.record(it, loss, gn, pn, "non-finite")
+            return net_from_flat(like, theta), traj
 
         if opts.check_coercivity and is_single:
             floor = coercivity_lower_bound(pn, lam_min, like.m)

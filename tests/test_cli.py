@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 import yaml
 
-from requland.cli import main
+from requland.cli import PROBE_DEFAULTS, _make_loss, _probe_coercivity, main
+from requland.datasets import gen_random
 from requland.landscape import CertificateReport
 from requland.models import SingleLayerReQUNet, save_net
+from requland.objective import FlatObjective, ObjectiveConfig, coercivity_lower_bound
+from requland.optimize import init_single, sample_lambda
 
 
 def run(*argv):
@@ -171,6 +174,56 @@ def test_probe_reports_square_case_adversarial_sigma(tmp_path):
     assert code == 0  # random trials still avoid the measure-zero singular set
     report = json.loads((out / "report.json").read_text())
     assert report["adversarial_max_sigma"] < 1e-10  # crafted (z, A) defeats every M_j
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["probe", "coercivity"],
+    ["probe", "lemma2"],
+    ["counterexample", "--n", "10", "--m", "3", "--mode", "generalized"],
+])
+def test_monte_carlo_commands_reject_trials_below_one(argv, trials, tmp_path, capsys):
+    # Over no trials the coercivity probe printed PASS worst_margin=inf,
+    # counterexample wrote "min_loss_delta": Infinity (not valid JSON) and
+    # passed, and lemma2 failed on an empty min().
+    out = tmp_path / "out"
+    assert run(*argv, "--trials", trials, "--out", out) == 1
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def serial_coercivity_oracle(cfg):
+    """probe coercivity with one FlatObjective.value call per trial."""
+    ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
+    m = int(cfg["m"])
+    lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
+    fob = FlatObjective(init_single(m, ds.d, seed=0), ds,
+                        ObjectiveConfig(loss=_make_loss(cfg), lam=lam))
+    rng = np.random.default_rng(int(cfg["seed"]))
+    lam_min, slack = float(np.min(lam)), float(cfg["slack"])
+    worst, violations = np.inf, 0
+    for _ in range(int(cfg["trials"])):
+        u = rng.standard_normal(fob.layout.size)
+        radius = 10.0 ** rng.uniform(-2.0, np.log10(float(cfg["norm_max"])))
+        value = fob.value(radius * u / np.linalg.norm(u))
+        floor = coercivity_lower_bound(radius, lam_min, m)
+        worst = min(worst, value - floor)
+        if value < floor - slack * (1.0 + abs(floor)):
+            violations += 1
+    return {"violations": violations, "worst_margin": float(worst), "pass": violations == 0}
+
+
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+def test_probe_coercivity_matches_serial_oracle(loss):
+    # Trial counts around one stacked chunk.  A slack of -12 raises the bar
+    # above about half of the trials, so the violation count is compared too.
+    for trials in (FlatObjective.CHUNK - 1, FlatObjective.CHUNK, FlatObjective.CHUNK + 1):
+        for seed, slack in ((0, 1e-9), (2, -12.0)):
+            cfg = {**PROBE_DEFAULTS["coercivity"], "loss": loss, "trials": trials,
+                   "seed": seed, "slack": slack}
+            got = _probe_coercivity(dict(cfg))
+            assert got == serial_coercivity_oracle(cfg)
+            assert (0 < got["violations"] < trials) == (slack < 0)
 
 
 def test_demo_path_csv(tmp_path):

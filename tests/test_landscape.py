@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,99 @@ def test_monte_carlo_validates_lam():
         landscape.certificate_matrix_monte_carlo(ds, 4, np.array([0.1, 0.1, 0.2, 0.3]))
     with pytest.raises(ValueError, match="expected m"):
         landscape.certificate_matrix_monte_carlo(ds, 4, np.array([0.1, 0.2]))
+
+
+def test_monte_carlo_and_perturbation_stability_need_a_trial():
+    ds = gen_random(3, 2, seed=2)
+    lam = np.array([0.1, 0.2, 0.3, 0.4])
+    net = optimize.init_single(4, 2, seed=0)
+    cfg = ObjectiveConfig(loss=logistic(), lam=lam)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            landscape.certificate_matrix_monte_carlo(ds, 4, lam, trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            landscape.perturbation_stability(net, ds, cfg, trials=trials)
+
+
+def serial_certificate_sum_oracle(lifted, weights, lam):
+    """_certificate_sum for one (n, m) weight matrix, one block at a time."""
+    p = lifted.shape[1]
+    out = np.empty((lam.size, p, p))
+    for j in range(lam.size):
+        weighted = lifted * weights[:, j][:, None]
+        out[j] = -(weighted.T @ lifted) + lam[j] * np.eye(p)
+    return out
+
+
+def test_certificate_sum_matches_serial_oracle(monkeypatch):
+    rng = np.random.default_rng(4)
+    m = 8
+    ds = gen_random(7, 3, seed=4)
+    lam = optimize.sample_lambda(m, 0.1, seed=4)
+    cfg = ObjectiveConfig(loss=logistic(), lam=lam)
+    nets = [
+        SingleLayerReQUNet(rng.standard_normal(m), rng.standard_normal((m, 3)),
+                           rng.standard_normal(m)),
+        QuadraticNet(rng.standard_normal(m), rng.standard_normal((m, 3)),
+                     rng.standard_normal(m)),
+        optimize.init_deep(3, 2, 3, m, seed=4, scale=3.0),
+    ]
+    draws = []
+    for n in (3, 8, 20):
+        zds = gen_random(n, 3, seed=n)
+        for _ in range(10):
+            z = np.where(rng.random(n) < 0.5, rng.standard_normal(n), rng.standard_cauchy(n))
+            draws.append((zds, z, rng.integers(-1, 2, size=(n, n + 1)).astype(float),
+                          optimize.sample_lambda(n + 1, 0.1, seed=n)))
+
+    def build():
+        return ([landscape.build_M_matrices(net, ds, cfg) for net in nets]
+                + [landscape.certificate_matrices_zA(*d) for d in draws])
+
+    got = build()
+    stacked_sum = landscape._certificate_sum
+    monkeypatch.setattr(landscape, "_certificate_sum", serial_certificate_sum_oracle)
+    want = build()
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.all(g == w)
+    # A stack of weight matrices gives the stack of their matrices.
+    for first in (0, 10, 20):  # the draws of one size
+        zds, _, _, lam_n = draws[first]
+        weights = np.stack([z[:, None] * A for _, z, A, _ in draws[first : first + 10]])
+        stacked = stacked_sum(zds.lifted(), weights, lam_n)
+        assert np.all(stacked == np.stack(want[len(nets) + first :][:10]))
+
+
+def serial_monte_carlo_oracle(ds, m, lam, trials, seed):
+    """certificate_matrix_monte_carlo as one draw, one build and m SVDs per trial."""
+    lam = np.asarray(lam, dtype=float)
+    worst = np.inf
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        z = np.where(rng.random(ds.n) < 0.5, rng.standard_normal(ds.n),
+                     rng.standard_cauchy(ds.n))
+        A = rng.integers(-1, 2, size=(ds.n, m)).astype(float)
+        Ms = serial_certificate_sum_oracle(ds.lifted(), z[:, None] * A, lam)
+        worst = min(worst, max(min_singular_value(M) for M in Ms))
+    return float(worst)
+
+
+@pytest.mark.parametrize("n,m", [(5, 6), (8, 8), (8, 9)])
+def test_monte_carlo_matches_serial_oracle(n, m, monkeypatch):
+    ds = gen_random(n, 3, seed=n)
+    lam = optimize.sample_lambda(m, 1e-2, seed=m)
+    draw = landscape._mc_weights
+    drawn = []
+    monkeypatch.setattr(landscape, "_mc_weights",
+                        lambda n, m, pair: drawn.append(pair) or draw(n, m, pair))
+    chunk = landscape._MC_CHUNK
+    for trials in (chunk - 1, chunk, chunk + 1):
+        drawn.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # m = n warns
+            got = landscape.certificate_matrix_monte_carlo(ds, m, lam, trials, seed=1)
+        assert got == serial_monte_carlo_oracle(ds, m, lam, trials, seed=1)
+        assert drawn == [(1, t) for t in range(trials)]  # every trial, once, in order
 
 
 def test_square_case_warns_and_adversarial_kills_every_matrix():

@@ -303,11 +303,20 @@ def test_escape_matches_serial_oracle():
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
-def test_train_from_an_overflowing_norm_does_not_raise():
+def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
     # ||theta||^3 overflows a float here, and the coercivity check at
-    # iteration 0 must not raise from it; the objective itself is NaN.
+    # iteration 0 must not raise from it; the objective itself is NaN.  The
+    # run ends "non-finite" at once instead of spending stall tries on a NaN
+    # loss and reporting a kink stall.
     ds = gen_random(10, 3, seed=0)
     cfg = quick_cfg(11, lam0=0.1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, traj = opt.train(opt.init_single(11, 3, seed=0, scale=1e110), ds, cfg)
-    assert np.isnan(traj.rows[-1][1])
+    stall_tries = []
+    monkeypatch.setattr(opt, "_attempt_stall_escape",
+                        lambda *args: stall_tries.append(args) or (None, np.nan))
+    for scale in (1e110, 1e103):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, traj = opt.train(opt.init_single(11, 3, seed=0, scale=scale), ds, cfg)
+        assert np.isnan(traj.rows[-1][1])
+        assert traj.status == "non-finite" and traj.n_iter == 0
+        assert traj.status in opt.TERMINAL_STATUSES
+    assert stall_tries == []
