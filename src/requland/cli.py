@@ -8,12 +8,14 @@ time, so re-running a config reproduces its artifacts bit for bit.
 
 Exit codes are a stable contract for CI: 0 when the run certifies or the
 probe passes, 2 when a certificate or probed property fails, 1 on usage
-or I/O errors.
+or I/O errors.  A library ValueError is a usage error only where it rejects
+a value the user supplied; elsewhere it is a defect and shows its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -35,7 +37,7 @@ from .landscape import (
     overdetermined_no_solution,
     perturbation_stability,
 )
-from .models import load_net, save_net
+from .models import DeepConvNet, load_net, save_net
 from .numkit import conv_matrix, frobenius, min_singular_value, min_singular_values, sym_eigvals
 from .objective import (
     FlatObjective,
@@ -60,6 +62,15 @@ from .optimize import (
 
 class UsageError(Exception):
     """Bad arguments, configs, or input files; mapped to exit code 1."""
+
+
+@contextlib.contextmanager
+def _user_input():
+    """Library checks on values the user supplied report as usage errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +188,12 @@ def _write_yaml(doc: dict, path) -> None:
 
 
 def _write_json(doc: dict, path) -> None:
+    """Strict JSON: a non-finite float entry is null, named in "non_finite"."""
+    bad = {k: str(v) for k, v in doc.items() if isinstance(v, float) and not np.isfinite(v)}
+    if bad:
+        doc = {**doc, **dict.fromkeys(bad), "non_finite": bad}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -232,6 +247,11 @@ def _check_trials(cfg: dict) -> None:
         raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
 
 
+def _check_input_dim(net, ds) -> None:
+    if (net.input_dim if isinstance(net, DeepConvNet) else net.d) != ds.d:
+        raise UsageError(f"the network's input length does not match the dataset's d={ds.d}")
+
+
 def _resolve_coefficients(cfg: dict, ds, loss, m: int):
     """Returns (lambda0 or None, lam array); explicit lam wins over lambda0."""
     if cfg.get("lam") is not None:
@@ -256,27 +276,31 @@ def cmd_train(args) -> int:
          "max_iter", "init_checkpoint", "loss"],
     )
     out = _prepare_outdir(args.out)
-    ds = _build_dataset(cfg)
-    loss = _make_loss(cfg)
-    m = int(cfg["m"])
-    lambda0, lam = _resolve_coefficients(cfg, ds, loss, m)
-    ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
+    with _user_input():
+        ds = _build_dataset(cfg)
+        loss = _make_loss(cfg)
+        m = int(cfg["m"])
+        lambda0, lam = _resolve_coefficients(cfg, ds, loss, m)
+        ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
 
-    if cfg["init_checkpoint"]:
-        net0 = load_net(cfg["init_checkpoint"])
-    elif cfg["arch"] == "single":
-        net0 = init_single(m, ds.d, seed=int(cfg["seed"]))
-    elif cfg["arch"] == "deep":
-        net0 = init_deep(
-            ds.d, int(cfg["s"]), int(cfg["l"]), m,
-            seed=int(cfg["seed"]), slope=float(cfg["slope"]),
+        if cfg["init_checkpoint"]:
+            net0 = load_net(cfg["init_checkpoint"])
+        elif cfg["arch"] == "single":
+            net0 = init_single(m, ds.d, seed=int(cfg["seed"]))
+        elif cfg["arch"] == "deep":
+            net0 = init_deep(
+                ds.d, int(cfg["s"]), int(cfg["l"]), m,
+                seed=int(cfg["seed"]), slope=float(cfg["slope"]),
+            )
+        else:
+            raise UsageError(f"unknown arch {cfg['arch']!r} (expected single or deep)")
+
+        ocfg.check_m(net0)
+        _check_input_dim(net0, ds)
+        opts = TrainOptions(
+            grad_tol=float(cfg["grad_tol"]), max_iter=int(cfg["max_iter"]), seed=int(cfg["seed"])
         )
-    else:
-        raise UsageError(f"unknown arch {cfg['arch']!r} (expected single or deep)")
-
-    opts = TrainOptions(
-        grad_tol=float(cfg["grad_tol"]), max_iter=int(cfg["max_iter"]), seed=int(cfg["seed"])
-    )
+        certify_grad_tol = float(cfg["certify_grad_tol"])
     net, traj = train(net0, ds, ocfg, opts)
 
     resolved = dict(cfg)
@@ -290,9 +314,7 @@ def cmd_train(args) -> int:
 
     head = f"train: {traj.status} after {traj.n_iter} iterations;"
     try:
-        report = certify(
-            net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=float(cfg["certify_grad_tol"])
-        )
+        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=certify_grad_tol)
     except (NotCriticalError, CertificateContradiction) as exc:
         verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
         _write_json(
@@ -312,28 +334,28 @@ def cmd_certify(args) -> int:
         TRAIN_DEFAULTS, args,
         ["dataset", "seed", "lambda0", "lam_c", "certify_tol", "certify_grad_tol", "loss"],
     )
-    net = load_net(args.checkpoint)
-    if cfg["dataset"] is None and cfg["generator"] is None:
-        raise UsageError("certify needs --dataset or a generator in the config")
-    ds = _build_dataset(cfg)
-    loss = _make_loss(cfg)
-    _, lam = _resolve_coefficients(cfg, ds, loss, net.m)
-    ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
+    with _user_input():
+        net = load_net(args.checkpoint)
+        if cfg["dataset"] is None and cfg["generator"] is None:
+            raise UsageError("certify needs --dataset or a generator in the config")
+        ds = _build_dataset(cfg)
+        loss = _make_loss(cfg)
+        _, lam = _resolve_coefficients(cfg, ds, loss, net.m)
+        ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
+        _check_input_dim(net, ds)
+        certify_grad_tol = float(cfg["certify_grad_tol"])
 
+    out = _prepare_outdir(args.out) if args.out else None
     try:
-        report = certify(
-            net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=float(cfg["certify_grad_tol"])
-        )
+        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=certify_grad_tol)
     except (NotCriticalError, CertificateContradiction) as exc:
         verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
-        if args.out:
-            out = _prepare_outdir(args.out)
+        if out:
             _write_yaml(dict(cfg), out / "config.yaml")
             _write_json({"verdict": verdict, "detail": str(exc)}, out / "report.json")
         print(f"certify: {verdict}: {exc}")
         return 2
-    if args.out:
-        out = _prepare_outdir(args.out)
+    if out:
         resolved = dict(cfg)
         resolved["lam"] = [float(v) for v in lam]
         _write_yaml(resolved, out / "config.yaml")
@@ -343,18 +365,19 @@ def cmd_certify(args) -> int:
 
 
 def _probe_coercivity(cfg: dict) -> dict:
-    ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
-    loss = _make_loss(cfg)
-    m = int(cfg["m"])
-    lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
-    ocfg = ObjectiveConfig(loss=loss, lam=lam)
-    fob = FlatObjective(init_single(m, ds.d, seed=0), ds, ocfg)
+    with _user_input():
+        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
+        loss = _make_loss(cfg)
+        m = int(cfg["m"])
+        lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
+        ocfg = ObjectiveConfig(loss=loss, lam=lam)
+        fob = FlatObjective(init_single(m, ds.d, seed=0), ds, ocfg)
+        rng = np.random.default_rng(int(cfg["seed"]))
+        slack = float(cfg["slack"])
+        log_max = np.log10(float(cfg["norm_max"]))
     size = fob.layout.size
-    rng = np.random.default_rng(int(cfg["seed"]))
     lam_min = float(np.min(lam))
-    slack = float(cfg["slack"])
     trials = int(cfg["trials"])
-    log_max = np.log10(float(cfg["norm_max"]))
     worst = np.inf
     violations = 0
     # Trials draw direction then radius, interleaved on one stream, so a
@@ -376,9 +399,10 @@ def _probe_coercivity(cfg: dict) -> dict:
 
 
 def _probe_lemma2(cfg: dict) -> dict:
-    ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
-    m = int(cfg["m"])
-    lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
+    with _user_input():
+        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
+        m = int(cfg["m"])
+        lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
     minmax = certificate_matrix_monte_carlo(
         ds, m, lam, trials=int(cfg["trials"]), seed=int(cfg["seed"])
     )
@@ -396,7 +420,8 @@ def _probe_lidskii(cfg: dict) -> dict:
     worst = -np.inf
     violations = 0
     for _ in range(int(cfg["trials"])):
-        d = int(rng.integers(1, int(cfg["d_max"]) + 1))
+        with _user_input():  # the size bound comes from the config
+            d = int(rng.integers(1, int(cfg["d_max"]) + 1))
         A = rng.standard_normal((d, d))
         B = rng.standard_normal((d, d))
         A = 0.5 * (A + A.T)
@@ -409,25 +434,28 @@ def _probe_lidskii(cfg: dict) -> dict:
 
 
 def _probe_overdetermined(cfg: dict) -> dict:
-    n, m = int(cfg["n"]), int(cfg["m"])
+    with _user_input():
+        n, m = int(cfg["n"]), int(cfg["m"])
+        rng = np.random.default_rng(int(cfg["seed"]))
+        floor = float(cfg["floor"])
     if m < n + 1:
         raise UsageError(f"overdetermined probe needs m >= n+1, got n={n} m={m}")
-    rng = np.random.default_rng(int(cfg["seed"]))
     smallest = np.inf
     for _ in range(int(cfg["trials"])):
         A = rng.standard_normal((n, m))
         # lam comes from the same stream as A, after it: reusing the seed for
         # a fresh generator would hand back A's own first row as lam.
         smallest = min(smallest, overdetermined_no_solution(A, lam=rng.standard_normal(m)))
-    return {"min_residual": float(smallest), "pass": smallest > float(cfg["floor"])}
+    return {"min_residual": float(smallest), "pass": smallest > floor}
 
 
 def _probe_conv_rank(cfg: dict) -> dict:
     rng = np.random.default_rng(int(cfg["seed"]))
     smallest = np.inf
     for _ in range(int(cfg["trials"])):
-        s = int(rng.integers(1, int(cfg["s_max"]) + 1))
-        d_z = int(rng.integers(1, int(cfg["dz_max"]) + 1))
+        with _user_input():  # the size bounds come from the config
+            s = int(rng.integers(1, int(cfg["s_max"]) + 1))
+            d_z = int(rng.integers(1, int(cfg["dz_max"]) + 1))
         v = rng.standard_normal(s)
         smallest = min(smallest, min_singular_value(conv_matrix(v, d_z)))
     return {"min_sigma": float(smallest), "pass": smallest > 0.0}
@@ -436,11 +464,12 @@ def _probe_conv_rank(cfg: dict) -> dict:
 def _probe_injectivity(cfg: dict) -> dict:
     failures = 0
     for t in range(int(cfg["trials"])):
-        net = init_deep(
-            int(cfg["d"]), int(cfg["s"]), int(cfg["l"]), int(cfg["m"]),
-            seed=int(cfg["seed"]) + t, slope=float(cfg["slope"]),
-        )
-        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]) + t)
+        with _user_input():  # each trial builds its net and data from the config
+            net = init_deep(
+                int(cfg["d"]), int(cfg["s"]), int(cfg["l"]), int(cfg["m"]),
+                seed=int(cfg["seed"]) + t, slope=float(cfg["slope"]),
+            )
+            ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]) + t)
         ok, _ = hidden_injectivity_check(net, ds)
         if not ok:
             failures += 1
@@ -481,23 +510,22 @@ def cmd_counterexample(args) -> int:
     )
     _check_trials(cfg)
     out = _prepare_outdir(args.out)
-    n, m = int(cfg["n"]), int(cfg["m"])
-    if cfg["lam"] is not None:
-        lam = np.asarray(cfg["lam"], dtype=float)
-    else:
-        lam = np.random.default_rng(int(cfg["seed"])).uniform(0.05, 0.45, size=m)
-    ds, net, ocfg = build_bad_local_min(
-        n, m, lam, seed=int(cfg["seed"]), mode=cfg["mode"],
-        d=None if cfg["d"] is None else int(cfg["d"]),
-    )
+    with _user_input():
+        n, m = int(cfg["n"]), int(cfg["m"])
+        if cfg["lam"] is not None:
+            lam = np.asarray(cfg["lam"], dtype=float)
+        else:
+            lam = np.random.default_rng(int(cfg["seed"])).uniform(0.05, 0.45, size=m)
+        ds, net, ocfg = build_bad_local_min(
+            n, m, lam, seed=int(cfg["seed"]), mode=cfg["mode"],
+            d=None if cfg["d"] is None else int(cfg["d"]),
+        )
+        radius, trials, seed = float(cfg["radius"]), int(cfg["trials"]), int(cfg["seed"])
 
     err = training_error(net, ds)
     expected = 1.0 - m / n
     gn = float(np.linalg.norm(gradient(net, ds, ocfg)))
-    min_delta = perturbation_stability(
-        net, ds, ocfg, radius=float(cfg["radius"]),
-        trials=int(cfg["trials"]), seed=int(cfg["seed"]),
-    )
+    min_delta = perturbation_stability(net, ds, ocfg, radius=radius, trials=trials, seed=seed)
     ok = gn < 1e-6 and abs(err - expected) < 1e-12 and min_delta >= 0.0
 
     resolved = dict(cfg)
@@ -508,7 +536,7 @@ def cmd_counterexample(args) -> int:
     _write_json(
         {"n": n, "m": m, "lam": [float(v) for v in lam], "training_error": err,
          "expected_error": expected, "grad_norm": gn, "min_loss_delta": float(min_delta),
-         "trials": int(cfg["trials"]), "radius": float(cfg["radius"]), "pass": ok},
+         "trials": trials, "radius": radius, "pass": ok},
         out / "report.json",
     )
     print(
@@ -521,7 +549,8 @@ def cmd_counterexample(args) -> int:
 def cmd_demo_path(args) -> int:
     cfg = _merge_config(DEMO_PATH_DEFAULTS, args, ["num_steps", "lam"])
     out = _prepare_outdir(args.out)
-    table = decreasing_path_demo(int(cfg["num_steps"]), lam=float(cfg["lam"]))
+    with _user_input():
+        table = decreasing_path_demo(int(cfg["num_steps"]), lam=float(cfg["lam"]))
     _write_yaml(dict(cfg), out / "config.yaml")
     save_path_csv(table, out / "path.csv")
     ok = bool(np.all(np.diff(table["loss"]) < 0.0)) and bool(
@@ -536,16 +565,16 @@ def cmd_demo_path(args) -> int:
 
 
 def _sweep_cell(n: int, m: int, seed: int, cfg: dict):
-    loss = _make_loss(cfg)
-    ds = gen_random(n, int(cfg["d"]), seed=seed)
-    lambda0 = cfg["lambda0"]
-    if lambda0 == "auto":
-        lambda0 = estimate_lambda0(ds, loss, seed=seed)
-    lam = sample_lambda(m, float(lambda0), seed=seed)
-    ocfg = ObjectiveConfig(loss=loss, lam=lam)
-    opts = TrainOptions(
-        grad_tol=float(cfg["grad_tol"]), max_iter=int(cfg["max_iter"]), seed=seed
-    )
+    with _user_input():
+        loss = _make_loss(cfg)
+        ds = gen_random(n, int(cfg["d"]), seed=seed)
+        lambda0 = cfg["lambda0"]
+        if lambda0 == "auto":
+            lambda0 = estimate_lambda0(ds, loss, seed=seed)
+        lam = sample_lambda(m, float(lambda0), seed=seed)
+        ocfg = ObjectiveConfig(loss=loss, lam=lam)
+        opts = TrainOptions(grad_tol=float(cfg["grad_tol"]), max_iter=int(cfg["max_iter"]),
+                            seed=seed)
     net, _ = train(init_single(m, ds.d, seed=seed), ds, ocfg, opts)
     err = training_error(net, ds)
     try:
@@ -684,10 +713,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"requland: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"requland: error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,22 +28,11 @@ def requ(z):
     return np.square(np.maximum(z, 0.0))
 
 
-def requ_prime(z):
-    return 2.0 * np.maximum(z, 0.0)
-
-
 def leaky_relu(z, slope: float):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky slope must lie in (0, 1), got {slope}")
     z = np.asarray(z, dtype=float)
     return np.where(z >= 0.0, z, slope * z)
-
-
-def leaky_relu_prime(z, slope: float):
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky slope must lie in (0, 1), got {slope}")
-    z = np.asarray(z, dtype=float)
-    return np.where(z >= 0.0, 1.0, slope)
 
 
 def _check_head(a, W, b):

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# A matrix counts as nonsingular when sigma_min exceeds this relative floor.
-NONSING_RTOL = 1e-8
-
 
 def as_matrix(A, stacked: bool = False) -> np.ndarray:
     """Coerce to a 2-D float array (any ndim >= 2 when stacked), rejecting
@@ -60,16 +57,6 @@ def min_singular_values(stack) -> np.ndarray:
 def min_singular_value(A) -> float:
     """Smallest singular value of a 2-D matrix (square or rectangular)."""
     return float(min_singular_values(as_matrix(A)))
-
-
-def is_nonsingular(A, rtol: float = NONSING_RTOL) -> bool:
-    """Certify nonsingularity: sigma_min(A) > rtol * (1 + ||A||_F).
-
-    The relative floor keeps the verdict meaningful across scales; an exactly
-    singular matrix perturbed at machine precision still fails the test.
-    """
-    A = as_matrix(A)
-    return min_singular_value(A) > rtol * (1.0 + frobenius(A))
 
 
 def _as_vector(v, name: str) -> np.ndarray:

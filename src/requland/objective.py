@@ -88,10 +88,6 @@ class ObjectiveConfig:
             raise ValueError(f"lam_c must be nonnegative, got {self.lam_c}")
         self.lam = lam
 
-    def require_distinct_lam(self) -> None:
-        if np.unique(self.lam).size != self.lam.size:
-            raise ValueError("this construction needs pairwise distinct lam_j")
-
     def check_m(self, net) -> None:
         if self.lam.size != net.m:
             raise ValueError(f"lam has {self.lam.size} entries but the net has {net.m} neurons")
@@ -111,12 +107,6 @@ def max_loss_deriv(net, ds, cfg: ObjectiveConfig) -> float:
     return float(np.max(loss_deriv(cfg.loss, margins(net, ds))))
 
 
-def epsilon_criterion(net, ds, cfg: ObjectiveConfig):
-    """(satisfied, max loss derivative): below epsilon forces all margins > 0."""
-    worst = max_loss_deriv(net, ds, cfg)
-    return worst < cfg.loss.epsilon, worst
-
-
 def neuron_block_norms(net) -> np.ndarray:
     """Per-neuron sqrt(a_j^2 + ||w_j||^2 + b_j^2), the full block magnitude."""
     return np.sqrt(net.a**2 + np.sum(net.W**2, axis=1) + net.b**2)
@@ -129,13 +119,15 @@ class FlatObjective:
     are frozen at construction, so evaluations skip network rebuilding and
     validation.  value, values and value_and_grad share one forward pass,
     written over a leading batch axis, which also holds the one regularizer
-    formula.  value(theta) equals value_and_grad(theta)[0] exactly, and
+    formula; grad is the one backward pass, from a kept forward result.
+    value(theta) equals value_and_grad(theta)[0] exactly, and
     values(thetas)[k] equals value(thetas[k]) exactly (==, not approx): a
     stacked row goes through the same BLAS calls and elementwise operations
     as a single point, so batched searches select what point-by-point loops
     would.  The tests pin the gradient to central differences, the conv
     layers to numkit.conv_padded, the regularizer to closed forms, and
-    values to value.
+    values to value.  grad pads conv inputs in buffers that the instance
+    keeps, so no instance may be shared between threads.
     """
 
     CHUNK = 480  # rows per stacked forward pass; bounds its temporaries
@@ -148,9 +140,11 @@ class FlatObjective:
         self.squared = isinstance(like, QuadraticNet)
         self.slope = like.slope if isinstance(like, DeepConvNet) else None
         self.bands = []  # per conv layer: (input length, rows, cols, taps)
-        dim = self.X.shape[1]
+        self.pads = []  # per conv layer: zero-bordered copy of its input, for grad
+        n, dim = self.X.shape
         for s in self.layout.filter_sizes:
             self.bands.append((dim, *conv_band(s, dim)))
+            self.pads.append(np.zeros((n, dim + 2 * (s - 1))))
             dim += s - 1
 
     def _conv_mat(self, k, v):
@@ -167,9 +161,9 @@ class FlatObjective:
             return np.array([self._anchor(x) for x in v])
         return 0.25 * self.lam_c * (float(v @ v) - 1.0) ** 2
 
-    def _forward(self, theta):
+    def forward(self, theta):
         """Evaluate at theta, or at each row of a (K, size) stack: the
-        objective value, then what the gradient needs -- (a, W, b, filters),
+        objective value first, then what grad needs -- (a, W, b, filters),
         per conv layer (input, conv matrix, preactivation), the head input,
         the head activation, phi, the margins z and the joint weight-bias
         norms u_j, each with the stack's leading axis."""
@@ -194,18 +188,23 @@ class FlatObjective:
         return value, params, layers, H, act, phi, z, u
 
     def value(self, theta) -> float:
-        return float(self._forward(theta)[0])
+        return float(self.forward(theta)[0])
 
     def values(self, thetas) -> np.ndarray:
         """value at each row of a (K, size) stack, CHUNK rows per pass."""
         out = np.empty(len(thetas))
         for s in range(0, len(out), self.CHUNK):
-            out[s : s + self.CHUNK] = self._forward(thetas[s : s + self.CHUNK])[0]
+            out[s : s + self.CHUNK] = self.forward(thetas[s : s + self.CHUNK])[0]
         return out
 
     def value_and_grad(self, theta):
-        value, (a, W, b, filts), layers, F, act, phi, z, u = self._forward(theta)
-        value = float(value)
+        """(value, gradient) at a 1-D theta: forward, then grad."""
+        fwd = self.forward(theta)
+        return float(fwd[0]), self.grad(fwd)
+
+    def grad(self, fwd):
+        """The gradient at a 1-D theta, from its forward(theta) result fwd."""
+        _, (a, W, b, filts), layers, F, act, phi, z, u = fwd
         lam = self.lam
         g = -loss_deriv(self.loss, z) * self.y  # d(data term)/d f_i
         S = g[:, None] * (2.0 * act)
@@ -213,7 +212,7 @@ class FlatObjective:
         dW = (S.T @ F) * a[:, None] + 2.0 * lam[:, None] * u[:, None] * W
         db = S.sum(axis=0) * a + 2.0 * lam * u * b
         if not filts:
-            return value, np.concatenate([da, dW.ravel(), db])
+            return np.concatenate([da, dW.ravel(), db])
 
         dH = (S * a[None, :]) @ W
         dfilts = [None] * len(filts)
@@ -221,13 +220,14 @@ class FlatObjective:
             v, (H_prev, V, P) = filts[k], layers[k]
             dpre = dH * np.where(P >= 0.0, 1.0, self.slope)
             s = v.size
-            Hp = np.pad(H_prev, ((0, 0), (s - 1, s - 1)))
+            Hp = self.pads[k]  # borders stay zero; only the interior is written
+            Hp[:, s - 1 : s - 1 + H_prev.shape[1]] = H_prev
             dv = np.array([(dpre * Hp[:, i : i + dpre.shape[1]]).sum() for i in range(s)])
             dv += self.lam_c * (float(v @ v) - 1.0) * v
             dfilts[k] = dv
             if k > 0:
                 dH = dpre @ V
-        return value, np.concatenate([da, dW.ravel(), db, *dfilts])
+        return np.concatenate([da, dW.ravel(), db, *dfilts])
 
 
 def empirical_loss(net, ds, cfg: ObjectiveConfig) -> float:
@@ -272,10 +272,3 @@ def coercivity_lower_bound(theta_norm: float, lam_min: float, m: int) -> float:
         return c * t**3
     except OverflowError:
         return float(c) * t * t * t
-
-
-def coercivity_gap(net, ds, cfg: ObjectiveConfig) -> float:
-    """empirical_loss minus its coercivity floor; negative means violation."""
-    theta_norm = float(np.linalg.norm(net_to_flat(net)))
-    bound = coercivity_lower_bound(theta_norm, float(np.min(cfg.lam)), net.m)
-    return empirical_loss(net, ds, cfg) - bound

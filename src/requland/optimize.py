@@ -158,8 +158,9 @@ def estimate_lambda0(ds: Dataset, loss: LossKind, seed: int = 0) -> float:
     return loss.epsilon * lam_hat
 
 
-def _try_snaps(theta, loss, fn, blocks, norms, opts):
+def _try_snaps(theta, loss, fn, blocks, opts):
     """Zero out small neuron blocks whenever that does not increase the loss."""
+    norms = np.array([np.linalg.norm(theta[b]) for b in blocks])
     snapped = False
     cutoff = max(1e-6, opts.snap_rel * float(np.max(norms)))
     for j in np.argsort(norms):
@@ -311,8 +312,9 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     Returns (trained_net, Trajectory).  Each iteration proposes a spectral
     (Barzilai-Borwein) step when curvature information is available and the
     last grown step otherwise, then enforces the Armijo condition by
-    backtracking, so the accepted sequence is strictly monotone.  See the
-    module docstring for the snap and escape moves.
+    backtracking, so the accepted sequence is strictly monotone; each trial
+    is one FlatObjective.forward, whose result also gives an accepted trial
+    its gradient.  See the module docstring for the snap and escape moves.
     """
     opts = opts or TrainOptions()
     cfg.check_m(net)
@@ -341,25 +343,27 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         stall_ref_it, stall_ref_loss = it, loss
         traj.record(it, loss, float(np.linalg.norm(g)), float(np.linalg.norm(theta)), status)
 
+    def record(status):  # the norm of the iteration's starting point, taken only here
+        traj.record(it, loss, gn, float(np.linalg.norm(start)), status)
+
     while it < opts.max_iter:
         gn = float(np.linalg.norm(g))
-        pn = float(np.linalg.norm(theta))
+        start = theta
         if it % opts.record_every == 0:
-            traj.record(it, loss, gn, pn, "descent")
+            record("descent")
         if not (math.isfinite(loss) and math.isfinite(gn)):
-            traj.record(it, loss, gn, pn, "non-finite")
+            record("non-finite")
             return net_from_flat(like, theta), traj
 
         if opts.check_coercivity and is_single:
-            floor = coercivity_lower_bound(pn, lam_min, like.m)
+            floor = coercivity_lower_bound(float(np.linalg.norm(theta)), lam_min, like.m)
             if loss < floor - 1e-9 * (1.0 + abs(loss)):
                 raise CoercivityViolationError(
                     f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
                 )
 
         if gn < opts.grad_tol * (1.0 + abs(loss)):
-            norms = np.array([np.linalg.norm(theta[b]) for b in blocks])
-            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks, norms, opts)
+            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks, opts)
             if snapped:
                 refresh(theta2, loss2, "snap")
                 continue
@@ -371,13 +375,12 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                     refresh(esc_theta, esc_loss, "escape")
                     eta = opts.step0
                     continue
-            traj.record(it, loss, gn, pn, "converged")
+            record("converged")
             return net_from_flat(like, theta), traj
 
         # Periodic prune attempt keeps dying blocks from dragging on convergence.
         if opts.snap_every and it % opts.snap_every == opts.snap_every - 1:
-            norms = np.array([np.linalg.norm(theta[b]) for b in blocks])
-            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks, norms, opts)
+            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks, opts)
             if snapped:
                 refresh(theta2, loss2, "snap")
 
@@ -407,12 +410,12 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 and gn > 1e3 * opts.grad_tol * (1.0 + abs(loss))
             ):
                 if stall_escapes >= opts.max_stall_escapes:
-                    traj.record(it, loss, gn, pn, "stalled")
+                    record("stalled")
                     return net_from_flat(like, theta), traj
                 stall_escapes += 1
                 esc_theta, esc_loss = _attempt_stall_escape(theta, loss, fob, blocks, rng, opts)
                 if esc_theta is None:
-                    traj.record(it, loss, gn, pn, "stalled")
+                    record("stalled")
                     return net_from_flat(like, theta), traj
                 refresh(esc_theta, esc_loss, "escape")
                 eta = opts.step0
@@ -432,11 +435,12 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         step = trial_eta
         for _ in range(120):
             trial = theta - step * g
-            trial_loss = fob.value(trial)
+            fwd = fob.forward(trial)
+            trial_loss = float(fwd[0])
             if trial_loss <= loss - opts.armijo * step * gn * gn:
                 prev_theta, prev_g = theta, g
                 theta = trial
-                loss, g = fob.value_and_grad(theta)
+                loss, g = trial_loss, fob.grad(fwd)  # the accepted trial's own forward pass
                 eta = min(step * opts.grow, 1e15)
                 accepted = True
                 break
@@ -449,7 +453,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                     refresh(esc_theta, esc_loss, "escape")
                     eta = opts.step0
                     continue
-            traj.record(it, loss, gn, pn, "stalled")
+            record("stalled")
             return net_from_flat(like, theta), traj
         it += 1
 

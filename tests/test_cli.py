@@ -2,11 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from requland import cli
 from requland.cli import PROBE_DEFAULTS, _make_loss, _probe_coercivity, main
 from requland.datasets import gen_random
 from requland.landscape import CertificateReport
@@ -15,8 +17,21 @@ from requland.objective import FlatObjective, ObjectiveConfig, coercivity_lower_
 from requland.optimize import init_single, sample_lambda
 
 
+def strict_json(path):
+    """Parse a report as a strict parser would: NaN and Infinity are errors."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def run(*argv):
-    return main([str(a) for a in argv])
+    """The CLI in-process; every report.json it writes must be strict JSON."""
+    argv = [str(a) for a in argv]
+    code = main(argv)
+    if "--out" in argv[:-1]:
+        for report in Path(argv[argv.index("--out") + 1]).rglob("report.json"):
+            strict_json(report)
+    return code
 
 
 FAST_TRAIN = ["--m", "7", "--seed", "1", "--out"]  # pairs with a generator config
@@ -120,7 +135,7 @@ def test_counterexample_then_warm_start_train_fails_certification(tmp_path):
     ce = tmp_path / "ce"
     assert run("counterexample", "--out", ce, "--n", "10", "--m", "2",
                "--seed", "3", "--mode", "generalized", "--trials", "200") == 0
-    ce_report = json.loads((ce / "report.json").read_text())
+    ce_report = strict_json(ce / "report.json")
     assert ce_report["training_error"] == pytest.approx(0.8)
     assert ce_report["grad_norm"] < 1e-6
     assert ce_report["min_loss_delta"] >= 0.0
@@ -135,7 +150,7 @@ def test_counterexample_then_warm_start_train_fails_certification(tmp_path):
     }))
     out = tmp_path / "warm_run"
     assert run("train", "--config", warm, "--out", out) == 2
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json(out / "report.json")
     assert report["verdict"] == "bad-lambda-suspect"
     assert report["training_error"] >= 0.8
 
@@ -144,9 +159,10 @@ def test_counterexample_exact_mode(tmp_path):
     out = tmp_path / "ce4"
     assert run("counterexample", "--out", out, "--n", "4", "--m", "2",
                "--trials", "200") == 0
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json(out / "report.json")
     assert report["training_error"] == 0.5
     assert report["pass"] is True
+    assert "non_finite" not in report  # only a non-finite statistic adds it
     assert (out / "dataset.csv").is_file() and (out / "checkpoint.json").is_file()
 
 
@@ -158,7 +174,7 @@ def test_counterexample_exact_mode(tmp_path):
 def test_probe_kinds_pass(kind, trials, tmp_path):
     out = tmp_path / kind
     assert run("probe", kind, "--trials", trials, "--seed", "1", "--out", out) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json(out / "report.json")
     assert report["kind"] == kind
     assert report["pass"] is True
     assert report["trials"] == trials
@@ -172,7 +188,7 @@ def test_probe_reports_square_case_adversarial_sigma(tmp_path):
         code = run("probe", "lemma2", "--config", cfgfile, "--trials", "30",
                    "--seed", "0", "--out", out)
     assert code == 0  # random trials still avoid the measure-zero singular set
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json(out / "report.json")
     assert report["adversarial_max_sigma"] < 1e-10  # crafted (z, A) defeats every M_j
 
 
@@ -275,3 +291,50 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "demo-path: PASS" in proc.stdout
+
+
+def test_non_finite_statistic_is_written_as_strict_json(tmp_path):
+    # At this radius every trial value overflows and perturbation_stability
+    # returns NaN; the report used to carry a bare NaN that strict parsers
+    # reject.
+    out = tmp_path / "ce"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("counterexample", "--n", "10", "--m", "3", "--mode", "generalized",
+                   "--radius", "1e120", "--trials", "50", "--out", out)
+    assert code == 2
+    report = strict_json(out / "report.json")
+    assert report["min_loss_delta"] is None
+    assert report["non_finite"] == {"min_loss_delta": "nan"}
+    assert report["pass"] is False
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("train", ["train", "--m", "7", "--seed", "1"]),
+    ("perturbation_stability", ["counterexample", "--n", "4", "--m", "2", "--trials", "10"]),
+])
+def test_internal_value_error_is_not_a_usage_error(target, argv, tmp_path, monkeypatch):
+    # A ValueError raised past the user's inputs is a defect: it surfaces
+    # with its traceback instead of exiting 1 as a usage error.
+    def defect(*args, **kwargs):
+        raise ValueError("injected defect")
+
+    monkeypatch.setattr(cli, target, defect)
+    with pytest.raises(ValueError, match="injected defect"):
+        run(*argv, "--out", tmp_path / "out")
+
+
+def test_library_rejections_of_user_values_are_usage_errors(train_run, tmp_path, capsys):
+    _, out, cfgfile = train_run  # a 7-neuron net trained on d = 2 data
+    other = tmp_path / "d3.yaml"
+    other.write_text("generator: {kind: random, n: 6, d: 3, seed: 0}\n")
+    assert run("certify", "--checkpoint", out / "checkpoint.json", "--config", other) == 1
+    assert "input length" in capsys.readouterr().err
+    assert run("train", "--config", cfgfile, "--init-checkpoint",
+               out / "checkpoint.json", "--m", "5", "--out", tmp_path / "w") == 1
+    assert "neurons" in capsys.readouterr().err
+    small = tmp_path / "n0.yaml"
+    small.write_text("n: 0\n")
+    assert run("probe", "lemma2", "--config", small, "--out", tmp_path / "p") == 1
+    assert "n >= 1" in capsys.readouterr().err
+    small.write_text("d_max: 0\n")
+    assert run("probe", "lidskii", "--config", small) == 1

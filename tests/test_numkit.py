@@ -159,14 +159,6 @@ def test_min_singular_values_rejects_what_min_singular_value_does():
             numkit.min_singular_value(bad)
 
 
-def test_is_nonsingular_scale_aware():
-    assert numkit.is_nonsingular(np.eye(3))
-    assert not numkit.is_nonsingular(np.ones((3, 3)))
-    # Relative floor: a well-conditioned matrix stays nonsingular under scaling.
-    assert numkit.is_nonsingular(1e6 * np.eye(3))
-    assert not numkit.is_nonsingular(1e-12 * np.eye(3))
-
-
 sym_mats = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(
         arrays(np.float64, (n, n), elements=st.floats(-10, 10)),

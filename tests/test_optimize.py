@@ -1,4 +1,6 @@
 import csv
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -320,3 +322,47 @@ def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
         assert traj.status == "non-finite" and traj.n_iter == 0
         assert traj.status in opt.TERMINAL_STATUSES
     assert stall_tries == []
+
+
+def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
+    # c09 seed 2 with one stall try: a snap at iteration 49, a stall escape
+    # at 849 and a "stalled" end, about 1650 iterations.  Every objective
+    # entry point is counted by the function that called it.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for name in ("forward", "grad", "value", "values", "value_and_grad"):
+        monkeypatch.setattr(FlatObjective, name, counted(name, getattr(FlatObjective, name)))
+    ds = gen_random(3, 4, seed=2002)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=2)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=2), lam_c=1.0)
+    opts = opt.TrainOptions(grad_tol=1e-8, seed=2, max_stall_escapes=1)
+    _, traj = opt.train(opt.init_deep(d=4, s=2, l=2, m=25, seed=2), ds, cfg, opts)
+    moves = Counter(row[4] for row in traj.rows)
+    assert traj.status == "stalled" and moves["snap"] >= 1 and moves["escape"] == 1
+
+    def by(name):
+        return {caller: k for (fn, caller), k in calls.items() if fn == name}
+
+    # value_and_grad runs once at the start and once per snap or escape.
+    assert by("value_and_grad") == {"train": 1, "refresh": moves["snap"] + moves["escape"]}
+    # The line search is train's only forward; its accepted trials take
+    # their gradient from that forward, and no other gradient is taken.
+    trials, accepted = by("forward")["train"], by("grad")["train"]
+    assert 0 < accepted <= traj.n_iter < trials
+    assert by("grad") == {"train": accepted, "value_and_grad": sum(by("value_and_grad").values())}
+    assert set(by("value")) == {"_try_snaps", "_attempt_stall_escape"}
+    assert set(by("values")) == {"_attempt_stall_escape"}
+    # Every forward pass is a line-search trial, a snap or escape
+    # evaluation, or the start of a value_and_grad.
+    assert by("forward") == {
+        "train": trials,
+        "value": sum(by("value").values()),
+        "values": sum(by("values").values()),
+        "value_and_grad": sum(by("value_and_grad").values()),
+    }
