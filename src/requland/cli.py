@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
+import functools
 import sys
 from pathlib import Path
 
@@ -27,6 +27,7 @@ import yaml
 from .constructions import build_bad_local_min
 from .datasets import gen_mutually_repelling, gen_quadratically_separable, gen_random, load_csv, save_csv
 from .landscape import (
+    MC_BLOCK,
     CertificateContradiction,
     NotCriticalError,
     certificate_matrices_zA,
@@ -36,9 +37,10 @@ from .landscape import (
     hidden_injectivity_check,
     overdetermined_no_solution,
     perturbation_stability,
+    write_json,
 )
 from .models import DeepConvNet, load_net, save_net
-from .numkit import conv_matrix, frobenius, min_singular_value, min_singular_values, sym_eigvals
+from .numkit import conv_matrix, frobenius, min_singular_value, min_singular_values, row_dots, sym_eigvals
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
@@ -187,16 +189,6 @@ def _write_yaml(doc: dict, path) -> None:
         yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=False)
 
 
-def _write_json(doc: dict, path) -> None:
-    """Strict JSON: a non-finite float entry is null, named in "non_finite"."""
-    bad = {k: str(v) for k, v in doc.items() if isinstance(v, float) and not np.isfinite(v)}
-    if bad:
-        doc = {**doc, **dict.fromkeys(bad), "non_finite": bad}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _make_loss(cfg: dict):
     kind = cfg.get("loss", "logistic")
     if kind == "logistic":
@@ -243,7 +235,9 @@ def _build_dataset(cfg: dict):
 
 def _check_trials(cfg: dict) -> None:
     """A Monte-Carlo check over no trials would pass vacuously."""
-    if int(cfg["trials"]) < 1:
+    with _user_input():
+        trials = int(cfg["trials"])
+    if trials < 1:
         raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
 
 
@@ -317,7 +311,7 @@ def cmd_train(args) -> int:
         report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=certify_grad_tol)
     except (NotCriticalError, CertificateContradiction) as exc:
         verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
-        _write_json(
+        write_json(
             {"verdict": verdict, "detail": str(exc), "terminal_status": traj.status,
              "training_error": training_error(net, ds)},
             out / "report.json",
@@ -352,7 +346,7 @@ def cmd_certify(args) -> int:
         verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
         if out:
             _write_yaml(dict(cfg), out / "config.yaml")
-            _write_json({"verdict": verdict, "detail": str(exc)}, out / "report.json")
+            write_json({"verdict": verdict, "detail": str(exc)}, out / "report.json")
         print(f"certify: {verdict}: {exc}")
         return 2
     if out:
@@ -365,14 +359,24 @@ def cmd_certify(args) -> int:
 
 
 def _probe_coercivity(cfg: dict) -> dict:
+    """Count sampled single-layer points whose objective falls below the
+    cubic coercivity floor, at log-uniform norms in [1e-2, norm_max].
+
+    Block b of MC_BLOCK trials draws from SeedSequence((seed, b)), always
+    whole: directions u from standard_normal((MC_BLOCK, size)), then the
+    radii's exponents from uniform(-2, log10(norm_max), MC_BLOCK).  The block
+    size thus fixes the report, and fewer trials give a prefix of more.
+    Each block is evaluated as one stack at radius * u / ||u||; the floor,
+    the worst margin and the violations are taken in trial order.
+    """
     with _user_input():
-        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
+        seed = int(cfg["seed"])
+        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=seed)
         loss = _make_loss(cfg)
         m = int(cfg["m"])
-        lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
+        lam = sample_lambda(m, float(cfg["lambda0"]), seed=seed)
         ocfg = ObjectiveConfig(loss=loss, lam=lam)
         fob = FlatObjective(init_single(m, ds.d, seed=0), ds, ocfg)
-        rng = np.random.default_rng(int(cfg["seed"]))
         slack = float(cfg["slack"])
         log_max = np.log10(float(cfg["norm_max"]))
     size = fob.layout.size
@@ -380,16 +384,12 @@ def _probe_coercivity(cfg: dict) -> dict:
     trials = int(cfg["trials"])
     worst = np.inf
     violations = 0
-    # Trials draw direction then radius, interleaved on one stream, so a
-    # chunk is filled row by row and then evaluated as one stack.
-    for start in range(0, trials, fob.CHUNK):
-        thetas = np.empty((min(fob.CHUNK, trials - start), size))
-        radii = []
-        for theta in thetas:
-            u = rng.standard_normal(size)
-            radius = 10.0 ** rng.uniform(-2.0, log_max)
-            theta[:] = radius * u / np.linalg.norm(u)
-            radii.append(radius)
+    for b, start in enumerate(range(0, trials, MC_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        U = rng.standard_normal((MC_BLOCK, size))[: trials - start]
+        # Python-float powers: numpy's vectorized power differs in the last bit.
+        radii = [10.0 ** x for x in rng.uniform(-2.0, log_max, MC_BLOCK)[: len(U)].tolist()]
+        thetas = np.array(radii)[:, None] * U / np.sqrt(row_dots(U))[:, None]
         for radius, value in zip(radii, fob.values(thetas)):
             floor = coercivity_lower_bound(radius, lam_min, m)
             worst = min(worst, value - floor)
@@ -415,13 +415,15 @@ def _probe_lemma2(cfg: dict) -> dict:
 
 
 def _probe_lidskii(cfg: dict) -> dict:
-    rng = np.random.default_rng(int(cfg["seed"]))
-    slack = float(cfg["slack"])
+    with _user_input():
+        rng = np.random.default_rng(int(cfg["seed"]))
+        slack = float(cfg["slack"])
+        d_max = int(cfg["d_max"])
     worst = -np.inf
     violations = 0
     for _ in range(int(cfg["trials"])):
         with _user_input():  # the size bound comes from the config
-            d = int(rng.integers(1, int(cfg["d_max"]) + 1))
+            d = int(rng.integers(1, d_max + 1))
         A = rng.standard_normal((d, d))
         B = rng.standard_normal((d, d))
         A = 0.5 * (A + A.T)
@@ -450,12 +452,14 @@ def _probe_overdetermined(cfg: dict) -> dict:
 
 
 def _probe_conv_rank(cfg: dict) -> dict:
-    rng = np.random.default_rng(int(cfg["seed"]))
+    with _user_input():
+        rng = np.random.default_rng(int(cfg["seed"]))
+        s_max, dz_max = int(cfg["s_max"]), int(cfg["dz_max"])
     smallest = np.inf
     for _ in range(int(cfg["trials"])):
         with _user_input():  # the size bounds come from the config
-            s = int(rng.integers(1, int(cfg["s_max"]) + 1))
-            d_z = int(rng.integers(1, int(cfg["dz_max"]) + 1))
+            s = int(rng.integers(1, s_max + 1))
+            d_z = int(rng.integers(1, dz_max + 1))
         v = rng.standard_normal(s)
         smallest = min(smallest, min_singular_value(conv_matrix(v, d_z)))
     return {"min_sigma": float(smallest), "pass": smallest > 0.0}
@@ -495,7 +499,7 @@ def cmd_probe(args) -> int:
     if args.out:
         out = _prepare_outdir(args.out)
         _write_yaml(dict(cfg), out / "config.yaml")
-        _write_json(report, out / "report.json")
+        write_json(report, out / "report.json")
     stats = " ".join(
         f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
         for k, v in result.items() if k != "pass"
@@ -533,7 +537,7 @@ def cmd_counterexample(args) -> int:
     _write_yaml(resolved, out / "config.yaml")
     save_csv(ds, out / "dataset.csv")
     save_net(net, out / "checkpoint.json")
-    _write_json(
+    write_json(
         {"n": n, "m": m, "lam": [float(v) for v in lam], "training_error": err,
          "expected_error": expected, "grad_norm": gn, "min_loss_delta": float(min_delta),
          "trials": trials, "radius": radius, "pass": ok},
@@ -633,7 +637,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = _Parser(prog="requland", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

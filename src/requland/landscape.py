@@ -34,7 +34,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .models import DeepConvNet, QuadraticNet, net_to_flat
-from .numkit import min_singular_values
+from .numkit import min_singular_values, row_dots
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
@@ -94,6 +94,17 @@ def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
     return _certificate_sum(lifted, coef[:, None] * ind * np.sign(net.a), cfg.lam)
 
 
+def write_json(doc: dict, path) -> None:
+    """Strict JSON: a non-finite float entry is null, named in "non_finite"
+    by its text, which CertificateReport.load turns back into the float."""
+    bad = {k: str(v) for k, v in doc.items() if isinstance(v, float) and not np.isfinite(v)}
+    if bad:
+        doc = {**doc, **dict.fromkeys(bad), "non_finite": bad}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 @dataclass
 class CertificateReport:
     """Everything certify() measures at a terminal point.
@@ -135,14 +146,13 @@ class CertificateReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "CertificateReport":
         with open(path) as fh:
             raw = json.load(fh)
+        raw.update((k, float(v)) for k, v in raw.pop("non_finite", {}).items())
         return cls(
             balance_residuals=np.asarray(raw["balance_residuals"], dtype=float),
             inactive=[int(j) for j in raw["inactive"]],
@@ -281,11 +291,12 @@ def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
 
     A nonnegative return certifies that no sampled direction descends --
     the Monte-Carlo signature of a local minimum.  Directions are uniform
-    on the sphere of the full parameter space.  The trials are drawn and
-    evaluated (FlatObjective.values) a chunk at a time; the draws follow
-    the same generator stream as one draw per trial, so the result does
-    not depend on the chunking.  A non-finite objective at the base point
-    or at any trial certifies nothing and returns NaN.
+    on the sphere of the full parameter space.  The trials are drawn,
+    normalized (numkit.row_dots: the dot np.linalg.norm takes) and evaluated
+    (FlatObjective.values) a chunk at a time, on the same generator stream
+    as one draw per trial, so the result does not depend on the chunking.
+    A non-finite objective at the base point or at any trial certifies
+    nothing and returns NaN.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -298,8 +309,7 @@ def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
     worst = np.inf
     for start in range(0, trials, fob.CHUNK):
         U = rng.standard_normal((min(fob.CHUNK, trials - start), theta.size))
-        for u in U:
-            u *= radius / np.linalg.norm(u)
+        U *= (radius / np.sqrt(row_dots(U)))[:, None]
         deltas = fob.values(theta + U) - base
         if not np.all(np.isfinite(deltas)):
             return float("nan")
@@ -314,17 +324,7 @@ def certificate_matrices_zA(ds: Dataset, z, A, lam) -> np.ndarray:
     return _certificate_sum(ds.lifted(), z[:, None] * A, np.asarray(lam, dtype=float))
 
 
-_MC_CHUNK = 256  # trials per stacked build and SVD; bounds the stack's memory
-
-
-def _mc_weights(n: int, m: int, seed_pair) -> np.ndarray:
-    """One trial's certificate weights z_i A_ij, from its own SeedSequence."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_pair))
-    # Heavy-tailed mix: Cauchy draws stress near-singular regimes that
-    # bounded sampling would essentially never reach.
-    z = np.where(rng.random(n) < 0.5, rng.standard_normal(n), rng.standard_cauchy(n))
-    A = rng.integers(-1, 2, size=(n, m)).astype(float)
-    return z[:, None] * A
+MC_BLOCK = 256  # trials per generator in the Monte-Carlo probes; fixes their draws
 
 
 def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
@@ -337,8 +337,13 @@ def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
     m <= n that protection is gone (a warning says so), and the adversarial
     configuration below shows the failure is real, not just unproven.
 
-    Trial t draws (z, A) from SeedSequence((seed, t)); each chunk of trials
-    is built and factored as one stack, exactly as trial by trial.
+    Block b of MC_BLOCK trials draws from SeedSequence((seed, b)), always
+    whole: u = random, g = standard_normal, c = standard_cauchy (heavy tails
+    reach near-singular regimes bounded sampling would miss), each
+    (MC_BLOCK, n), then A = integers(-1, 2, (MC_BLOCK, n, m)); trial t is a
+    row, with z = where(u < 0.5, g, c).  So trial t depends only on
+    (seed, t), and fewer trials give a prefix of more.  Each block is built
+    and factored as one stack, exactly as trial by trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -354,11 +359,15 @@ def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
             stacklevel=2,
         )
     lifted = ds.lifted()
+    shape = (MC_BLOCK, ds.n)
     worst = np.inf
-    for start in range(0, trials, _MC_CHUNK):
-        weights = np.stack([_mc_weights(ds.n, m, (seed, t))
-                            for t in range(start, min(start + _MC_CHUNK, trials))])
-        sigma = min_singular_values(_certificate_sum(lifted, weights, lam))  # (chunk, m)
+    for b, start in enumerate(range(0, trials, MC_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        u, g, c = rng.random(shape), rng.standard_normal(shape), rng.standard_cauchy(shape)
+        A = rng.integers(-1, 2, shape + (m,))
+        k = min(MC_BLOCK, trials - start)
+        weights = np.where(u[:k] < 0.5, g[:k], c[:k])[..., None] * A[:k]
+        sigma = min_singular_values(_certificate_sum(lifted, weights, lam))  # (k, m)
         worst = min(worst, float(sigma.max(axis=1).min()))
     return worst
 

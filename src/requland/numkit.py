@@ -54,6 +54,12 @@ def min_singular_values(stack) -> np.ndarray:
     return np.linalg.svd(as_matrix(stack, stacked=True), compute_uv=False)[..., -1]
 
 
+def row_dots(U) -> np.ndarray:
+    """u . u for each row u of a (..., k) stack, from one stacked matmul that
+    takes the same BLAS dot per row, so entry i equals U[i] @ U[i] exactly."""
+    return (U[..., None, :] @ U[..., :, None])[..., 0, 0]
+
+
 def min_singular_value(A) -> float:
     """Smallest singular value of a 2-D matrix (square or rectangular)."""
     return float(min_singular_values(as_matrix(A)))

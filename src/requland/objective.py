@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .models import DeepConvNet, FlatLayout, QuadraticNet, net_to_flat
-from .numkit import conv_band
+from .numkit import conv_band, row_dots
 
 _LN2 = float(np.log(2.0))
 
@@ -155,10 +155,11 @@ class FlatObjective:
 
     def _anchor(self, v):
         """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack
-        of them, always in per-point Python-float arithmetic: numpy's stacked
-        v.v and its square both differ from it in the last bit."""
+        of them.  A stack takes every v.v from row_dots (the same BLAS dot as
+        the 1-D v @ v), then squares in per-point Python-float arithmetic:
+        numpy's vectorized square differs from it in the last bit."""
         if v.ndim > 1:
-            return np.array([self._anchor(x) for x in v])
+            return np.array([0.25 * self.lam_c * (x - 1.0) ** 2 for x in row_dots(v).tolist()])
         return 0.25 * self.lam_c * (float(v @ v) - 1.0) ** 2
 
     def forward(self, theta):

@@ -11,7 +11,7 @@ import yaml
 from requland import cli
 from requland.cli import PROBE_DEFAULTS, _make_loss, _probe_coercivity, main
 from requland.datasets import gen_random
-from requland.landscape import CertificateReport
+from requland.landscape import MC_BLOCK, CertificateReport
 from requland.models import SingleLayerReQUNet, save_net
 from requland.objective import FlatObjective, ObjectiveConfig, coercivity_lower_bound
 from requland.optimize import init_single, sample_lambda
@@ -209,37 +209,65 @@ def test_monte_carlo_commands_reject_trials_below_one(argv, trials, tmp_path, ca
 
 
 def serial_coercivity_oracle(cfg):
-    """probe coercivity with one FlatObjective.value call per trial."""
-    ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
+    """probe coercivity with one draw row and one FlatObjective.value call
+    per trial: its report and each trial's value, in trial order.  Trial t
+    is row t % MC_BLOCK of the whole block drawn from
+    SeedSequence((seed, t // MC_BLOCK))."""
+    seed = int(cfg["seed"])
+    ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=seed)
     m = int(cfg["m"])
-    lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
+    lam = sample_lambda(m, float(cfg["lambda0"]), seed=seed)
     fob = FlatObjective(init_single(m, ds.d, seed=0), ds,
                         ObjectiveConfig(loss=_make_loss(cfg), lam=lam))
-    rng = np.random.default_rng(int(cfg["seed"]))
     lam_min, slack = float(np.min(lam)), float(cfg["slack"])
-    worst, violations = np.inf, 0
-    for _ in range(int(cfg["trials"])):
-        u = rng.standard_normal(fob.layout.size)
-        radius = 10.0 ** rng.uniform(-2.0, np.log10(float(cfg["norm_max"])))
-        value = fob.value(radius * u / np.linalg.norm(u))
+    block, log_max = MC_BLOCK, np.log10(float(cfg["norm_max"]))
+    worst, violations, values = np.inf, 0, []
+    for t in range(int(cfg["trials"])):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t // block)))
+        u = rng.standard_normal((block, fob.layout.size))[t % block]
+        radius = 10.0 ** rng.uniform(-2.0, log_max, block)[t % block]
+        values.append(fob.value(radius * u / np.linalg.norm(u)))
         floor = coercivity_lower_bound(radius, lam_min, m)
-        worst = min(worst, value - floor)
-        if value < floor - slack * (1.0 + abs(floor)):
+        worst = min(worst, values[-1] - floor)
+        if values[-1] < floor - slack * (1.0 + abs(floor)):
             violations += 1
-    return {"violations": violations, "worst_margin": float(worst), "pass": violations == 0}
+    report = {"violations": violations, "worst_margin": float(worst), "pass": violations == 0}
+    return report, np.array(values)
+
+
+def coercivity_trials(monkeypatch, cfg):
+    """_probe_coercivity's report and each trial's value, in trial order."""
+    seen = []
+    values = FlatObjective.values
+    with monkeypatch.context() as mp:
+        mp.setattr(FlatObjective, "values",
+                   lambda self, thetas: seen.append(values(self, thetas)) or seen[-1])
+        report = _probe_coercivity(dict(cfg))
+    return report, np.concatenate(seen)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
-def test_probe_coercivity_matches_serial_oracle(loss):
-    # Trial counts around one stacked chunk.  A slack of -12 raises the bar
-    # above about half of the trials, so the violation count is compared too.
-    for trials in (FlatObjective.CHUNK - 1, FlatObjective.CHUNK, FlatObjective.CHUNK + 1):
+def test_probe_coercivity_matches_serial_oracle(loss, monkeypatch):
+    # Trial counts around one block.  A slack of -12 raises the bar above
+    # about half of the trials, so the violation count is compared too.
+    for trials in (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1):
         for seed, slack in ((0, 1e-9), (2, -12.0)):
             cfg = {**PROBE_DEFAULTS["coercivity"], "loss": loss, "trials": trials,
                    "seed": seed, "slack": slack}
-            got = _probe_coercivity(dict(cfg))
-            assert got == serial_coercivity_oracle(cfg)
+            got, per_trial = coercivity_trials(monkeypatch, cfg)
+            want, want_per_trial = serial_coercivity_oracle(cfg)
+            assert np.array_equal(per_trial, want_per_trial)  # every trial, in order
+            assert got == want
             assert (0 < got["violations"] < trials) == (slack < 0)
+
+
+def test_probe_coercivity_trials_are_a_prefix_of_a_longer_run(monkeypatch):
+    # Trial t depends only on (seed, t): every block is drawn whole.
+    cfg = {**PROBE_DEFAULTS["coercivity"], "seed": 3}
+    _, short = coercivity_trials(monkeypatch, {**cfg, "trials": 300})
+    _, long = coercivity_trials(monkeypatch, {**cfg, "trials": 4000})
+    assert len(short) == 300 and len(long) == 4000
+    assert np.array_equal(short, long[:300])
 
 
 def test_demo_path_csv(tmp_path):
@@ -338,3 +366,17 @@ def test_library_rejections_of_user_values_are_usage_errors(train_run, tmp_path,
     assert "n >= 1" in capsys.readouterr().err
     small.write_text("d_max: 0\n")
     assert run("probe", "lidskii", "--config", small) == 1
+
+
+@pytest.mark.parametrize("key", ["seed", "trials"])
+@pytest.mark.parametrize("kind", sorted(PROBE_DEFAULTS))
+def test_bad_config_value_is_a_usage_error_for_every_probe(kind, key, tmp_path, capsys):
+    # lidskii and conv-rank converted their seed, and every probe its trial
+    # count, outside the usage-error scope: a ValueError traceback, not
+    # "requland: error:".
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"{key}: abc\n")
+    assert run("probe", kind, "--config", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("requland: error:")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from requland import landscape, objective, optimize
 from requland.constructions import build_bad_local_min
 from requland.datasets import Dataset, gen_random
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet, net_to_flat
-from requland.numkit import min_singular_value
+from requland.numkit import min_singular_value, min_singular_values
 from requland.objective import ObjectiveConfig, logistic, smooth_hinge
 
 
@@ -191,6 +192,26 @@ def test_certificate_report_json_roundtrip(tmp_path, single_run):
     assert np.allclose(back.m_sigma_min, rep.m_sigma_min)
     assert np.allclose(back.balance_residuals, rep.balance_residuals)
     assert "verdict=ok" in back.one_line()
+    assert "non_finite" not in json.loads(path.read_text())
+
+
+def test_certificate_report_with_a_nan_margin_is_strict_json(tmp_path, single_run):
+    net, ds, cfg = single_run
+    rep = landscape.certify(net, ds, cfg)
+    rep.margin = float("nan")
+    path = tmp_path / "report.json"
+    rep.save(path)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc["margin"] is None
+    assert doc["non_finite"] == {"margin": "nan"}
+    back = landscape.CertificateReport.load(path)
+    assert np.isnan(back.margin)
+    back.margin = rep.margin = 0.0
+    assert back.to_dict() == rep.to_dict()
 
 
 def test_probe_single_sample_closed_form():
@@ -389,35 +410,60 @@ def test_certificate_sum_matches_serial_oracle(monkeypatch):
 
 
 def serial_monte_carlo_oracle(ds, m, lam, trials, seed):
-    """certificate_matrix_monte_carlo as one draw, one build and m SVDs per trial."""
+    """certificate_matrix_monte_carlo as one draw row, one build and m SVDs
+    per trial: each trial's max_j sigma_min, in trial order.  Trial t is row
+    t % MC_BLOCK of the whole block drawn from SeedSequence((seed, t // MC_BLOCK))."""
     lam = np.asarray(lam, dtype=float)
-    worst = np.inf
+    block, n = landscape.MC_BLOCK, ds.n
+    per_trial = []
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        z = np.where(rng.random(ds.n) < 0.5, rng.standard_normal(ds.n),
-                     rng.standard_cauchy(ds.n))
-        A = rng.integers(-1, 2, size=(ds.n, m)).astype(float)
-        Ms = serial_certificate_sum_oracle(ds.lifted(), z[:, None] * A, lam)
-        worst = min(worst, max(min_singular_value(M) for M in Ms))
-    return float(worst)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t // block)))
+        u, g = rng.random((block, n)), rng.standard_normal((block, n))
+        c, A = rng.standard_cauchy((block, n)), rng.integers(-1, 2, (block, n, m))
+        r = t % block
+        z = np.where(u[r] < 0.5, g[r], c[r])
+        Ms = serial_certificate_sum_oracle(ds.lifted(), z[:, None] * A[r].astype(float), lam)
+        per_trial.append(max(min_singular_value(M) for M in Ms))
+    return np.array(per_trial)
+
+
+def monte_carlo_trials(monkeypatch, ds, m, lam, trials, seed):
+    """certificate_matrix_monte_carlo's return and each trial's max_j
+    sigma_min, in trial order, read from the stacks it factors."""
+    stacks = []
+
+    def recording(stack):
+        stacks.append(min_singular_values(stack))
+        return stacks[-1]
+
+    with monkeypatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(landscape, "min_singular_values", recording)
+        warnings.simplefilter("ignore")  # m = n warns
+        got = landscape.certificate_matrix_monte_carlo(ds, m, lam, trials, seed=seed)
+    return got, np.concatenate(stacks).max(axis=1)
 
 
 @pytest.mark.parametrize("n,m", [(5, 6), (8, 8), (8, 9)])
 def test_monte_carlo_matches_serial_oracle(n, m, monkeypatch):
     ds = gen_random(n, 3, seed=n)
     lam = optimize.sample_lambda(m, 1e-2, seed=m)
-    draw = landscape._mc_weights
-    drawn = []
-    monkeypatch.setattr(landscape, "_mc_weights",
-                        lambda n, m, pair: drawn.append(pair) or draw(n, m, pair))
-    chunk = landscape._MC_CHUNK
-    for trials in (chunk - 1, chunk, chunk + 1):
-        drawn.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # m = n warns
-            got = landscape.certificate_matrix_monte_carlo(ds, m, lam, trials, seed=1)
-        assert got == serial_monte_carlo_oracle(ds, m, lam, trials, seed=1)
-        assert drawn == [(1, t) for t in range(trials)]  # every trial, once, in order
+    block = landscape.MC_BLOCK
+    for trials in (block - 1, block, block + 1):
+        got, per_trial = monte_carlo_trials(monkeypatch, ds, m, lam, trials, seed=1)
+        want = serial_monte_carlo_oracle(ds, m, lam, trials, seed=1)
+        assert np.array_equal(per_trial, want)  # every trial, once, in order
+        assert got == want.min()
+
+
+def test_monte_carlo_trials_are_a_prefix_of_a_longer_run(monkeypatch):
+    # Trial t depends only on (seed, t): every block is drawn whole.
+    ds = gen_random(5, 3, seed=5)
+    lam = optimize.sample_lambda(6, 1e-2, seed=6)
+    got, short = monte_carlo_trials(monkeypatch, ds, 6, lam, 300, seed=3)
+    _, long = monte_carlo_trials(monkeypatch, ds, 6, lam, 4000, seed=3)
+    assert len(short) == 300 and len(long) == 4000
+    assert np.array_equal(short, long[:300])
+    assert got == short.min()
 
 
 def test_square_case_warns_and_adversarial_kills_every_matrix():
@@ -596,6 +642,27 @@ def test_perturbation_stability_matches_serial_oracle():
             got = landscape.perturbation_stability(at, ds, cfg, radius, 1100, seed)
             assert got == serial_perturbation_stability_oracle(at, ds, cfg, radius, 1100, seed)
             assert np.sign(got) == want_sign
+
+
+def test_perturbation_stability_scales_each_row_as_alone(monkeypatch):
+    # theta + u rounds away the last bits of a small u, which hides them
+    # from the oracle above; at the zero network the evaluated points are
+    # the scaled directions themselves.
+    ds = gen_random(6, 3, seed=0)
+    net = SingleLayerReQUNet(np.zeros(4), np.zeros((4, 3)), np.zeros(4))
+    cfg = ObjectiveConfig(loss=logistic(), lam=np.full(4, 0.1))
+    seen = []
+    values = objective.FlatObjective.values
+    monkeypatch.setattr(objective.FlatObjective, "values",
+                        lambda self, thetas: seen.append(thetas.copy()) or values(self, thetas))
+    landscape.perturbation_stability(net, ds, cfg, radius=1e-3, trials=500, seed=4)
+    rng = np.random.default_rng(4)
+    want = []
+    for _ in range(500):
+        u = rng.standard_normal(net_to_flat(net).size)
+        u *= 1e-3 / np.linalg.norm(u)
+        want.append(u)
+    assert np.array_equal(np.concatenate(seen), want)
 
 
 def test_perturbation_stability_is_nan_on_a_non_finite_objective():

@@ -148,6 +148,19 @@ def test_min_singular_values_equals_one_matrix_at_a_time():
     assert numkit.min_singular_values(np.eye(3)) == 1.0  # one 2-D matrix
 
 
+def test_row_dots_equal_one_dot_per_row():
+    # Rows of strided views too: the filters of a stack of parameter vectors.
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 8, 17, 133):
+        T = rng.standard_normal((500, k + 5)) * rng.uniform(0.1, 10.0, (500, 1))
+        for U in (T[:, :k].copy(), T[:, 2 : 2 + k], T[:, 2 : 2 + k].reshape(5, 100, k)):
+            got = numkit.row_dots(U)
+            assert got.shape == U.shape[:-1]
+            for i in np.ndindex(U.shape[:-1]):
+                assert got[i] == float(U[i] @ U[i])
+                assert np.sqrt(got[i]) == np.linalg.norm(U[i])
+
+
 def test_min_singular_values_rejects_what_min_singular_value_does():
     nan, inf = np.ones((2, 3, 3)), np.ones((2, 3, 3))
     nan[1, 2, 0], inf[0, 0, 0] = np.nan, np.inf

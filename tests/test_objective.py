@@ -253,6 +253,21 @@ def test_values_equals_value_at_every_row(family):
             assert vals[k] == fob.value(thetas[k])
 
 
+def test_stacked_filter_anchor_equals_one_filter_at_a_time():
+    # A last-bit difference in the anchor is often absorbed by the sum in
+    # values, so it is pinned alone: numpy's vectorized square of the same
+    # v.v differs from the 1-D path in about 1 row in 1000 here.
+    rng = np.random.default_rng(18)
+    net = make_deep(rng, s=3)
+    ds = datasets.gen_random(6, net.input_dim, seed=0)
+    cfg = objective.ObjectiveConfig(objective.logistic(), np.full(net.m, 0.1), 1.3)
+    fob = objective.FlatObjective(net, ds, cfg)
+    V = rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-1, 1, (20000, 1))
+    got = fob._anchor(V)
+    assert got.shape == (20000,)
+    assert all(got[i] == fob._anchor(V[i]) for i in range(len(V)))
+
+
 def padded_filter_grad_oracle(fob, theta):
     """The gradient as the backprop took it with a fresh np.pad of each conv
     layer's input per call, before grad kept one zero-bordered buffer."""
