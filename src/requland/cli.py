@@ -8,8 +8,10 @@ time, so re-running a config reproduces its artifacts bit for bit.
 
 Exit codes are a stable contract for CI: 0 when the run certifies or the
 probe passes, 2 when a certificate or probed property fails, 1 on usage
-or I/O errors.  A library ValueError is a usage error only where it rejects
-a value the user supplied; elsewhere it is a defect and shows its traceback.
+or I/O errors, 3 on a defect.  A library ValueError is a usage error only
+where it rejects a value the user supplied; elsewhere it is a defect: main
+lets it propagate, and the process entry point prints its traceback and
+exits 3.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import csv
 import functools
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +71,20 @@ class UsageError(Exception):
 
 @contextlib.contextmanager
 def _user_input():
-    """Library checks on values the user supplied report as usage errors."""
+    """Library checks on values the user supplied report as usage errors;
+    so do config integers that _int refuses."""
     try:
         yield
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _int(value) -> int:
+    """A config value as an integer, for use inside _user_input: int()
+    would truncate 2.7 to 2 and the run would not match its config."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +206,7 @@ def _make_loss(cfg: dict):
     if kind == "logistic":
         return logistic()
     if kind == "hinge":
-        return smooth_hinge(int(cfg.get("hinge_p", 3)))
+        return smooth_hinge(_int(cfg.get("hinge_p", 3)))
     raise UsageError(f"unknown loss {kind!r} (expected logistic or hinge)")
 
 
@@ -214,18 +226,18 @@ def _build_dataset(cfg: dict):
     if unknown:
         raise UsageError(f"generator keys {sorted(unknown)} not valid for kind {kind!r}")
     if kind == "random":
-        gen = {"kind": kind, "n": int(gen.get("n", 10)), "d": int(gen.get("d", 3)),
-               "seed": int(gen.get("seed", 0))}
+        gen = {"kind": kind, "n": _int(gen.get("n", 10)), "d": _int(gen.get("d", 3)),
+               "seed": _int(gen.get("seed", 0))}
         ds = gen_random(gen["n"], gen["d"], seed=gen["seed"])
     elif kind == "quadratic":
-        gen = {"kind": kind, "n": int(gen.get("n", 10)), "d": int(gen.get("d", 3)),
-               "seed": int(gen.get("seed", 0))}
+        gen = {"kind": kind, "n": _int(gen.get("n", 10)), "d": _int(gen.get("d", 3)),
+               "seed": _int(gen.get("seed", 0))}
         ds, _ = gen_quadratically_separable(gen["n"], gen["d"], seed=gen["seed"])
     else:
         d = gen.get("d")
-        gen = {"kind": kind, "n": int(gen.get("n", 4)),
-               "num_positive": int(gen.get("num_positive", 1)),
-               "mode": gen.get("mode", "auto"), "d": None if d is None else int(d)}
+        gen = {"kind": kind, "n": _int(gen.get("n", 4)),
+               "num_positive": _int(gen.get("num_positive", 1)),
+               "mode": gen.get("mode", "auto"), "d": None if d is None else _int(d)}
         ds = gen_mutually_repelling(
             gen["n"], num_positive=gen["num_positive"], mode=gen["mode"], d=gen["d"]
         )
@@ -236,7 +248,7 @@ def _build_dataset(cfg: dict):
 def _check_trials(cfg: dict) -> None:
     """A Monte-Carlo check over no trials would pass vacuously."""
     with _user_input():
-        trials = int(cfg["trials"])
+        trials = _int(cfg["trials"])
     if trials < 1:
         raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
 
@@ -255,9 +267,9 @@ def _resolve_coefficients(cfg: dict, ds, loss, m: int):
         return None, lam
     lambda0 = cfg.get("lambda0", "auto")
     if lambda0 == "auto":
-        lambda0 = estimate_lambda0(ds, loss, seed=int(cfg.get("seed", 0)))
+        lambda0 = estimate_lambda0(ds, loss, seed=_int(cfg.get("seed", 0)))
     lambda0 = float(lambda0)
-    return lambda0, sample_lambda(m, lambda0, seed=int(cfg.get("seed", 0)))
+    return lambda0, sample_lambda(m, lambda0, seed=_int(cfg.get("seed", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +285,18 @@ def cmd_train(args) -> int:
     with _user_input():
         ds = _build_dataset(cfg)
         loss = _make_loss(cfg)
-        m = int(cfg["m"])
+        m = _int(cfg["m"])
         lambda0, lam = _resolve_coefficients(cfg, ds, loss, m)
         ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
 
         if cfg["init_checkpoint"]:
             net0 = load_net(cfg["init_checkpoint"])
         elif cfg["arch"] == "single":
-            net0 = init_single(m, ds.d, seed=int(cfg["seed"]))
+            net0 = init_single(m, ds.d, seed=_int(cfg["seed"]))
         elif cfg["arch"] == "deep":
             net0 = init_deep(
-                ds.d, int(cfg["s"]), int(cfg["l"]), m,
-                seed=int(cfg["seed"]), slope=float(cfg["slope"]),
+                ds.d, _int(cfg["s"]), _int(cfg["l"]), m,
+                seed=_int(cfg["seed"]), slope=float(cfg["slope"]),
             )
         else:
             raise UsageError(f"unknown arch {cfg['arch']!r} (expected single or deep)")
@@ -292,7 +304,7 @@ def cmd_train(args) -> int:
         ocfg.check_m(net0)
         _check_input_dim(net0, ds)
         opts = TrainOptions(
-            grad_tol=float(cfg["grad_tol"]), max_iter=int(cfg["max_iter"]), seed=int(cfg["seed"])
+            grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]), seed=_int(cfg["seed"])
         )
         certify_grad_tol = float(cfg["certify_grad_tol"])
     net, traj = train(net0, ds, ocfg, opts)
@@ -370,10 +382,10 @@ def _probe_coercivity(cfg: dict) -> dict:
     the worst margin and the violations are taken in trial order.
     """
     with _user_input():
-        seed = int(cfg["seed"])
-        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=seed)
+        seed = _int(cfg["seed"])
+        ds = gen_random(_int(cfg["n"]), _int(cfg["d"]), seed=seed)
         loss = _make_loss(cfg)
-        m = int(cfg["m"])
+        m = _int(cfg["m"])
         lam = sample_lambda(m, float(cfg["lambda0"]), seed=seed)
         ocfg = ObjectiveConfig(loss=loss, lam=lam)
         fob = FlatObjective(init_single(m, ds.d, seed=0), ds, ocfg)
@@ -381,7 +393,7 @@ def _probe_coercivity(cfg: dict) -> dict:
         log_max = np.log10(float(cfg["norm_max"]))
     size = fob.layout.size
     lam_min = float(np.min(lam))
-    trials = int(cfg["trials"])
+    trials = _int(cfg["trials"])
     worst = np.inf
     violations = 0
     for b, start in enumerate(range(0, trials, MC_BLOCK)):
@@ -400,11 +412,11 @@ def _probe_coercivity(cfg: dict) -> dict:
 
 def _probe_lemma2(cfg: dict) -> dict:
     with _user_input():
-        ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]))
-        m = int(cfg["m"])
-        lam = sample_lambda(m, float(cfg["lambda0"]), seed=int(cfg["seed"]))
+        ds = gen_random(_int(cfg["n"]), _int(cfg["d"]), seed=_int(cfg["seed"]))
+        m = _int(cfg["m"])
+        lam = sample_lambda(m, float(cfg["lambda0"]), seed=_int(cfg["seed"]))
     minmax = certificate_matrix_monte_carlo(
-        ds, m, lam, trials=int(cfg["trials"]), seed=int(cfg["seed"])
+        ds, m, lam, trials=_int(cfg["trials"]), seed=_int(cfg["seed"])
     )
     result = {"min_max_sigma": float(minmax), "pass": minmax > 0.0}
     if cfg["adversarial"] and m == ds.n:
@@ -416,12 +428,12 @@ def _probe_lemma2(cfg: dict) -> dict:
 
 def _probe_lidskii(cfg: dict) -> dict:
     with _user_input():
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(_int(cfg["seed"]))
         slack = float(cfg["slack"])
-        d_max = int(cfg["d_max"])
+        d_max = _int(cfg["d_max"])
     worst = -np.inf
     violations = 0
-    for _ in range(int(cfg["trials"])):
+    for _ in range(_int(cfg["trials"])):
         with _user_input():  # the size bound comes from the config
             d = int(rng.integers(1, d_max + 1))
         A = rng.standard_normal((d, d))
@@ -437,13 +449,13 @@ def _probe_lidskii(cfg: dict) -> dict:
 
 def _probe_overdetermined(cfg: dict) -> dict:
     with _user_input():
-        n, m = int(cfg["n"]), int(cfg["m"])
-        rng = np.random.default_rng(int(cfg["seed"]))
+        n, m = _int(cfg["n"]), _int(cfg["m"])
+        rng = np.random.default_rng(_int(cfg["seed"]))
         floor = float(cfg["floor"])
     if m < n + 1:
         raise UsageError(f"overdetermined probe needs m >= n+1, got n={n} m={m}")
     smallest = np.inf
-    for _ in range(int(cfg["trials"])):
+    for _ in range(_int(cfg["trials"])):
         A = rng.standard_normal((n, m))
         # lam comes from the same stream as A, after it: reusing the seed for
         # a fresh generator would hand back A's own first row as lam.
@@ -453,10 +465,10 @@ def _probe_overdetermined(cfg: dict) -> dict:
 
 def _probe_conv_rank(cfg: dict) -> dict:
     with _user_input():
-        rng = np.random.default_rng(int(cfg["seed"]))
-        s_max, dz_max = int(cfg["s_max"]), int(cfg["dz_max"])
+        rng = np.random.default_rng(_int(cfg["seed"]))
+        s_max, dz_max = _int(cfg["s_max"]), _int(cfg["dz_max"])
     smallest = np.inf
-    for _ in range(int(cfg["trials"])):
+    for _ in range(_int(cfg["trials"])):
         with _user_input():  # the size bounds come from the config
             s = int(rng.integers(1, s_max + 1))
             d_z = int(rng.integers(1, dz_max + 1))
@@ -467,13 +479,13 @@ def _probe_conv_rank(cfg: dict) -> dict:
 
 def _probe_injectivity(cfg: dict) -> dict:
     failures = 0
-    for t in range(int(cfg["trials"])):
+    for t in range(_int(cfg["trials"])):
         with _user_input():  # each trial builds its net and data from the config
             net = init_deep(
-                int(cfg["d"]), int(cfg["s"]), int(cfg["l"]), int(cfg["m"]),
-                seed=int(cfg["seed"]) + t, slope=float(cfg["slope"]),
+                _int(cfg["d"]), _int(cfg["s"]), _int(cfg["l"]), _int(cfg["m"]),
+                seed=_int(cfg["seed"]) + t, slope=float(cfg["slope"]),
             )
-            ds = gen_random(int(cfg["n"]), int(cfg["d"]), seed=int(cfg["seed"]) + t)
+            ds = gen_random(_int(cfg["n"]), _int(cfg["d"]), seed=_int(cfg["seed"]) + t)
         ok, _ = hidden_injectivity_check(net, ds)
         if not ok:
             failures += 1
@@ -515,16 +527,16 @@ def cmd_counterexample(args) -> int:
     _check_trials(cfg)
     out = _prepare_outdir(args.out)
     with _user_input():
-        n, m = int(cfg["n"]), int(cfg["m"])
+        n, m = _int(cfg["n"]), _int(cfg["m"])
         if cfg["lam"] is not None:
             lam = np.asarray(cfg["lam"], dtype=float)
         else:
-            lam = np.random.default_rng(int(cfg["seed"])).uniform(0.05, 0.45, size=m)
+            lam = np.random.default_rng(_int(cfg["seed"])).uniform(0.05, 0.45, size=m)
         ds, net, ocfg = build_bad_local_min(
-            n, m, lam, seed=int(cfg["seed"]), mode=cfg["mode"],
-            d=None if cfg["d"] is None else int(cfg["d"]),
+            n, m, lam, seed=_int(cfg["seed"]), mode=cfg["mode"],
+            d=None if cfg["d"] is None else _int(cfg["d"]),
         )
-        radius, trials, seed = float(cfg["radius"]), int(cfg["trials"]), int(cfg["seed"])
+        radius, trials, seed = float(cfg["radius"]), _int(cfg["trials"]), _int(cfg["seed"])
 
     err = training_error(net, ds)
     expected = 1.0 - m / n
@@ -554,7 +566,7 @@ def cmd_demo_path(args) -> int:
     cfg = _merge_config(DEMO_PATH_DEFAULTS, args, ["num_steps", "lam"])
     out = _prepare_outdir(args.out)
     with _user_input():
-        table = decreasing_path_demo(int(cfg["num_steps"]), lam=float(cfg["lam"]))
+        table = decreasing_path_demo(_int(cfg["num_steps"]), lam=float(cfg["lam"]))
     _write_yaml(dict(cfg), out / "config.yaml")
     save_path_csv(table, out / "path.csv")
     ok = bool(np.all(np.diff(table["loss"]) < 0.0)) and bool(
@@ -571,13 +583,13 @@ def cmd_demo_path(args) -> int:
 def _sweep_cell(n: int, m: int, seed: int, cfg: dict):
     with _user_input():
         loss = _make_loss(cfg)
-        ds = gen_random(n, int(cfg["d"]), seed=seed)
+        ds = gen_random(n, _int(cfg["d"]), seed=seed)
         lambda0 = cfg["lambda0"]
         if lambda0 == "auto":
             lambda0 = estimate_lambda0(ds, loss, seed=seed)
         lam = sample_lambda(m, float(lambda0), seed=seed)
         ocfg = ObjectiveConfig(loss=loss, lam=lam)
-        opts = TrainOptions(grad_tol=float(cfg["grad_tol"]), max_iter=int(cfg["max_iter"]),
+        opts = TrainOptions(grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]),
                             seed=seed)
     net, _ = train(init_single(m, ds.d, seed=seed), ds, ocfg, opts)
     err = training_error(net, ds)
@@ -599,19 +611,20 @@ def cmd_sweep(args) -> int:
     out = _prepare_outdir(args.out)
 
     cells = []
-    for n in cfg["n_values"]:
-        ms = cfg["m_values"] if cfg["m_values"] is not None else range(n - 2, n + 4)
-        for m in ms:
-            for seed in cfg["seeds"]:
-                cells.append((int(n), int(m), int(seed)))
+    with _user_input():
+        for n in map(_int, cfg["n_values"]):
+            ms = cfg["m_values"] if cfg["m_values"] is not None else range(n - 2, n + 4)
+            for m in map(_int, ms):
+                for seed in map(_int, cfg["seeds"]):
+                    cells.append((n, m, seed))
 
     rows = [_sweep_cell(*c, cfg) for c in cells]
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
     resolved = dict(cfg)
-    resolved["n_values"] = [int(v) for v in cfg["n_values"]]
-    resolved["m_values"] = None if cfg["m_values"] is None else [int(v) for v in cfg["m_values"]]
-    resolved["seeds"] = [int(v) for v in cfg["seeds"]]
+    resolved["n_values"] = [_int(v) for v in cfg["n_values"]]
+    resolved["m_values"] = None if cfg["m_values"] is None else [_int(v) for v in cfg["m_values"]]
+    resolved["seeds"] = [_int(v) for v in cfg["seeds"]]
     _write_yaml(resolved, out / "config.yaml")
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -724,5 +737,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry(argv=None) -> int:
+    """The process entry point, of the requland script and python -m
+    requland: main's exit code, or 3 after the traceback of an exception
+    that main let through, so that a defect is not read as a usage error."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

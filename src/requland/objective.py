@@ -17,10 +17,10 @@ every margin is strictly positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .models import DeepConvNet, FlatLayout, QuadraticNet, net_to_flat
 from .numkit import conv_band, row_dots
@@ -65,10 +65,35 @@ def loss_value(kind: LossKind, z):
     return np.maximum(1.0 + z, 0.0) ** kind.p
 
 
+def _exp_or_inf(t: float) -> float:
+    """libm's exp(t): math.exp raises OverflowError where libm returns inf."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
+def _logistic_deriv(z: list, w, exp=math.exp) -> list:
+    """expit(x) / ln 2 * c for each x of z and c of w, in Python floats.
+
+    expit(x) is 1 / (1 + exp(-x)) with libm's exp, the formula and exp that
+    scipy.special.expit evaluates, so each value equals its expit (==, with
+    NaN to NaN); numpy's vectorized exp differs from libm's in the last bit.
+    The rare list in which some exp(-x) overflows is redone with an exp that
+    returns inf there, where expit is 1 / (1 + inf) = 0.
+    """
+    try:
+        return [1.0 / (1.0 + exp(-x)) / _LN2 * c for x, c in zip(z, w)]
+    except OverflowError:
+        return _logistic_deriv(z, w, _exp_or_inf)
+
+
 def loss_deriv(kind: LossKind, z):
+    """loss'(z) elementwise, as an array of z's shape."""
     z = np.asarray(z, dtype=float)
     if kind.name == "logistic":
-        return expit(z) / _LN2
+        flat = z.ravel().tolist()
+        return np.array(_logistic_deriv(flat, [1.0] * len(flat))).reshape(z.shape)
     return kind.p * np.maximum(1.0 + z, 0.0) ** (kind.p - 1)
 
 
@@ -135,6 +160,7 @@ class FlatObjective:
     def __init__(self, like, ds, cfg: ObjectiveConfig):
         cfg.check_m(like)
         self.X, self.y = ds.X, ds.y
+        self.neg_y = (-ds.y).tolist()  # dz_i/df_i, as Python floats for _logistic_deriv
         self.lam, self.lam_c, self.loss = cfg.lam, cfg.lam_c, cfg.loss
         self.layout = FlatLayout.of(like)
         self.squared = isinstance(like, QuadraticNet)
@@ -207,7 +233,10 @@ class FlatObjective:
         """The gradient at a 1-D theta, from its forward(theta) result fwd."""
         _, (a, W, b, filts), layers, F, act, phi, z, u = fwd
         lam = self.lam
-        g = -loss_deriv(self.loss, z) * self.y  # d(data term)/d f_i
+        if self.loss.name == "logistic":  # d(data term)/d f_i, in one pass over the samples
+            g = np.array(_logistic_deriv(z.tolist(), self.neg_y))
+        else:
+            g = -loss_deriv(self.loss, z) * self.y
         S = g[:, None] * (2.0 * act)
         da = phi.T @ g + lam * np.abs(a) * a
         dW = (S.T @ F) * a[:, None] + 2.0 * lam[:, None] * u[:, None] * W

@@ -341,13 +341,13 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         loss, g = fob.value_and_grad(theta)
         prev_theta = prev_g = None
         stall_ref_it, stall_ref_loss = it, loss
-        traj.record(it, loss, float(np.linalg.norm(g)), float(np.linalg.norm(theta)), status)
+        traj.record(it, loss, math.sqrt(g @ g), math.sqrt(theta @ theta), status)
 
     def record(status):  # the norm of the iteration's starting point, taken only here
-        traj.record(it, loss, gn, float(np.linalg.norm(start)), status)
+        traj.record(it, loss, gn, math.sqrt(start @ start), status)
 
     while it < opts.max_iter:
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(g @ g)  # == float(np.linalg.norm(g)): the same dot, a correctly rounded sqrt
         start = theta
         if it % opts.record_every == 0:
             record("descent")
@@ -356,7 +356,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             return net_from_flat(like, theta), traj
 
         if opts.check_coercivity and is_single:
-            floor = coercivity_lower_bound(float(np.linalg.norm(theta)), lam_min, like.m)
+            floor = coercivity_lower_bound(math.sqrt(theta @ theta), lam_min, like.m)
             if loss < floor - 1e-9 * (1.0 + abs(loss)):
                 raise CoercivityViolationError(
                     f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
@@ -457,8 +457,8 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             return net_from_flat(like, theta), traj
         it += 1
 
-    gn = float(np.linalg.norm(g))
-    traj.record(it, loss, gn, float(np.linalg.norm(theta)), "budget-exhausted")
+    gn = math.sqrt(g @ g)
+    traj.record(it, loss, gn, math.sqrt(theta @ theta), "budget-exhausted")
     return net_from_flat(like, theta), traj
 
 

@@ -321,6 +321,33 @@ def test_module_entry_point(tmp_path):
     assert "demo-path: PASS" in proc.stdout
 
 
+def test_module_entry_point_exits_3_on_a_defect(tmp_path):
+    # An exception main lets through is a defect: the entry point prints its
+    # traceback and exits 3, not 1, the code of a usage error.
+    inject = (
+        "import runpy, sys\n"
+        "from requland import cli\n"
+        "cli.train = None\n"
+        "sys.argv[1:] = ['train', '--m', '7', '--seed', '1', '--out', sys.argv[1]]\n"
+        "runpy.run_module('requland', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", inject, str(tmp_path / "out")], capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" in proc.stderr and "TypeError" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, requland, requland.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_non_finite_statistic_is_written_as_strict_json(tmp_path):
     # At this radius every trial value overflows and perturbation_stability
     # returns NaN; the report used to carry a bare NaN that strict parsers
@@ -380,3 +407,15 @@ def test_bad_config_value_is_a_usage_error_for_every_probe(kind, key, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("requland: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["trials: 2.7", "seed: 1.5"])
+@pytest.mark.parametrize("kind", sorted(PROBE_DEFAULTS))
+def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, capsys):
+    # int() used to truncate: trials 2.7 ran 2 trials, exited 0 and reported 2.7.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert run("probe", kind, "--config", bad, "--out", out) == 1
+    assert "expected an integer" in capsys.readouterr().err
+    assert not out.exists()

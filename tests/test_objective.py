@@ -74,6 +74,31 @@ def test_small_derivative_implies_negative_argument(kind, z):
         assert z < 0
 
 
+def test_logistic_deriv_equals_expit_oracle():
+    # loss_deriv and the gradient's data term evaluate expit in Python floats
+    # with libm's exp; trajectories stay bit for bit only if every value
+    # equals scipy's expit, far tails and exp overflow included.
+    special = pytest.importorskip("scipy.special")
+    kind = objective.logistic()
+    rng = np.random.default_rng(0)
+    edges = [0.0, 709.78, 709.782712893384, 709.79, 710.0, 745.0, 746.0, np.inf]
+    z = np.concatenate([
+        rng.standard_normal(100_000) * 10.0 ** rng.uniform(-2.0, np.log10(300.0), 100_000),
+        edges, np.negative(edges), [np.nan],
+    ])
+    want = special.expit(z) / LN2
+    got = objective.loss_deriv(kind, z)
+    assert got.shape == z.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    tail = slice(z.size - 2 * len(edges) - 1, None)
+    singles = [objective.loss_deriv(kind, x) for x in z[tail].tolist()]  # 0-d inputs
+    assert all(np.shape(v) == () for v in singles)
+    assert np.array_equal(singles, want[tail], equal_nan=True)
+    w = rng.choice([-1.0, 1.0], z.size)
+    weighted = objective._logistic_deriv(z.tolist(), w.tolist())
+    assert np.array_equal(weighted, want * w, equal_nan=True)
+
+
 def test_losses_stable_in_far_tails():
     kind = objective.logistic()
     big = objective.loss_value(kind, 1e9)

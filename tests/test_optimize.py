@@ -1,4 +1,5 @@
 import csv
+import math
 import sys
 from collections import Counter
 
@@ -20,6 +21,16 @@ from requland.objective import (
 
 def quick_cfg(m, lam0=1e-2, seed=0, lam_c=0.0):
     return ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(m, lam0, seed=seed), lam_c=lam_c)
+
+
+def test_dot_sqrt_equals_numpy_norm():
+    # train takes its gradient and parameter norms as math.sqrt(x @ x); the
+    # recorded trajectories stay those of float(np.linalg.norm(x)) only if
+    # the two agree bit for bit.
+    rng = np.random.default_rng(0)
+    for _ in range(20_000):
+        x = rng.standard_normal(int(rng.integers(1, 400))) * 10.0 ** rng.uniform(-150, 150)
+        assert math.sqrt(x @ x) == float(np.linalg.norm(x))
 
 
 def test_init_shapes_and_determinism():
