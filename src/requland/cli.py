@@ -1,10 +1,11 @@
 """Experiment harness: every operation as a reproducible command.
 
 Commands: train, certify, probe, counterexample, demo-path, sweep.  Each
-takes an optional YAML config (nested key-value); command-line flags
-override config values.  Every artifact directory receives the exact
-resolved config next to the outputs, and nothing written depends on wall
-time, so re-running a config reproduces its artifacts bit for bit.
+takes an optional YAML config (nested key-value); a command-line flag
+overrides the config key named by its dest.  Every artifact directory
+receives the exact resolved config next to the outputs, and nothing written
+depends on wall time, so re-running a config reproduces its artifacts bit
+for bit.
 
 Exit codes are a stable contract for CI: 0 when the run certifies or the
 probe passes, 2 when a certificate or probed property fails, 1 on usage
@@ -42,7 +43,7 @@ from .landscape import (
     perturbation_stability,
     write_json,
 )
-from .models import DeepConvNet, load_net, save_net
+from .models import load_net, save_net
 from .numkit import conv_matrix, frobenius, min_singular_value, min_singular_values, row_dots, sym_eigvals
 from .objective import (
     FlatObjective,
@@ -172,17 +173,17 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merge_config(defaults: dict, args, flag_keys) -> dict:
-    """defaults <- config file <- explicitly given flags, rejecting unknowns."""
+def _merge_config(defaults: dict, args) -> dict:
+    """defaults <- config file <- explicitly given flags, rejecting unknown
+    file keys.  A flag whose dest is a config key overrides that key."""
     cfg = dict(defaults)
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _load_config_file(args.config) if args.config else {}
     for key, value in file_cfg.items():
         if key not in defaults:
             raise UsageError(f"unknown config key {key!r}")
         cfg[key] = value
-    for key in flag_keys:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in defaults and value is not None:
             cfg[key] = value
     return cfg
 
@@ -253,121 +254,110 @@ def _check_trials(cfg: dict) -> None:
         raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
 
 
+def _int_list(cfg: dict, key: str) -> list:
+    """A config list of integers, for use inside _user_input."""
+    if not isinstance(cfg[key], list):
+        raise UsageError(f"{key} must be a list of integers, got {cfg[key]!r}")
+    return [_int(v) for v in cfg[key]]
+
+
 def _check_input_dim(net, ds) -> None:
-    if (net.input_dim if isinstance(net, DeepConvNet) else net.d) != ds.d:
+    if net.input_dim != ds.d:
         raise UsageError(f"the network's input length does not match the dataset's d={ds.d}")
 
 
-def _resolve_coefficients(cfg: dict, ds, loss, m: int):
+def _resolve_coefficients(cfg: dict, ds, loss, m: int, seed: int):
     """Returns (lambda0 or None, lam array); explicit lam wins over lambda0."""
     if cfg.get("lam") is not None:
         lam = np.asarray(cfg["lam"], dtype=float)
         if lam.shape != (m,):
             raise UsageError(f"lam must list {m} coefficients, got {lam.size}")
         return None, lam
-    lambda0 = cfg.get("lambda0", "auto")
+    lambda0 = cfg["lambda0"]
     if lambda0 == "auto":
-        lambda0 = estimate_lambda0(ds, loss, seed=_int(cfg.get("seed", 0)))
+        lambda0 = estimate_lambda0(ds, loss, seed=seed)
     lambda0 = float(lambda0)
-    return lambda0, sample_lambda(m, lambda0, seed=_int(cfg.get("seed", 0)))
+    return lambda0, sample_lambda(m, lambda0, seed=seed)
+
+
+def _certify_and_report(net, ds, ocfg, cfg: dict, grad_tol: float, out, head: str,
+                        traj=None) -> int:
+    """Certify net and print head with the outcome; given out, write there the
+    resolved config (cfg with the coefficient list) and report.json, which for
+    a failed certificate of a training run also says where the run ended."""
+    if out:
+        _write_yaml({**cfg, "lam": [float(v) for v in ocfg.lam]}, out / "config.yaml")
+    try:
+        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=grad_tol)
+    except (NotCriticalError, CertificateContradiction) as exc:
+        verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
+        if out:
+            doc = {"verdict": verdict, "detail": str(exc)}
+            if traj is not None:
+                doc.update(terminal_status=traj.status, training_error=training_error(net, ds))
+            write_json(doc, out / "report.json")
+        print(f"{head} {verdict}: {exc}")
+        return 2
+    if out:
+        report.save(out / "report.json")
+    print(f"{head} {report.one_line()}")
+    return 0 if report.verdict == "ok" else 2
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_train(args) -> int:
-    cfg = _merge_config(
-        TRAIN_DEFAULTS, args,
-        ["dataset", "arch", "m", "seed", "lambda0", "lam_c", "grad_tol",
-         "max_iter", "init_checkpoint", "loss"],
-    )
-    out = _prepare_outdir(args.out)
+    cfg = _merge_config(TRAIN_DEFAULTS, args)
     with _user_input():
         ds = _build_dataset(cfg)
         loss = _make_loss(cfg)
-        m = _int(cfg["m"])
-        lambda0, lam = _resolve_coefficients(cfg, ds, loss, m)
+        m, seed = _int(cfg["m"]), _int(cfg["seed"])
+        lambda0, lam = _resolve_coefficients(cfg, ds, loss, m, seed)
         ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
 
         if cfg["init_checkpoint"]:
             net0 = load_net(cfg["init_checkpoint"])
         elif cfg["arch"] == "single":
-            net0 = init_single(m, ds.d, seed=_int(cfg["seed"]))
+            net0 = init_single(m, ds.d, seed=seed)
         elif cfg["arch"] == "deep":
-            net0 = init_deep(
-                ds.d, _int(cfg["s"]), _int(cfg["l"]), m,
-                seed=_int(cfg["seed"]), slope=float(cfg["slope"]),
-            )
+            net0 = init_deep(ds.d, _int(cfg["s"]), _int(cfg["l"]), m, seed=seed,
+                             slope=float(cfg["slope"]))
         else:
             raise UsageError(f"unknown arch {cfg['arch']!r} (expected single or deep)")
 
         ocfg.check_m(net0)
         _check_input_dim(net0, ds)
         opts = TrainOptions(
-            grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]), seed=_int(cfg["seed"])
+            grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]), seed=seed
         )
         certify_grad_tol = float(cfg["certify_grad_tol"])
+    out = _prepare_outdir(args.out)
     net, traj = train(net0, ds, ocfg, opts)
 
-    resolved = dict(cfg)
-    resolved["lam"] = [float(v) for v in lam]
-    if lambda0 is not None:  # explicit lam leaves the configured value alone
-        resolved["lambda0"] = lambda0
-    _write_yaml(resolved, out / "config.yaml")
     save_csv(ds, out / "dataset.csv")
     traj.save_csv(out / "trajectory.csv")
     save_net(net, out / "checkpoint.json")
-
+    if lambda0 is not None:  # explicit lam leaves the configured value alone
+        cfg["lambda0"] = lambda0
     head = f"train: {traj.status} after {traj.n_iter} iterations;"
-    try:
-        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=certify_grad_tol)
-    except (NotCriticalError, CertificateContradiction) as exc:
-        verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
-        write_json(
-            {"verdict": verdict, "detail": str(exc), "terminal_status": traj.status,
-             "training_error": training_error(net, ds)},
-            out / "report.json",
-        )
-        print(f"{head} {verdict}: {exc}")
-        return 2
-    report.save(out / "report.json")
-    print(f"{head} {report.one_line()}")
-    return 0 if report.verdict == "ok" else 2
+    return _certify_and_report(net, ds, ocfg, cfg, certify_grad_tol, out, head, traj)
 
 
 def cmd_certify(args) -> int:
-    cfg = _merge_config(
-        TRAIN_DEFAULTS, args,
-        ["dataset", "seed", "lambda0", "lam_c", "certify_tol", "certify_grad_tol", "loss"],
-    )
+    cfg = _merge_config(TRAIN_DEFAULTS, args)
     with _user_input():
         net = load_net(args.checkpoint)
         if cfg["dataset"] is None and cfg["generator"] is None:
             raise UsageError("certify needs --dataset or a generator in the config")
         ds = _build_dataset(cfg)
         loss = _make_loss(cfg)
-        _, lam = _resolve_coefficients(cfg, ds, loss, net.m)
+        _, lam = _resolve_coefficients(cfg, ds, loss, net.m, _int(cfg["seed"]))
         ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
         _check_input_dim(net, ds)
         certify_grad_tol = float(cfg["certify_grad_tol"])
-
     out = _prepare_outdir(args.out) if args.out else None
-    try:
-        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=certify_grad_tol)
-    except (NotCriticalError, CertificateContradiction) as exc:
-        verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
-        if out:
-            _write_yaml(dict(cfg), out / "config.yaml")
-            write_json({"verdict": verdict, "detail": str(exc)}, out / "report.json")
-        print(f"certify: {verdict}: {exc}")
-        return 2
-    if out:
-        resolved = dict(cfg)
-        resolved["lam"] = [float(v) for v in lam]
-        _write_yaml(resolved, out / "config.yaml")
-        report.save(out / "report.json")
-    print(f"certify: {report.one_line()}")
-    return 0 if report.verdict == "ok" else 2
+    return _certify_and_report(net, ds, ocfg, cfg, certify_grad_tol, out, "certify:")
 
 
 def _probe_coercivity(cfg: dict) -> dict:
@@ -504,7 +494,7 @@ PROBE_RUNNERS = {
 
 def cmd_probe(args) -> int:
     defaults = PROBE_DEFAULTS[args.kind]
-    cfg = _merge_config(defaults, args, ["trials", "seed"])
+    cfg = _merge_config(defaults, args)
     _check_trials(cfg)
     result = PROBE_RUNNERS[args.kind](cfg)
     report = {"kind": args.kind, **{k: cfg[k] for k in sorted(cfg)}, **result}
@@ -521,11 +511,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    cfg = _merge_config(
-        COUNTEREXAMPLE_DEFAULTS, args, ["n", "m", "seed", "mode", "trials", "radius"]
-    )
+    cfg = _merge_config(COUNTEREXAMPLE_DEFAULTS, args)
     _check_trials(cfg)
-    out = _prepare_outdir(args.out)
     with _user_input():
         n, m = _int(cfg["n"]), _int(cfg["m"])
         if cfg["lam"] is not None:
@@ -537,6 +524,7 @@ def cmd_counterexample(args) -> int:
             d=None if cfg["d"] is None else _int(cfg["d"]),
         )
         radius, trials, seed = float(cfg["radius"]), _int(cfg["trials"]), _int(cfg["seed"])
+    out = _prepare_outdir(args.out)
 
     err = training_error(net, ds)
     expected = 1.0 - m / n
@@ -563,10 +551,10 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_demo_path(args) -> int:
-    cfg = _merge_config(DEMO_PATH_DEFAULTS, args, ["num_steps", "lam"])
-    out = _prepare_outdir(args.out)
+    cfg = _merge_config(DEMO_PATH_DEFAULTS, args)
     with _user_input():
         table = decreasing_path_demo(_int(cfg["num_steps"]), lam=float(cfg["lam"]))
+    out = _prepare_outdir(args.out)
     _write_yaml(dict(cfg), out / "config.yaml")
     save_path_csv(table, out / "path.csv")
     ok = bool(np.all(np.diff(table["loss"]) < 0.0)) and bool(
@@ -580,14 +568,10 @@ def cmd_demo_path(args) -> int:
     return 0 if ok else 2
 
 
-def _sweep_cell(n: int, m: int, seed: int, cfg: dict):
+def _sweep_cell(n: int, m: int, seed: int, cfg: dict, loss):
     with _user_input():
-        loss = _make_loss(cfg)
         ds = gen_random(n, _int(cfg["d"]), seed=seed)
-        lambda0 = cfg["lambda0"]
-        if lambda0 == "auto":
-            lambda0 = estimate_lambda0(ds, loss, seed=seed)
-        lam = sample_lambda(m, float(lambda0), seed=seed)
+        lambda0, lam = _resolve_coefficients(cfg, ds, loss, m, seed)
         ocfg = ObjectiveConfig(loss=loss, lam=lam)
         opts = TrainOptions(grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]),
                             seed=seed)
@@ -597,35 +581,30 @@ def _sweep_cell(n: int, m: int, seed: int, cfg: dict):
         certified = int(certify(net, ds, ocfg).verdict == "ok")
     except (NotCriticalError, CertificateContradiction):
         certified = 0
-    return m, n, seed, float(lambda0), err, certified
+    return m, n, seed, lambda0, err, certified
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge_config(SWEEP_DEFAULTS, args, ["d", "grad_tol", "max_iter"])
+    cfg = _merge_config(SWEEP_DEFAULTS, args)
     if args.n is not None:
-        cfg["n_values"] = [int(args.n)]
-    if args.m_values is not None:
-        cfg["m_values"] = _parse_int_list(args.m_values)
-    if args.seeds is not None:
-        cfg["seeds"] = _parse_int_list(args.seeds)
+        cfg["n_values"] = [args.n]
+    with _user_input():
+        cfg["n_values"], cfg["seeds"] = _int_list(cfg, "n_values"), _int_list(cfg, "seeds")
+        if cfg["m_values"] is not None:
+            cfg["m_values"] = _int_list(cfg, "m_values")
+        loss = _make_loss(cfg)
     out = _prepare_outdir(args.out)
 
-    cells = []
-    with _user_input():
-        for n in map(_int, cfg["n_values"]):
-            ms = cfg["m_values"] if cfg["m_values"] is not None else range(n - 2, n + 4)
-            for m in map(_int, ms):
-                for seed in map(_int, cfg["seeds"]):
-                    cells.append((n, m, seed))
-
-    rows = [_sweep_cell(*c, cfg) for c in cells]
+    cells = [
+        (n, m, seed)
+        for n in cfg["n_values"]
+        for m in (range(n - 2, n + 4) if cfg["m_values"] is None else cfg["m_values"])
+        for seed in cfg["seeds"]
+    ]
+    rows = [_sweep_cell(*c, cfg, loss) for c in cells]
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
-    resolved = dict(cfg)
-    resolved["n_values"] = [_int(v) for v in cfg["n_values"]]
-    resolved["m_values"] = None if cfg["m_values"] is None else [_int(v) for v in cfg["m_values"]]
-    resolved["seeds"] = [_int(v) for v in cfg["seeds"]]
-    _write_yaml(resolved, out / "config.yaml")
+    _write_yaml(cfg, out / "config.yaml")
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "n", "seed", "lambda0", "error", "certified"])
@@ -642,7 +621,9 @@ def _parse_int_list(text: str):
     try:
         return [int(part) for part in str(text).split(",") if part.strip() != ""]
     except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}"
+        ) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -714,8 +695,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, help="single dataset size (overrides n_values)")
-    p.add_argument("--m-values", dest="m_values", help="comma-separated widths")
-    p.add_argument("--seeds", help="comma-separated seeds")
+    p.add_argument("--m-values", dest="m_values", type=_parse_int_list,
+                   help="comma-separated widths")
+    p.add_argument("--seeds", type=_parse_int_list, help="comma-separated seeds")
     p.add_argument("--d", type=int)
     p.add_argument("--grad-tol", type=float, dest="grad_tol")
     p.add_argument("--max-iter", type=int, dest="max_iter")

@@ -58,12 +58,6 @@ class CertificateContradiction(RuntimeError):
     optimizer output or the certificate computation -- never ignore it."""
 
 
-def _head_features(net, ds: Dataset) -> np.ndarray:
-    """Inputs seen by the head layer: the data itself, or the last hidden
-    state for a conv stack."""
-    return net.head_inputs(ds.X) if isinstance(net, DeepConvNet) else ds.X
-
-
 def _certificate_sum(lifted, weights, lam) -> np.ndarray:
     """M_j = -sum_i weights_ij l_i l_i^T + lam_j I over the lifted rows l_i.
 
@@ -84,7 +78,7 @@ def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
     sign of a_j and the lam_j shift.  For a conv stack the lifted features
     are the last hidden states rather than the raw inputs.
     """
-    F = _head_features(net, ds)
+    F = net.head_inputs(ds.X)
     lifted = np.hstack([F, np.ones((F.shape[0], 1))])
     coef = loss_deriv(cfg.loss, margins(net, ds)) * ds.y
     if isinstance(net, QuadraticNet):
@@ -270,7 +264,7 @@ def perturbation_probe(net, ds: Dataset, cfg: ObjectiveConfig, j: int,
     bn = neuron_block_norms(net)
     if bn[j] > 1e-8:
         raise ValueError(f"block {j} is not inactive (norm {bn[j]:.3e})")
-    F = _head_features(net, ds)
+    F = net.head_inputs(ds.X)
     lp = loss_deriv(cfg.loss, margins(net, ds))
     coef = lp * (-ds.y)
     rng = np.random.default_rng(seed)

@@ -61,6 +61,7 @@ class SingleLayerReQUNet:
     b: np.ndarray  # (m,)
 
     activation = staticmethod(requ)
+    filters = ()  # no convolutions: the head sees the inputs themselves
 
     def __post_init__(self):
         self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
@@ -73,8 +74,13 @@ class SingleLayerReQUNet:
     def d(self) -> int:
         return self.W.shape[1]
 
+    input_dim = d
+
+    def head_inputs(self, X) -> np.ndarray:
+        return np.atleast_2d(np.asarray(X, dtype=float))
+
     def preactivations(self, X) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float)) @ self.W.T + self.b
+        return self.head_inputs(X) @ self.W.T + self.b
 
     def value(self, X) -> np.ndarray:
         return self.activation(self.preactivations(X)) @ self.a
@@ -170,8 +176,7 @@ class FlatLayout:
 
     @classmethod
     def of(cls, net) -> "FlatLayout":
-        sizes = tuple(v.size for v in net.filters) if isinstance(net, DeepConvNet) else ()
-        return cls(net.W.shape[0], net.W.shape[1], sizes)
+        return cls(net.W.shape[0], net.W.shape[1], tuple(v.size for v in net.filters))
 
     @property
     def size(self) -> int:
@@ -198,10 +203,7 @@ class FlatLayout:
 
 
 def net_to_flat(net) -> np.ndarray:
-    parts = [net.a, net.W.ravel(), net.b]
-    if isinstance(net, DeepConvNet):
-        parts.extend(net.filters)
-    return np.concatenate(parts)
+    return np.concatenate([net.a, net.W.ravel(), net.b, *net.filters])
 
 
 def net_from_flat(like, theta) -> object:

@@ -12,6 +12,10 @@ keeps the best strict improvement.  And when the loss flatlines with the
 gradient still large — the signature of an iterate pinned on a leaky-ReLU
 kink, where the almost-everywhere gradient is not a descent direction — the
 trainer probes random nearby points for a strict decrease before giving up.
+
+TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
+and seed.  Step sizes, cadences and move sizes are the module constants, the
+only values in use; the coercivity check always runs on single-layer nets.
 """
 
 from __future__ import annotations
@@ -43,26 +47,29 @@ class CoercivityViolationError(RuntimeError):
     come from a numerical defect, so it is never ignored."""
 
 
+STEP0 = 1.0  # first trial step, and the step after every escape
+ARMIJO = 1e-4
+SHRINK = 0.5
+GROW = 2.0
+RECORD_EVERY = 200
+SNAP_EVERY = 50
+SNAP_REL = 0.05  # prune candidates: block norm below this times the largest
+ESCAPE_DIRECTIONS = 256
+ESCAPE_DELTA = 1e-3
+ESCAPE_EVERY = 1000  # while misclassifying, also try escapes at this cadence
+MAX_ESCAPES = 10
+STALL_WINDOW = 400  # iterations between flatline checks
+STALL_PROBES = 256
+
+
 @dataclass
 class TrainOptions:
+    """What a caller sets for one run; everything else is a module constant."""
+
     max_iter: int = 200_000
     grad_tol: float = 1e-7  # stop when ||grad|| < grad_tol * (1 + |loss|)
-    step0: float = 1.0
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    grow: float = 2.0
-    record_every: int = 200
-    snap_every: int = 50
-    snap_rel: float = 0.05  # prune candidates: block norm below this times the largest
-    escape_directions: int = 256
-    escape_delta: float = 1e-3
-    escape_every: int = 1000  # while misclassifying, also try escapes at this cadence
-    max_escapes: int = 10
-    stall_window: int = 400  # iterations between flatline checks
-    stall_probes: int = 256
     max_stall_escapes: int = 100
     seed: int = 0
-    check_coercivity: bool = True
 
 
 @dataclass
@@ -158,11 +165,11 @@ def estimate_lambda0(ds: Dataset, loss: LossKind, seed: int = 0) -> float:
     return loss.epsilon * lam_hat
 
 
-def _try_snaps(theta, loss, fn, blocks, opts):
+def _try_snaps(theta, loss, fn, blocks):
     """Zero out small neuron blocks whenever that does not increase the loss."""
     norms = np.array([np.linalg.norm(theta[b]) for b in blocks])
     snapped = False
-    cutoff = max(1e-6, opts.snap_rel * float(np.max(norms)))
+    cutoff = max(1e-6, SNAP_REL * float(np.max(norms)))
     for j in np.argsort(norms):
         if norms[j] == 0.0 or norms[j] > cutoff:
             continue
@@ -206,7 +213,7 @@ def _last_decrease(vals, best, tiny):
     return best, last
 
 
-def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
+def _attempt_escape(theta, loss, fob, like, ds, cfg, rng):
     """Point an inactive neuron along a sampled direction if that helps.
 
     Candidate blocks are (a, w, b) = (s delta, delta u, delta v) over a
@@ -224,13 +231,13 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     norms = neuron_block_norms(net)
     if not np.any(norms == 0.0):
         return None, loss
-    features = net.head_inputs(ds.X) if isinstance(net, DeepConvNet) else ds.X
+    features = net.head_inputs(ds.X)
     j = int(np.argmin(norms))
     outputs = net.value(ds.X)
     lp = loss_deriv(cfg.loss, -ds.y * outputs)
     misclassified = np.sign(outputs) != ds.y
 
-    dirs = _escape_candidates(features, ds.y, misclassified, rng, opts.escape_directions)
+    dirs = _escape_candidates(features, ds.y, misclassified, rng, ESCAPE_DIRECTIONS)
     act = requ(features @ dirs[:, :-1].T + dirs[:, -1])  # (n, cands)
     drive = (lp * ds.y) @ act
     signs = np.where(drive >= 0.0, 1.0, -1.0)
@@ -238,8 +245,8 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     block = fob.layout.blocks()[j]
     tiny = 1e-14 * (1.0 + abs(loss))
     best_loss, best_theta = loss, None
-    deltas = opts.escape_delta * 2.0 ** np.arange(-4, 13)
-    order = np.argsort(-np.abs(drive))[: max(32, opts.escape_directions // 4)]
+    deltas = ESCAPE_DELTA * 2.0 ** np.arange(-4, 13)
+    order = np.argsort(-np.abs(drive))[: max(32, ESCAPE_DIRECTIONS // 4)]
     per = max(1, fob.CHUNK // deltas.size)
     for c in range(0, order.size, per):
         cands = order[c : c + per]
@@ -253,7 +260,7 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng):
     return best_theta, best_loss
 
 
-def _attempt_stall_escape(theta, loss, fob, blocks, rng, opts):
+def _attempt_stall_escape(theta, loss, fob, blocks, rng):
     """Random-direction probe for a strict decrease at a nonsmooth pin.
 
     Descent can wedge the iterate onto a leaky-ReLU kink manifold (a hidden
@@ -280,12 +287,12 @@ def _attempt_stall_escape(theta, loss, fob, blocks, rng, opts):
     # Kinks live in the filter coordinates; concentrated probes there reach
     # across the manifold where full-space directions dilute by 1/sqrt(dim).
     n_filt = int((~head).sum())
-    U = np.zeros((opts.stall_probes + (0 if n_filt == 0 else 64), theta.size))
-    U[: opts.stall_probes, live] = rng.standard_normal((opts.stall_probes, int(live.sum())))
-    U[opts.stall_probes :, ~head] = rng.standard_normal((len(U) - opts.stall_probes, n_filt))
+    U = np.zeros((STALL_PROBES + (0 if n_filt == 0 else 64), theta.size))
+    U[:STALL_PROBES, live] = rng.standard_normal((STALL_PROBES, int(live.sum())))
+    U[STALL_PROBES:, ~head] = rng.standard_normal((len(U) - STALL_PROBES, n_filt))
     for u in U:
         u /= np.linalg.norm(u)
-    radii = opts.escape_delta * 2.0 ** np.arange(-6, 9)
+    radii = ESCAPE_DELTA * 2.0 ** np.arange(-6, 9)
     tiny = 1e-15 * (1.0 + abs(loss))
     best_loss, best_step = loss, None
     per = max(1, fob.CHUNK // radii.size)
@@ -327,7 +334,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     theta = net_to_flat(net)
     blocks = fob.layout.blocks()
     traj = Trajectory()
-    eta = opts.step0
+    eta = STEP0
     escapes = 0
     stall_escapes = 0
     it = 0
@@ -346,119 +353,109 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     def record(status):  # the norm of the iteration's starting point, taken only here
         traj.record(it, loss, gn, math.sqrt(start @ start), status)
 
-    while it < opts.max_iter:
+    while True:
         gn = math.sqrt(g @ g)  # == float(np.linalg.norm(g)): the same dot, a correctly rounded sqrt
         start = theta
-        if it % opts.record_every == 0:
+        if it >= opts.max_iter:
+            status = "budget-exhausted"
+            break
+        if it % RECORD_EVERY == 0:
             record("descent")
         if not (math.isfinite(loss) and math.isfinite(gn)):
-            record("non-finite")
-            return net_from_flat(like, theta), traj
+            status = "non-finite"
+            break
 
-        if opts.check_coercivity and is_single:
+        if is_single:
             floor = coercivity_lower_bound(math.sqrt(theta @ theta), lam_min, like.m)
             if loss < floor - 1e-9 * (1.0 + abs(loss)):
                 raise CoercivityViolationError(
                     f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
                 )
 
-        if gn < opts.grad_tol * (1.0 + abs(loss)):
-            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks, opts)
+        converged = gn < opts.grad_tol * (1.0 + abs(loss))
+        # Prune at the stopping point, and periodically so that dying blocks
+        # do not drag on convergence.  After a periodic snap the iteration
+        # keeps the pre-snap gn on purpose: the Armijo test and the rows it
+        # records use it, and taking the snapped point's would change the
+        # trajectories.
+        if converged or it % SNAP_EVERY == SNAP_EVERY - 1:
+            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks)
             if snapped:
                 refresh(theta2, loss2, "snap")
-                continue
-            err = training_error(net_from_flat(like, theta), ds)
-            if err > 0.0 and escapes < opts.max_escapes:
-                escapes += 1
-                esc_theta, esc_loss = _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng)
-                if esc_theta is not None:
-                    refresh(esc_theta, esc_loss, "escape")
-                    eta = opts.step0
+                if converged:
                     continue
-            record("converged")
-            return net_from_flat(like, theta), traj
 
-        # Periodic prune attempt keeps dying blocks from dragging on convergence.
-        if opts.snap_every and it % opts.snap_every == opts.snap_every - 1:
-            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks, opts)
-            if snapped:
-                refresh(theta2, loss2, "snap")
-
-        # While samples stay misclassified near-flat descent can crawl; try
-        # the third-order escape move at a coarse cadence as well.
+        # While samples stay misclassified, try the third-order escape move
+        # at the stopping point, and at a coarse cadence too, where near-flat
+        # descent can crawl; a cadence escape uses up its iteration.
         if (
-            opts.escape_every
-            and it % opts.escape_every == opts.escape_every - 1
-            and escapes < opts.max_escapes
+            (converged or it % ESCAPE_EVERY == ESCAPE_EVERY - 1)
+            and escapes < MAX_ESCAPES
             and training_error(net_from_flat(like, theta), ds) > 0.0
         ):
             escapes += 1
-            esc_theta, esc_loss = _attempt_escape(theta, loss, fob, like, ds, cfg, opts, rng)
+            esc_theta, esc_loss = _attempt_escape(theta, loss, fob, like, ds, cfg, rng)
             if esc_theta is not None:
                 refresh(esc_theta, esc_loss, "escape")
-                eta = opts.step0
-                it += 1
+                eta = STEP0
+                if not converged:
+                    it += 1
                 continue
+        if converged:
+            status = "converged"
+            break
 
         # Flatline watch: loss frozen for a whole window with the gradient
-        # still large means the iterate is pinned on a kink; probe around it.
-        # The gradient guard keeps ordinary slow tails (tiny loss decrements
-        # while the gradient steadily shrinks toward tolerance) out of it.
-        if it - stall_ref_it >= opts.stall_window:
-            if (
-                stall_ref_loss - loss <= 1e-13 * (1.0 + abs(loss))
-                and gn > 1e3 * opts.grad_tol * (1.0 + abs(loss))
-            ):
-                if stall_escapes >= opts.max_stall_escapes:
-                    record("stalled")
-                    return net_from_flat(like, theta), traj
-                stall_escapes += 1
-                esc_theta, esc_loss = _attempt_stall_escape(theta, loss, fob, blocks, rng, opts)
-                if esc_theta is None:
-                    record("stalled")
-                    return net_from_flat(like, theta), traj
-                refresh(esc_theta, esc_loss, "escape")
-                eta = opts.step0
-                continue
+        # still large means the iterate is pinned on a kink.  The gradient
+        # guard keeps ordinary slow tails (tiny loss decrements while the
+        # gradient steadily shrinks toward tolerance) out of it.
+        window = it - stall_ref_it >= STALL_WINDOW
+        pinned = window and (
+            stall_ref_loss - loss <= 1e-13 * (1.0 + abs(loss))
+            and gn > 1e3 * opts.grad_tol * (1.0 + abs(loss))
+        )
+        if window and not pinned:
             stall_ref_it, stall_ref_loss = it, loss
 
-        # Spectral trial step from the last secant pair, else the grown step.
-        trial_eta = eta
-        if prev_theta is not None:
-            dtheta = theta - prev_theta
-            dg = g - prev_g
-            curv = float(dtheta @ dg)
-            if curv > 0.0:
-                trial_eta = min(max(float(dtheta @ dtheta) / curv, 1e-12), 1e15)
+        if not pinned:
+            # Spectral trial step from the last secant pair, else the grown step.
+            step = eta
+            if prev_theta is not None:
+                dtheta = theta - prev_theta
+                dg = g - prev_g
+                curv = float(dtheta @ dg)
+                if curv > 0.0:
+                    step = min(max(float(dtheta @ dtheta) / curv, 1e-12), 1e15)
+            for _ in range(120):
+                trial = theta - step * g
+                fwd = fob.forward(trial)
+                trial_loss = float(fwd[0])
+                if trial_loss <= loss - ARMIJO * step * gn * gn:
+                    prev_theta, prev_g = theta, g
+                    theta = trial
+                    loss, g = trial_loss, fob.grad(fwd)  # the accepted trial's own forward pass
+                    eta = min(step * GROW, 1e15)
+                    it += 1
+                    break
+                step *= SHRINK
+            else:
+                pinned = True  # no representable step decreases the loss
+        if not pinned:
+            continue
 
-        accepted = False
-        step = trial_eta
-        for _ in range(120):
-            trial = theta - step * g
-            fwd = fob.forward(trial)
-            trial_loss = float(fwd[0])
-            if trial_loss <= loss - opts.armijo * step * gn * gn:
-                prev_theta, prev_g = theta, g
-                theta = trial
-                loss, g = trial_loss, fob.grad(fwd)  # the accepted trial's own forward pass
-                eta = min(step * opts.grow, 1e15)
-                accepted = True
-                break
-            step *= opts.shrink
-        if not accepted:
-            if stall_escapes < opts.max_stall_escapes:
-                stall_escapes += 1
-                esc_theta, esc_loss = _attempt_stall_escape(theta, loss, fob, blocks, rng, opts)
-                if esc_theta is not None:
-                    refresh(esc_theta, esc_loss, "escape")
-                    eta = opts.step0
-                    continue
-            record("stalled")
-            return net_from_flat(like, theta), traj
-        it += 1
+        # Pinned: probe around the iterate for a strict decrease.
+        if stall_escapes >= opts.max_stall_escapes:
+            status = "stalled"
+            break
+        stall_escapes += 1
+        esc_theta, esc_loss = _attempt_stall_escape(theta, loss, fob, blocks, rng)
+        if esc_theta is None:
+            status = "stalled"
+            break
+        refresh(esc_theta, esc_loss, "escape")
+        eta = STEP0
 
-    gn = math.sqrt(g @ g)
-    traj.record(it, loss, gn, math.sqrt(theta @ theta), "budget-exhausted")
+    record(status)
     return net_from_flat(like, theta), traj
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import subprocess
@@ -419,3 +420,90 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     assert run("probe", kind, "--config", bad, "--out", out) == 1
     assert "expected an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("train", "m: 2.5", "expected an integer"),
+    ("counterexample", "n: 2.5", "expected an integer"),
+    ("demo-path", "num_steps: 2.5", "expected an integer"),
+    ("sweep", "n_values: 10", "n_values"),
+    ("sweep", "seeds: 0", "seeds"),
+    ("sweep", "m_values: 9", "m_values"),
+])
+def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
+    command, text, named, tmp_path, capsys
+):
+    # train and counterexample created --out before converting their config
+    # and left it empty; sweep took a scalar where a list belongs for a
+    # defect (TypeError, exit 3).
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", bad, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("requland: error:") and named in err
+    assert not out.exists()
+
+
+def test_failed_certify_writes_the_resolved_coefficients(train_run, tmp_path):
+    # A failed certificate used to write the configured lam: null, while a
+    # certified run lists the coefficients it used.
+    _, out, cfgfile = train_run
+    rep = tmp_path / "rep"
+    assert run("certify", "--checkpoint", out / "checkpoint.json", "--config", cfgfile,
+               "--seed", "1", "--certify-grad-tol", "1e-30", "--out", rep) == 2
+    assert strict_json(rep / "report.json")["verdict"] == "not-critical"
+    trained = yaml.safe_load((out / "config.yaml").read_text())
+    assert yaml.safe_load((rep / "config.yaml").read_text())["lam"] == trained["lam"]
+
+
+def _flag_dests(command):
+    """The dests of a command's flags that name config keys."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defaults = {"train": cli.TRAIN_DEFAULTS, "certify": cli.TRAIN_DEFAULTS,
+                "probe": PROBE_DEFAULTS["lidskii"], "counterexample": cli.COUNTEREXAMPLE_DEFAULTS,
+                "demo-path": cli.DEMO_PATH_DEFAULTS, "sweep": cli.SWEEP_DEFAULTS}[command]
+    return {a.dest for a in sub.choices[command]._actions if a.dest in defaults}
+
+
+def test_every_flag_lands_in_the_written_config_under_its_dest(train_run, tmp_path):
+    _, run_dir, cfgfile = train_run  # a 7-neuron net trained on d = 2 data
+    dataset, ckpt = str(run_dir / "dataset.csv"), str(run_dir / "checkpoint.json")
+    cases = {  # command: (argv, the written value of each flag's dest)
+        "train": (
+            ["train", "--dataset", dataset, "--arch", "single", "--m", "7", "--seed", "4",
+             "--loss", "hinge", "--lambda0", "0.01", "--lam-c", "0.5", "--grad-tol", "1e-3",
+             "--max-iter", "5", "--init-checkpoint", ckpt],
+            {"dataset": dataset, "arch": "single", "m": 7, "seed": 4, "loss": "hinge",
+             "lambda0": 0.01, "lam_c": 0.5, "grad_tol": 1e-3, "max_iter": 5,
+             "init_checkpoint": ckpt},
+        ),
+        "certify": (
+            ["certify", "--checkpoint", ckpt, "--dataset", dataset, "--seed", "4",
+             "--loss", "logistic", "--lambda0", "0.01", "--lam-c", "0.5",
+             "--certify-tol", "1e-3", "--certify-grad-tol", "1e-30"],
+            {"dataset": dataset, "seed": 4, "loss": "logistic", "lambda0": "0.01",
+             "lam_c": 0.5, "certify_tol": 1e-3, "certify_grad_tol": 1e-30},
+        ),
+        "probe": (["probe", "lidskii", "--trials", "3", "--seed", "5"], {"trials": 3, "seed": 5}),
+        "counterexample": (
+            ["counterexample", "--n", "4", "--m", "2", "--seed", "1", "--mode", "exact",
+             "--trials", "7", "--radius", "2e-3"],
+            {"n": 4, "m": 2, "seed": 1, "mode": "exact", "trials": 7, "radius": 2e-3},
+        ),
+        "demo-path": (["demo-path", "--num-steps", "20", "--lam", "0.3"],
+                      {"num_steps": 20, "lam": 0.3}),
+        "sweep": (
+            ["sweep", "--n", "5", "--seeds", "0,1", "--m-values", "9,10", "--d", "2",
+             "--grad-tol", "1e-3", "--max-iter", "5"],
+            {"n_values": [5], "seeds": [0, 1], "m_values": [9, 10], "d": 2,
+             "grad_tol": 1e-3, "max_iter": 5},
+        ),
+    }
+    for command, (argv, want) in cases.items():
+        assert _flag_dests(command) <= set(want), command  # every flag is exercised
+        out = tmp_path / command
+        assert run(*argv, "--out", out) in (0, 2), command
+        written = yaml.safe_load((out / "config.yaml").read_text())
+        assert {key: written[key] for key in want} == want, command

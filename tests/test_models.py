@@ -100,6 +100,11 @@ def test_deep_with_no_filters_equals_single_layer():
     deep = DeepConvNet((), single.a, single.W, single.b, slope=0.3)
     X = rng.standard_normal((8, 4))
     np.testing.assert_allclose(deep.value(X), single.value(X), atol=1e-12)
+    # A single-layer net presents the head interface of a stack with no filters.
+    assert single.filters == () and single.input_dim == deep.input_dim == 4
+    np.testing.assert_array_equal(single.head_inputs(X), deep.head_inputs(X))
+    assert models.FlatLayout.of(single) == models.FlatLayout.of(deep)
+    np.testing.assert_array_equal(models.net_to_flat(single), models.net_to_flat(deep))
 
 
 def test_flat_round_trip_and_layout():

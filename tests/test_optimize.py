@@ -203,7 +203,7 @@ def test_path_csv_roundtrip(tmp_path):
     assert float(rows[1][2]) == pytest.approx(4.0)
 
 
-def serial_stall_escape_oracle(theta, loss, fob, blocks, rng, opts):
+def serial_stall_escape_oracle(theta, loss, fob, blocks, rng):
     """_attempt_stall_escape as one draw per direction and one value call
     per probe point."""
     live = np.ones(theta.size, dtype=bool)
@@ -214,7 +214,7 @@ def serial_stall_escape_oracle(theta, loss, fob, blocks, rng, opts):
             live[b] = False
     n_live = int(live.sum())
     dirs = []
-    for _ in range(opts.stall_probes):
+    for _ in range(opt.STALL_PROBES):
         u = np.zeros(theta.size)
         u[live] = rng.standard_normal(n_live)
         dirs.append(u)
@@ -223,7 +223,7 @@ def serial_stall_escape_oracle(theta, loss, fob, blocks, rng, opts):
         u = np.zeros(theta.size)
         u[~head] = rng.standard_normal(n_filt)
         dirs.append(u)
-    radii = opts.escape_delta * 2.0 ** np.arange(-6, 9)
+    radii = opt.ESCAPE_DELTA * 2.0 ** np.arange(-6, 9)
     tiny = 1e-15 * (1.0 + abs(loss))
     best_loss, best_step = loss, None
     for u in dirs:
@@ -243,25 +243,25 @@ def serial_stall_escape_oracle(theta, loss, fob, blocks, rng, opts):
     return theta + r * u, best_loss
 
 
-def serial_escape_oracle(theta, loss, fob, like, ds, cfg, opts, rng):
+def serial_escape_oracle(theta, loss, fob, like, ds, cfg, rng):
     """_attempt_escape with one value call per (candidate, delta) pair."""
     net = opt.net_from_flat(like, theta)
     norms = neuron_block_norms(net)
     if not np.any(norms == 0.0):
         return None, loss
-    features = net.head_inputs(ds.X) if isinstance(net, DeepConvNet) else ds.X
+    features = net.head_inputs(ds.X)
     j = int(np.argmin(norms))
     outputs = net.value(ds.X)
     lp = loss_deriv(cfg.loss, -ds.y * outputs)
     misclassified = np.sign(outputs) != ds.y
-    dirs = opt._escape_candidates(features, ds.y, misclassified, rng, opts.escape_directions)
+    dirs = opt._escape_candidates(features, ds.y, misclassified, rng, opt.ESCAPE_DIRECTIONS)
     act = opt.requ(features @ dirs[:, :-1].T + dirs[:, -1])
     drive = (lp * ds.y) @ act
     signs = np.where(drive >= 0.0, 1.0, -1.0)
     blocks = fob.layout.blocks()
     best_loss, best_theta = loss, None
-    deltas = opts.escape_delta * 2.0 ** np.arange(-4, 13)
-    order = np.argsort(-np.abs(drive))[: max(32, opts.escape_directions // 4)]
+    deltas = opt.ESCAPE_DELTA * 2.0 ** np.arange(-4, 13)
+    order = np.argsort(-np.abs(drive))[: max(32, opt.ESCAPE_DIRECTIONS // 4)]
     for c in order:
         for delta in deltas:
             trial = theta.copy()
@@ -293,8 +293,8 @@ def test_stall_escape_matches_serial_oracle():
     # Several draws, as the winning probe of one draw shows little of it;
     # seed 2 is the try the trainer itself would make here.
     for seed in range(8):
-        got = opt._attempt_stall_escape(theta, loss, fob, blocks, trainer_rng(seed), opts)
-        want = serial_stall_escape_oracle(theta, loss, fob, blocks, trainer_rng(seed), opts)
+        got = opt._attempt_stall_escape(theta, loss, fob, blocks, trainer_rng(seed))
+        want = serial_stall_escape_oracle(theta, loss, fob, blocks, trainer_rng(seed))
         assert got[0] is not None and got[1] < loss
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
@@ -304,14 +304,13 @@ def test_escape_matches_serial_oracle():
     ds = gen_random(10, 3, seed=1005)
     lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
     cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
-    opts = opt.TrainOptions(grad_tol=1e-7, seed=5)
     like = opt.init_single(11, 3, seed=5)
     net, _ = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=999))
     fob = FlatObjective(like, ds, cfg)
     theta = net_to_flat(net)
     loss = fob.value(theta)
-    got = opt._attempt_escape(theta, loss, fob, like, ds, cfg, opts, trainer_rng(5))
-    want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, opts, trainer_rng(5))
+    got = opt._attempt_escape(theta, loss, fob, like, ds, cfg, trainer_rng(5))
+    want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, trainer_rng(5))
     assert got[0] is not None and got[1] < loss
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
@@ -333,6 +332,19 @@ def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
         assert traj.status == "non-finite" and traj.n_iter == 0
         assert traj.status in opt.TERMINAL_STATUSES
     assert stall_tries == []
+
+
+def test_train_raises_when_the_loss_falls_below_the_cubic_floor(monkeypatch):
+    # The floor is a theorem for single-layer nets, so a loss below it can
+    # only be a numerical defect; forge one and the run must stop on it.
+    # Deep nets are outside the bound and never checked.
+    monkeypatch.setattr(opt, "coercivity_lower_bound", lambda norm, lam_min, m: 1e9)
+    ds = gen_random(8, 3, seed=77)
+    with pytest.raises(opt.CoercivityViolationError, match="cubic floor"):
+        opt.train(opt.init_single(9, 3, seed=7), ds, quick_cfg(9, seed=7))
+    _, traj = opt.train(opt.init_deep(d=3, s=2, l=2, m=5, seed=0), ds, quick_cfg(5),
+                        opt.TrainOptions(max_iter=10))
+    assert traj.status == "budget-exhausted"
 
 
 def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
