@@ -2,10 +2,13 @@
 
 Commands: train, certify, probe, counterexample, demo-path, sweep.  Each
 takes an optional YAML config (nested key-value); a command-line flag
-overrides the config key named by its dest.  Every artifact directory
-receives the exact resolved config next to the outputs, and nothing written
-depends on wall time, so re-running a config reproduces its artifacts bit
-for bit.
+overrides the config key named by its dest.  A value takes the type of its
+key's default (a generator's keys, of their kind's defaults), and null is
+allowed only where the default is null; a value that does not convert is a
+usage error naming its key, raised before any artifact directory exists.
+Every artifact directory receives the exact resolved config next to the
+outputs, and nothing written depends on wall time, so re-running a config
+reproduces its artifacts bit for bit.
 
 Exit codes are a stable contract for CI: 0 when the run certifies or the
 probe passes, 2 when a certificate or probed property fails, 1 on usage
@@ -72,24 +75,44 @@ class UsageError(Exception):
 
 @contextlib.contextmanager
 def _user_input():
-    """Library checks on values the user supplied report as usage errors;
-    so do config integers that _int refuses."""
+    """Library checks on values the user supplied report as usage errors."""
     try:
         yield
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+# ---------------------------------------------------------------------------
+# config plumbing: each value is converted once, by the type of its default
+
+def _exact(kind):
+    def check(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected a {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
 def _int(value) -> int:
-    """A config value as an integer, for use inside _user_input: int()
-    would truncate 2.7 to 2 and the run would not match its config."""
-    if isinstance(value, float) and not value.is_integer():
+    """int() would truncate 2.7 to 2 and read true as 1; the run would not
+    match its config."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-# ---------------------------------------------------------------------------
-# config plumbing
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _list_of(convert):
+    return lambda value: [convert(v) for v in _exact(list)(value)]
+
+
+_str = _exact(str)
+BY_DEFAULT_TYPE = {int: _int, float: _float, bool: _exact(bool), str: _str, list: _list_of(_int)}
 
 TRAIN_DEFAULTS = {
     "dataset": None,  # CSV path; exclusive with generator
@@ -112,10 +135,10 @@ TRAIN_DEFAULTS = {
     "certify_grad_tol": 1e-5,
 }
 
-GENERATOR_KEYS = {
-    "random": {"kind", "n", "d", "seed"},
-    "quadratic": {"kind", "n", "d", "seed"},
-    "repelling": {"kind", "n", "num_positive", "mode", "d"},
+GENERATOR_DEFAULTS = {
+    "random": {"kind": "random", "n": 10, "d": 3, "seed": 0},
+    "quadratic": {"kind": "quadratic", "n": 10, "d": 3, "seed": 0},
+    "repelling": {"kind": "repelling", "n": 4, "num_positive": 1, "mode": "auto", "d": None},
 }
 
 PROBE_DEFAULTS = {
@@ -173,18 +196,49 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merge_config(defaults: dict, args) -> dict:
-    """defaults <- config file <- explicitly given flags, rejecting unknown
-    file keys.  A flag whose dest is a config key overrides that key."""
+def _generator(value) -> dict:
+    """A generator mapping, typed and completed from its kind's defaults."""
+    kind = _str(_exact(dict)(value).get("kind", "random"))
+    if kind not in GENERATOR_DEFAULTS:
+        raise ValueError(f"unknown kind {kind!r} (expected {', '.join(GENERATOR_DEFAULTS)})")
+    return _typed(GENERATOR_DEFAULTS[kind], value, "generator.")
+
+
+UNTYPED = {  # the keys whose default (None or "auto") does not give their type
+    "dataset": _str, "init_checkpoint": _str, "mode": _str, "generator": _generator,
+    "certify_tol": _float, "d": _int, "lam": _list_of(_float), "m_values": _list_of(_int),
+    "lambda0": lambda value: value if value == "auto" else _float(value),
+}
+
+
+def _typed(defaults: dict, doc: dict, prefix: str = "") -> dict:
+    """defaults overridden by doc, each given value converted by the type of
+    its default; null is kept only where the default is null.  An unknown
+    key or a value that does not convert is a UsageError naming the key."""
     cfg = dict(defaults)
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    for key, value in file_cfg.items():
+    for key, value in doc.items():
         if key not in defaults:
-            raise UsageError(f"unknown config key {key!r}")
-        cfg[key] = value
-    for key, value in vars(args).items():
-        if key in defaults and value is not None:
-            cfg[key] = value
+            raise UsageError(f"unknown config key {prefix + str(key)!r}")
+        default = defaults[key]
+        if value is None and default is None:
+            continue
+        try:
+            convert = UNTYPED[key] if default in (None, "auto") else BY_DEFAULT_TYPE[type(default)]
+            cfg[key] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"config key {prefix}{key}: {exc}") from None
+    return cfg
+
+
+def _merge_config(defaults: dict, args) -> dict:
+    """defaults <- config file <- explicitly given flags, typed by _typed
+    before any command creates its artifact directory.  A flag whose dest is
+    a config key overrides that key."""
+    doc = _load_config_file(args.config) if args.config else {}
+    doc.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
+    cfg = _typed(defaults, doc)
+    if cfg.get("trials", 1) < 1:  # a Monte-Carlo check over no trials passes vacuously
+        raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
     return cfg
 
 
@@ -203,62 +257,30 @@ def _write_yaml(doc: dict, path) -> None:
 
 
 def _make_loss(cfg: dict):
-    kind = cfg.get("loss", "logistic")
-    if kind == "logistic":
+    if cfg["loss"] == "logistic":
         return logistic()
-    if kind == "hinge":
-        return smooth_hinge(_int(cfg.get("hinge_p", 3)))
-    raise UsageError(f"unknown loss {kind!r} (expected logistic or hinge)")
+    if cfg["loss"] == "hinge":
+        return smooth_hinge(cfg["hinge_p"])
+    raise UsageError(f"unknown loss {cfg['loss']!r} (expected logistic or hinge)")
 
 
 def _build_dataset(cfg: dict):
-    """Load or generate the dataset; normalizes cfg["generator"] in place so
-    the resolved config written next to the artifacts fully pins the data."""
-    if cfg.get("dataset"):
+    """Load or generate the dataset; with neither given, sets cfg["generator"]
+    to the default one so the resolved config written next to the artifacts
+    fully pins the data."""
+    if cfg["dataset"]:
         try:
             return load_csv(cfg["dataset"])
         except OSError as exc:
             raise UsageError(f"cannot read dataset: {exc}") from None
-    gen = dict(cfg.get("generator") or {"kind": "random"})
-    kind = gen.setdefault("kind", "random")
-    if kind not in GENERATOR_KEYS:
-        raise UsageError(f"unknown generator kind {kind!r}")
-    unknown = set(gen) - GENERATOR_KEYS[kind]
-    if unknown:
-        raise UsageError(f"generator keys {sorted(unknown)} not valid for kind {kind!r}")
-    if kind == "random":
-        gen = {"kind": kind, "n": _int(gen.get("n", 10)), "d": _int(gen.get("d", 3)),
-               "seed": _int(gen.get("seed", 0))}
-        ds = gen_random(gen["n"], gen["d"], seed=gen["seed"])
-    elif kind == "quadratic":
-        gen = {"kind": kind, "n": _int(gen.get("n", 10)), "d": _int(gen.get("d", 3)),
-               "seed": _int(gen.get("seed", 0))}
-        ds, _ = gen_quadratically_separable(gen["n"], gen["d"], seed=gen["seed"])
-    else:
-        d = gen.get("d")
-        gen = {"kind": kind, "n": _int(gen.get("n", 4)),
-               "num_positive": _int(gen.get("num_positive", 1)),
-               "mode": gen.get("mode", "auto"), "d": None if d is None else _int(d)}
-        ds = gen_mutually_repelling(
+    gen = cfg["generator"] = cfg["generator"] or dict(GENERATOR_DEFAULTS["random"])
+    if gen["kind"] == "repelling":
+        return gen_mutually_repelling(
             gen["n"], num_positive=gen["num_positive"], mode=gen["mode"], d=gen["d"]
         )
-    cfg["generator"] = gen
-    return ds
-
-
-def _check_trials(cfg: dict) -> None:
-    """A Monte-Carlo check over no trials would pass vacuously."""
-    with _user_input():
-        trials = _int(cfg["trials"])
-    if trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
-
-
-def _int_list(cfg: dict, key: str) -> list:
-    """A config list of integers, for use inside _user_input."""
-    if not isinstance(cfg[key], list):
-        raise UsageError(f"{key} must be a list of integers, got {cfg[key]!r}")
-    return [_int(v) for v in cfg[key]]
+    if gen["kind"] == "quadratic":
+        return gen_quadratically_separable(gen["n"], gen["d"], seed=gen["seed"])[0]
+    return gen_random(gen["n"], gen["d"], seed=gen["seed"])
 
 
 def _check_input_dim(net, ds) -> None:
@@ -275,20 +297,18 @@ def _resolve_coefficients(cfg: dict, ds, loss, m: int, seed: int):
         return None, lam
     lambda0 = cfg["lambda0"]
     if lambda0 == "auto":
-        lambda0 = estimate_lambda0(ds, loss, seed=seed)
-    lambda0 = float(lambda0)
+        lambda0 = float(estimate_lambda0(ds, loss, seed=seed))
     return lambda0, sample_lambda(m, lambda0, seed=seed)
 
 
-def _certify_and_report(net, ds, ocfg, cfg: dict, grad_tol: float, out, head: str,
-                        traj=None) -> int:
+def _certify_and_report(net, ds, ocfg, cfg: dict, out, head: str, traj=None) -> int:
     """Certify net and print head with the outcome; given out, write there the
     resolved config (cfg with the coefficient list) and report.json, which for
     a failed certificate of a training run also says where the run ended."""
     if out:
         _write_yaml({**cfg, "lam": [float(v) for v in ocfg.lam]}, out / "config.yaml")
     try:
-        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=grad_tol)
+        report = certify(net, ds, ocfg, tol=cfg["certify_tol"], grad_tol=cfg["certify_grad_tol"])
     except (NotCriticalError, CertificateContradiction) as exc:
         verdict = "not-critical" if isinstance(exc, NotCriticalError) else "contradiction"
         if out:
@@ -312,27 +332,23 @@ def cmd_train(args) -> int:
     with _user_input():
         ds = _build_dataset(cfg)
         loss = _make_loss(cfg)
-        m, seed = _int(cfg["m"]), _int(cfg["seed"])
+        m, seed = cfg["m"], cfg["seed"]
         lambda0, lam = _resolve_coefficients(cfg, ds, loss, m, seed)
-        ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
+        ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=cfg["lam_c"])
 
         if cfg["init_checkpoint"]:
             net0 = load_net(cfg["init_checkpoint"])
         elif cfg["arch"] == "single":
             net0 = init_single(m, ds.d, seed=seed)
         elif cfg["arch"] == "deep":
-            net0 = init_deep(ds.d, _int(cfg["s"]), _int(cfg["l"]), m, seed=seed,
-                             slope=float(cfg["slope"]))
+            net0 = init_deep(ds.d, cfg["s"], cfg["l"], m, seed=seed, slope=cfg["slope"])
         else:
             raise UsageError(f"unknown arch {cfg['arch']!r} (expected single or deep)")
 
         ocfg.check_m(net0)
         _check_input_dim(net0, ds)
-        opts = TrainOptions(
-            grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]), seed=seed
-        )
-        certify_grad_tol = float(cfg["certify_grad_tol"])
     out = _prepare_outdir(args.out)
+    opts = TrainOptions(grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"], seed=seed)
     net, traj = train(net0, ds, ocfg, opts)
 
     save_csv(ds, out / "dataset.csv")
@@ -341,7 +357,7 @@ def cmd_train(args) -> int:
     if lambda0 is not None:  # explicit lam leaves the configured value alone
         cfg["lambda0"] = lambda0
     head = f"train: {traj.status} after {traj.n_iter} iterations;"
-    return _certify_and_report(net, ds, ocfg, cfg, certify_grad_tol, out, head, traj)
+    return _certify_and_report(net, ds, ocfg, cfg, out, head, traj)
 
 
 def cmd_certify(args) -> int:
@@ -352,12 +368,11 @@ def cmd_certify(args) -> int:
             raise UsageError("certify needs --dataset or a generator in the config")
         ds = _build_dataset(cfg)
         loss = _make_loss(cfg)
-        _, lam = _resolve_coefficients(cfg, ds, loss, net.m, _int(cfg["seed"]))
-        ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=float(cfg["lam_c"]))
+        _, lam = _resolve_coefficients(cfg, ds, loss, net.m, cfg["seed"])
+        ocfg = ObjectiveConfig(loss=loss, lam=lam, lam_c=cfg["lam_c"])
         _check_input_dim(net, ds)
-        certify_grad_tol = float(cfg["certify_grad_tol"])
     out = _prepare_outdir(args.out) if args.out else None
-    return _certify_and_report(net, ds, ocfg, cfg, certify_grad_tol, out, "certify:")
+    return _certify_and_report(net, ds, ocfg, cfg, out, "certify:")
 
 
 def _probe_coercivity(cfg: dict) -> dict:
@@ -371,19 +386,15 @@ def _probe_coercivity(cfg: dict) -> dict:
     Each block is evaluated as one stack at radius * u / ||u||; the floor,
     the worst margin and the violations are taken in trial order.
     """
+    seed, m, trials, slack = cfg["seed"], cfg["m"], cfg["trials"], cfg["slack"]
     with _user_input():
-        seed = _int(cfg["seed"])
-        ds = gen_random(_int(cfg["n"]), _int(cfg["d"]), seed=seed)
-        loss = _make_loss(cfg)
-        m = _int(cfg["m"])
-        lam = sample_lambda(m, float(cfg["lambda0"]), seed=seed)
-        ocfg = ObjectiveConfig(loss=loss, lam=lam)
-        fob = FlatObjective(init_single(m, ds.d, seed=0), ds, ocfg)
-        slack = float(cfg["slack"])
-        log_max = np.log10(float(cfg["norm_max"]))
+        ds = gen_random(cfg["n"], cfg["d"], seed=seed)
+        lam = sample_lambda(m, cfg["lambda0"], seed=seed)
+        fob = FlatObjective(init_single(m, ds.d, seed=0), ds,
+                            ObjectiveConfig(loss=_make_loss(cfg), lam=lam))
+    log_max = np.log10(cfg["norm_max"])
     size = fob.layout.size
     lam_min = float(np.min(lam))
-    trials = _int(cfg["trials"])
     worst = np.inf
     violations = 0
     for b, start in enumerate(range(0, trials, MC_BLOCK)):
@@ -401,13 +412,11 @@ def _probe_coercivity(cfg: dict) -> dict:
 
 
 def _probe_lemma2(cfg: dict) -> dict:
+    m = cfg["m"]
     with _user_input():
-        ds = gen_random(_int(cfg["n"]), _int(cfg["d"]), seed=_int(cfg["seed"]))
-        m = _int(cfg["m"])
-        lam = sample_lambda(m, float(cfg["lambda0"]), seed=_int(cfg["seed"]))
-    minmax = certificate_matrix_monte_carlo(
-        ds, m, lam, trials=_int(cfg["trials"]), seed=_int(cfg["seed"])
-    )
+        ds = gen_random(cfg["n"], cfg["d"], seed=cfg["seed"])
+        lam = sample_lambda(m, cfg["lambda0"], seed=cfg["seed"])
+    minmax = certificate_matrix_monte_carlo(ds, m, lam, trials=cfg["trials"], seed=cfg["seed"])
     result = {"min_max_sigma": float(minmax), "pass": minmax > 0.0}
     if cfg["adversarial"] and m == ds.n:
         z, A = certificate_matrix_adversarial(ds, lam)
@@ -418,50 +427,46 @@ def _probe_lemma2(cfg: dict) -> dict:
 
 def _probe_lidskii(cfg: dict) -> dict:
     with _user_input():
-        rng = np.random.default_rng(_int(cfg["seed"]))
-        slack = float(cfg["slack"])
-        d_max = _int(cfg["d_max"])
+        rng = np.random.default_rng(cfg["seed"])
     worst = -np.inf
     violations = 0
-    for _ in range(_int(cfg["trials"])):
+    for _ in range(cfg["trials"]):
         with _user_input():  # the size bound comes from the config
-            d = int(rng.integers(1, d_max + 1))
+            d = int(rng.integers(1, cfg["d_max"] + 1))
         A = rng.standard_normal((d, d))
         B = rng.standard_normal((d, d))
         A = 0.5 * (A + A.T)
         B = 0.5 * (B + B.T)
         gap = float(np.linalg.norm(sym_eigvals(A) - sym_eigvals(B))) - frobenius(A - B)
         worst = max(worst, gap)
-        if gap > slack:
+        if gap > cfg["slack"]:
             violations += 1
     return {"violations": violations, "worst_gap": float(worst), "pass": violations == 0}
 
 
 def _probe_overdetermined(cfg: dict) -> dict:
-    with _user_input():
-        n, m = _int(cfg["n"]), _int(cfg["m"])
-        rng = np.random.default_rng(_int(cfg["seed"]))
-        floor = float(cfg["floor"])
+    n, m = cfg["n"], cfg["m"]
     if m < n + 1:
         raise UsageError(f"overdetermined probe needs m >= n+1, got n={n} m={m}")
+    with _user_input():
+        rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf
-    for _ in range(_int(cfg["trials"])):
+    for _ in range(cfg["trials"]):
         A = rng.standard_normal((n, m))
         # lam comes from the same stream as A, after it: reusing the seed for
         # a fresh generator would hand back A's own first row as lam.
         smallest = min(smallest, overdetermined_no_solution(A, lam=rng.standard_normal(m)))
-    return {"min_residual": float(smallest), "pass": smallest > floor}
+    return {"min_residual": float(smallest), "pass": smallest > cfg["floor"]}
 
 
 def _probe_conv_rank(cfg: dict) -> dict:
     with _user_input():
-        rng = np.random.default_rng(_int(cfg["seed"]))
-        s_max, dz_max = _int(cfg["s_max"]), _int(cfg["dz_max"])
+        rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf
-    for _ in range(_int(cfg["trials"])):
+    for _ in range(cfg["trials"]):
         with _user_input():  # the size bounds come from the config
-            s = int(rng.integers(1, s_max + 1))
-            d_z = int(rng.integers(1, dz_max + 1))
+            s = int(rng.integers(1, cfg["s_max"] + 1))
+            d_z = int(rng.integers(1, cfg["dz_max"] + 1))
         v = rng.standard_normal(s)
         smallest = min(smallest, min_singular_value(conv_matrix(v, d_z)))
     return {"min_sigma": float(smallest), "pass": smallest > 0.0}
@@ -469,13 +474,11 @@ def _probe_conv_rank(cfg: dict) -> dict:
 
 def _probe_injectivity(cfg: dict) -> dict:
     failures = 0
-    for t in range(_int(cfg["trials"])):
+    for t in range(cfg["trials"]):
         with _user_input():  # each trial builds its net and data from the config
-            net = init_deep(
-                _int(cfg["d"]), _int(cfg["s"]), _int(cfg["l"]), _int(cfg["m"]),
-                seed=_int(cfg["seed"]) + t, slope=float(cfg["slope"]),
-            )
-            ds = gen_random(_int(cfg["n"]), _int(cfg["d"]), seed=_int(cfg["seed"]) + t)
+            net = init_deep(cfg["d"], cfg["s"], cfg["l"], cfg["m"], seed=cfg["seed"] + t,
+                            slope=cfg["slope"])
+            ds = gen_random(cfg["n"], cfg["d"], seed=cfg["seed"] + t)
         ok, _ = hidden_injectivity_check(net, ds)
         if not ok:
             failures += 1
@@ -495,7 +498,6 @@ PROBE_RUNNERS = {
 def cmd_probe(args) -> int:
     defaults = PROBE_DEFAULTS[args.kind]
     cfg = _merge_config(defaults, args)
-    _check_trials(cfg)
     result = PROBE_RUNNERS[args.kind](cfg)
     report = {"kind": args.kind, **{k: cfg[k] for k in sorted(cfg)}, **result}
     if args.out:
@@ -512,18 +514,13 @@ def cmd_probe(args) -> int:
 
 def cmd_counterexample(args) -> int:
     cfg = _merge_config(COUNTEREXAMPLE_DEFAULTS, args)
-    _check_trials(cfg)
+    n, m, seed, radius, trials = (cfg[k] for k in ("n", "m", "seed", "radius", "trials"))
     with _user_input():
-        n, m = _int(cfg["n"]), _int(cfg["m"])
         if cfg["lam"] is not None:
             lam = np.asarray(cfg["lam"], dtype=float)
         else:
-            lam = np.random.default_rng(_int(cfg["seed"])).uniform(0.05, 0.45, size=m)
-        ds, net, ocfg = build_bad_local_min(
-            n, m, lam, seed=_int(cfg["seed"]), mode=cfg["mode"],
-            d=None if cfg["d"] is None else _int(cfg["d"]),
-        )
-        radius, trials, seed = float(cfg["radius"]), _int(cfg["trials"]), _int(cfg["seed"])
+            lam = np.random.default_rng(seed).uniform(0.05, 0.45, size=m)
+        ds, net, ocfg = build_bad_local_min(n, m, lam, seed=seed, mode=cfg["mode"], d=cfg["d"])
     out = _prepare_outdir(args.out)
 
     err = training_error(net, ds)
@@ -553,7 +550,7 @@ def cmd_counterexample(args) -> int:
 def cmd_demo_path(args) -> int:
     cfg = _merge_config(DEMO_PATH_DEFAULTS, args)
     with _user_input():
-        table = decreasing_path_demo(_int(cfg["num_steps"]), lam=float(cfg["lam"]))
+        table = decreasing_path_demo(cfg["num_steps"], lam=cfg["lam"])
     out = _prepare_outdir(args.out)
     _write_yaml(dict(cfg), out / "config.yaml")
     save_path_csv(table, out / "path.csv")
@@ -570,11 +567,10 @@ def cmd_demo_path(args) -> int:
 
 def _sweep_cell(n: int, m: int, seed: int, cfg: dict, loss):
     with _user_input():
-        ds = gen_random(n, _int(cfg["d"]), seed=seed)
+        ds = gen_random(n, cfg["d"], seed=seed)
         lambda0, lam = _resolve_coefficients(cfg, ds, loss, m, seed)
         ocfg = ObjectiveConfig(loss=loss, lam=lam)
-        opts = TrainOptions(grad_tol=float(cfg["grad_tol"]), max_iter=_int(cfg["max_iter"]),
-                            seed=seed)
+    opts = TrainOptions(grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"], seed=seed)
     net, _ = train(init_single(m, ds.d, seed=seed), ds, ocfg, opts)
     err = training_error(net, ds)
     try:
@@ -589,9 +585,6 @@ def cmd_sweep(args) -> int:
     if args.n is not None:
         cfg["n_values"] = [args.n]
     with _user_input():
-        cfg["n_values"], cfg["seeds"] = _int_list(cfg, "n_values"), _int_list(cfg, "seeds")
-        if cfg["m_values"] is not None:
-            cfg["m_values"] = _int_list(cfg, "m_values")
         loss = _make_loss(cfg)
     out = _prepare_outdir(args.out)
 

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from requland import cli
-from requland.cli import PROBE_DEFAULTS, _make_loss, _probe_coercivity, main
+from requland.cli import PROBE_DEFAULTS, UsageError, _make_loss, _merge_config, _probe_coercivity, main
 from requland.datasets import gen_random
 from requland.landscape import MC_BLOCK, CertificateReport
 from requland.models import SingleLayerReQUNet, save_net
@@ -396,17 +398,26 @@ def test_library_rejections_of_user_values_are_usage_errors(train_run, tmp_path,
     assert run("probe", "lidskii", "--config", small) == 1
 
 
-@pytest.mark.parametrize("key", ["seed", "trials"])
-@pytest.mark.parametrize("kind", sorted(PROBE_DEFAULTS))
+BAD_PROBE_VALUES = {"seed": "seed: abc", "trials": "trials: abc", "m-list": "m: [1]",
+                    "seed-null": "seed: null", "trials-null": "trials: null",
+                    "trials-true": "trials: true"}
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind in sorted(PROBE_DEFAULTS) for key in BAD_PROBE_VALUES
+    if BAD_PROBE_VALUES[key].split(":")[0] in PROBE_DEFAULTS[kind]
+])
 def test_bad_config_value_is_a_usage_error_for_every_probe(kind, key, tmp_path, capsys):
     # lidskii and conv-rank converted their seed, and every probe its trial
     # count, outside the usage-error scope: a ValueError traceback, not
-    # "requland: error:".
+    # "requland: error:".  A list or a null where an integer belongs raised
+    # TypeError, a defect's exit code 3; trials: true ran one trial.
     bad = tmp_path / "bad.yaml"
-    bad.write_text(f"{key}: abc\n")
+    text = BAD_PROBE_VALUES[key]
+    bad.write_text(text + "\n")
     assert run("probe", kind, "--config", bad) == 1
     err = capsys.readouterr().err
-    assert err.startswith("requland: error:")
+    assert err.startswith("requland: error:") and text.split(":")[0] in err
     assert "Traceback" not in err
 
 
@@ -429,17 +440,26 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("sweep", "n_values: 10", "n_values"),
     ("sweep", "seeds: 0", "seeds"),
     ("sweep", "m_values: 9", "m_values"),
+    ("sweep", "d: 2.5", "d: expected an integer"),
+    ("sweep", "d: [3]", "config key d:"),
+    ("train", "certify_tol: abc", "certify_tol"),
+    ("counterexample", "radius: [1]", "radius"),
+    ("demo-path", "num_steps: [3]", "num_steps"),
+    ("probe lemma2", 'adversarial: "no"', "adversarial"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
 ):
     # train and counterexample created --out before converting their config
     # and left it empty; sweep took a scalar where a list belongs for a
-    # defect (TypeError, exit 3).
+    # defect (TypeError, exit 3).  sweep converted d per cell, after creating
+    # --out; train passed certify_tol unconverted to certify after training
+    # and writing four artifacts; a list where a number belongs raised
+    # TypeError; lemma2 read the string "no" as true.
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"
-    assert run(command, "--config", bad, "--out", out) == 1
+    assert run(*command.split(), "--config", bad, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("requland: error:") and named in err
     assert not out.exists()
@@ -483,7 +503,7 @@ def test_every_flag_lands_in_the_written_config_under_its_dest(train_run, tmp_pa
             ["certify", "--checkpoint", ckpt, "--dataset", dataset, "--seed", "4",
              "--loss", "logistic", "--lambda0", "0.01", "--lam-c", "0.5",
              "--certify-tol", "1e-3", "--certify-grad-tol", "1e-30"],
-            {"dataset": dataset, "seed": 4, "loss": "logistic", "lambda0": "0.01",
+            {"dataset": dataset, "seed": 4, "loss": "logistic", "lambda0": 0.01,
              "lam_c": 0.5, "certify_tol": 1e-3, "certify_grad_tol": 1e-30},
         ),
         "probe": (["probe", "lidskii", "--trials", "3", "--seed", "5"], {"trials": 3, "seed": 5}),
@@ -507,3 +527,57 @@ def test_every_flag_lands_in_the_written_config_under_its_dest(train_run, tmp_pa
         assert run(*argv, "--out", out) in (0, 2), command
         written = yaml.safe_load((out / "config.yaml").read_text())
         assert {key: written[key] for key in want} == want, command
+
+
+CONFIG_TABLES = {"train": cli.TRAIN_DEFAULTS, "counterexample": cli.COUNTEREXAMPLE_DEFAULTS,
+                 "demo-path": cli.DEMO_PATH_DEFAULTS, "sweep": cli.SWEEP_DEFAULTS,
+                 **{f"probe {kind}": table for kind, table in PROBE_DEFAULTS.items()}}
+# The type of each key whose default (null or "auto") does not give it.
+UNTYPED_TYPES = {"dataset": str, "init_checkpoint": str, "mode": str, "generator": dict,
+                 "certify_tol": float, "d": int, "lam": list, "m_values": list, "lambda0": float}
+EDGE_VALUES = st.sampled_from([None, 10**400, "1e-7", "2", "2.5", "nan", "no", "auto", "random",
+                               "quadratic", "repelling"])
+YAML_VALUES = EDGE_VALUES | st.recursive(
+    EDGE_VALUES | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "n", "d", "seed", "num_positive", "mode"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def assert_typed(key, got, default):
+    """got has the type of default, or of UNTYPED_TYPES where the default is
+    null or "auto"; list items are integers (lam's are floats); null only
+    where the default is null."""
+    if default is None and got is None:
+        return
+    if default == "auto" and got == "auto":
+        return
+    want = UNTYPED_TYPES[key] if default in (None, "auto") else type(default)
+    assert type(got) is want, (key, got)
+    if want is list:
+        assert all(type(v) is (float if key == "lam" else int) for v in got), (key, got)
+    if key == "generator":
+        kind_defaults = cli.GENERATOR_DEFAULTS[got["kind"]]
+        assert set(got) == set(kind_defaults)
+        for sub, value in got.items():
+            assert_typed(sub, value, kind_defaults[sub])
+
+
+@settings(max_examples=400, deadline=None)
+@given(where=st.sampled_from([(t, k) for t in CONFIG_TABLES for k in CONFIG_TABLES[t]]),
+       value=YAML_VALUES)
+def test_config_value_takes_its_defaults_type_or_is_a_usage_error_naming_its_key(
+    tmp_path_factory, where, value
+):
+    table, key = where
+    path = tmp_path_factory.getbasetemp() / "property.yaml"
+    path.write_text(yaml.safe_dump({key: value}))
+    try:
+        cfg = _merge_config(CONFIG_TABLES[table], argparse.Namespace(config=str(path)))
+    except UsageError as exc:
+        assert key in str(exc)
+        return
+    assert value is not None or CONFIG_TABLES[table][key] is None  # null only where the default is
+    assert_typed(key, cfg[key], CONFIG_TABLES[table][key])
