@@ -387,6 +387,9 @@ def _probe_coercivity(cfg: dict) -> dict:
     the worst margin and the violations are taken in trial order.
     """
     seed, m, trials, slack = cfg["seed"], cfg["m"], cfg["trials"], cfg["slack"]
+    if not (np.isfinite(cfg["norm_max"]) and cfg["norm_max"] > 1e-2):
+        raise UsageError(f"config key norm_max: expected a finite norm above 1e-2, "
+                         f"the smallest sampled one, got {cfg['norm_max']}")
     with _user_input():
         ds = gen_random(cfg["n"], cfg["d"], seed=seed)
         lam = sample_lambda(m, cfg["lambda0"], seed=seed)
@@ -565,11 +568,15 @@ def cmd_demo_path(args) -> int:
     return 0 if ok else 2
 
 
-def _sweep_cell(n: int, m: int, seed: int, cfg: dict, loss):
-    with _user_input():
-        ds = gen_random(n, cfg["d"], seed=seed)
-        lambda0, lam = _resolve_coefficients(cfg, ds, loss, m, seed)
-        ocfg = ObjectiveConfig(loss=loss, lam=lam)
+def _sweep_setup(n: int, m: int, seed: int, cfg: dict, loss):
+    """A cell's dataset, lambda0 and objective: the library checks of the
+    user's values, which every cell passes before the sweep makes --out."""
+    ds = gen_random(n, cfg["d"], seed=seed)
+    lambda0, lam = _resolve_coefficients(cfg, ds, loss, m, seed)
+    return ds, lambda0, ObjectiveConfig(loss=loss, lam=lam)
+
+
+def _sweep_cell(n: int, m: int, seed: int, cfg: dict, ds, lambda0, ocfg):
     opts = TrainOptions(grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"], seed=seed)
     net, _ = train(init_single(m, ds.d, seed=seed), ds, ocfg, opts)
     err = training_error(net, ds)
@@ -584,17 +591,17 @@ def cmd_sweep(args) -> int:
     cfg = _merge_config(SWEEP_DEFAULTS, args)
     if args.n is not None:
         cfg["n_values"] = [args.n]
-    with _user_input():
-        loss = _make_loss(cfg)
-    out = _prepare_outdir(args.out)
-
     cells = [
         (n, m, seed)
         for n in cfg["n_values"]
         for m in (range(n - 2, n + 4) if cfg["m_values"] is None else cfg["m_values"])
         for seed in cfg["seeds"]
     ]
-    rows = [_sweep_cell(*c, cfg, loss) for c in cells]
+    with _user_input():
+        loss = _make_loss(cfg)
+        setups = [_sweep_setup(*c, cfg, loss) for c in cells]
+    out = _prepare_outdir(args.out)
+    rows = [_sweep_cell(*c, cfg, *s) for c, s in zip(cells, setups)]
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
     _write_yaml(cfg, out / "config.yaml")

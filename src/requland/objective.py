@@ -146,10 +146,12 @@ class FlatObjective:
     written over a leading batch axis, which also holds the one regularizer
     formula; grad is the one backward pass, from a kept forward result.
     value(theta) equals value_and_grad(theta)[0] exactly, and
-    values(thetas)[k] equals value(thetas[k]) exactly (==, not approx): a
-    stacked row goes through the same BLAS calls and elementwise operations
-    as a single point, so batched searches select what point-by-point loops
-    would.  The tests pin the gradient to central differences, the conv
+    values(thetas)[k] equals value(thetas[k]) exactly (==, not approx), and
+    so does the gradient, grad(row(forward(thetas), k)) ==
+    grad(forward(thetas[k])): a stacked row goes through the same BLAS calls
+    and elementwise operations as a single point, so batched searches select
+    what point-by-point loops would, and take the same gradient at what they
+    select.  The tests pin the gradient to central differences, the conv
     layers to numkit.conv_padded, the regularizer to closed forms, and
     values to value.  grad pads conv inputs in buffers that the instance
     keeps, so no instance may be shared between threads.
@@ -214,6 +216,15 @@ class FlatObjective:
         value = loss_value(self.loss, z).sum(axis=-1) + reg
         return value, params, layers, H, act, phi, z, u
 
+    def row(self, fwd, k):
+        """forward(thetas[k]) cut out of fwd = forward(thetas): row k of
+        every stacked array.  The data X, which a conv stack's first layer
+        and a filterless head take as input, is never stacked."""
+        value, (a, W, b, filts), layers, F, act, phi, z, u = fwd
+        layers = [(H if H is self.X else H[k], V[k], P[k]) for H, V, P in layers]
+        return (value[k], (a[k], W[k], b[k], [v[k] for v in filts]), layers,
+                F if F is self.X else F[k], act[k], phi[k], z[k], u[k])
+
     def value(self, theta) -> float:
         return float(self.forward(theta)[0])
 
@@ -230,7 +241,8 @@ class FlatObjective:
         return float(fwd[0]), self.grad(fwd)
 
     def grad(self, fwd):
-        """The gradient at a 1-D theta, from its forward(theta) result fwd."""
+        """The gradient at a 1-D theta, from its forward(theta) result fwd
+        or from row(forward(thetas), k) for the row thetas[k] == theta."""
         _, (a, W, b, filts), layers, F, act, phi, z, u = fwd
         lam = self.lam
         if self.loss.name == "logistic":  # d(data term)/d f_i, in one pass over the samples

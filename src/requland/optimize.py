@@ -13,6 +13,10 @@ gradient still large — the signature of an iterate pinned on a leaky-ReLU
 kink, where the almost-everywhere gradient is not a descent direction — the
 trainer probes random nearby points for a strict decrease before giving up.
 
+The Armijo backtracking ladder runs in blocks of rungs, each block one
+FlatObjective.forward on a stack of trial points, from which the accepted
+rung also takes its gradient; train sizes the blocks from the last iteration.
+
 TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
 and seed.  Step sizes, cadences and move sizes are the module constants, the
 only values in use; the coercivity check always runs on single-layer nets.
@@ -60,6 +64,7 @@ ESCAPE_EVERY = 1000  # while misclassifying, also try escapes at this cadence
 MAX_ESCAPES = 10
 STALL_WINDOW = 400  # iterations between flatline checks
 STALL_PROBES = 256
+LADDER_MAX = 8  # most Armijo rungs evaluated in one stacked forward pass
 
 
 @dataclass
@@ -319,9 +324,13 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     Returns (trained_net, Trajectory).  Each iteration proposes a spectral
     (Barzilai-Borwein) step when curvature information is available and the
     last grown step otherwise, then enforces the Armijo condition by
-    backtracking, so the accepted sequence is strictly monotone; each trial
-    is one FlatObjective.forward, whose result also gives an accepted trial
-    its gradient.  See the module docstring for the snap and escape moves.
+    backtracking along step, step*SHRINK, ... (at most 120 rungs), so the
+    accepted sequence is strictly monotone.  A block of rungs is one stacked
+    FlatObjective.forward: one rung after an iteration that took its first
+    trial, else as many as that iteration took, capped at LADDER_MAX, which
+    later blocks use.  The first passing rung wins and takes its gradient
+    from its block's pass, so the widths change only the cost.  See the
+    module docstring for the snap and escape moves.
     """
     opts = opts or TrainOptions()
     cfg.check_m(net)
@@ -335,6 +344,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     blocks = fob.layout.blocks()
     traj = Trajectory()
     eta = STEP0
+    rungs = 1  # Armijo trials the last accepted iteration took
     escapes = 0
     stall_escapes = 0
     it = 0
@@ -426,18 +436,41 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 curv = float(dtheta @ dg)
                 if curv > 0.0:
                     step = min(max(float(dtheta @ dtheta) / curv, 1e-12), 1e15)
-            for _ in range(120):
-                trial = theta - step * g
-                fwd = fob.forward(trial)
-                trial_loss = float(fwd[0])
-                if trial_loss <= loss - ARMIJO * step * gn * gn:
-                    prev_theta, prev_g = theta, g
-                    theta = trial
-                    loss, g = trial_loss, fob.grad(fwd)  # the accepted trial's own forward pass
-                    eta = min(step * GROW, 1e15)
-                    it += 1
-                    break
-                step *= SHRINK
+            # A lone rung stays a 1-D forward: the common case must cost
+            # what one trial costs.  step ends on the accepted rung.
+            tried, width, accepted = 0, min(rungs, LADDER_MAX), False
+            while tried < 120 and not accepted:
+                width = min(width, 120 - tried)
+                if width == 1:
+                    trial = theta - step * g
+                    fwd = fob.forward(trial)
+                    trial_loss = float(fwd[0])
+                    tried += 1
+                    accepted = trial_loss <= loss - ARMIJO * step * gn * gn
+                    if not accepted:
+                        step *= SHRINK
+                else:
+                    steps = [step]
+                    for _ in range(width - 1):
+                        steps.append(steps[-1] * SHRINK)
+                    trials = theta - np.array(steps)[:, None] * g
+                    stacked = fob.forward(trials)
+                    for r, (step, trial_loss) in enumerate(zip(steps, stacked[0].tolist())):
+                        tried += 1
+                        accepted = trial_loss <= loss - ARMIJO * step * gn * gn
+                        if accepted:
+                            trial, fwd = trials[r], fob.row(stacked, r)
+                            break
+                    else:
+                        step *= SHRINK
+                width = LADDER_MAX
+            if accepted:
+                prev_theta, prev_g = theta, g
+                theta = trial
+                loss, g = trial_loss, fob.grad(fwd)  # the accepted rung's own forward pass
+                eta = min(step * GROW, 1e15)
+                rungs = tried
+                it += 1
             else:
                 pinned = True  # no representable step decreases the loss
         if not pinned:

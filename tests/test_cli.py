@@ -400,7 +400,8 @@ def test_library_rejections_of_user_values_are_usage_errors(train_run, tmp_path,
 
 BAD_PROBE_VALUES = {"seed": "seed: abc", "trials": "trials: abc", "m-list": "m: [1]",
                     "seed-null": "seed: null", "trials-null": "trials: null",
-                    "trials-true": "trials: true"}
+                    "trials-true": "trials: true", "norm_max-small": "norm_max: 0.001",
+                    "norm_max-negative": "norm_max: -1"}
 
 
 @pytest.mark.parametrize("kind,key", [
@@ -412,6 +413,8 @@ def test_bad_config_value_is_a_usage_error_for_every_probe(kind, key, tmp_path, 
     # count, outside the usage-error scope: a ValueError traceback, not
     # "requland: error:".  A list or a null where an integer belongs raised
     # TypeError, a defect's exit code 3; trials: true ran one trial.
+    # coercivity drew its radii from uniform(-2, log10(norm_max)), which
+    # raised ValueError or OverflowError for norm_max <= 1e-2 (exit 3).
     bad = tmp_path / "bad.yaml"
     text = BAD_PROBE_VALUES[key]
     bad.write_text(text + "\n")
@@ -446,6 +449,8 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("counterexample", "radius: [1]", "radius"),
     ("demo-path", "num_steps: [3]", "num_steps"),
     ("probe lemma2", 'adversarial: "no"', "adversarial"),
+    ("sweep", "d: 0", "d >= 1"),
+    ("sweep", "lambda0: -1", "lambda0 must be positive"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
@@ -455,7 +460,9 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # defect (TypeError, exit 3).  sweep converted d per cell, after creating
     # --out; train passed certify_tol unconverted to certify after training
     # and writing four artifacts; a list where a number belongs raised
-    # TypeError; lemma2 read the string "no" as true.
+    # TypeError; lemma2 read the string "no" as true.  sweep ran gen_random
+    # and sample_lambda per cell after creating --out, so d: 0 and
+    # lambda0: -1 left it behind.
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"

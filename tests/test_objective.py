@@ -251,6 +251,23 @@ def test_value_gradient_and_generic_paths_are_one_function(family):
         np.testing.assert_array_equal(fob.grad(fwd), grad)
 
 
+def stacked_case(rng, family, t, K, loss):
+    """A random net of the family, its FlatObjective on gen_random(6, ., t)
+    with the given loss, and K points scattered around its parameters."""
+    if family.startswith("deep"):
+        net = make_deep(rng, s=int(rng.integers(2, 4)), l=int(family[-1]))
+        lam_c = float(rng.uniform(0.5, 2.0))
+    else:
+        net = make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet)
+        lam_c = 0.0
+    dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+    ds = datasets.gen_random(6, dim, seed=t)
+    cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
+    theta = models.net_to_flat(net)
+    thetas = theta + rng.standard_normal((K, theta.size)) * 10.0 ** rng.uniform(-4, 0, (K, 1))
+    return objective.FlatObjective(net, ds, cfg), thetas
+
+
 @pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"])
 def test_values_equals_value_at_every_row(family):
     # Exact equality, not approx: the stall probe, the escape grid and
@@ -259,23 +276,38 @@ def test_values_equals_value_at_every_row(family):
     rng = np.random.default_rng(17)
     chunk = objective.FlatObjective.CHUNK
     for t, K in enumerate((1, chunk - 1, chunk, chunk + 1)):
-        if family.startswith("deep"):
-            net = make_deep(rng, s=int(rng.integers(2, 4)), l=int(family[-1]))
-            lam_c = float(rng.uniform(0.5, 2.0))
-        else:
-            net = make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet)
-            lam_c = 0.0
-        dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
-        ds = datasets.gen_random(6, dim, seed=t)
         loss = objective.logistic() if t % 2 else objective.smooth_hinge(3)
-        cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
-        fob = objective.FlatObjective(net, ds, cfg)
-        theta = models.net_to_flat(net)
-        thetas = theta + rng.standard_normal((K, theta.size)) * 10.0 ** rng.uniform(-4, 0, (K, 1))
+        fob, thetas = stacked_case(rng, family, t, K, loss)
         vals = fob.values(thetas)
         assert vals.shape == (K,)
         for k in range(K):
             assert vals[k] == fob.value(thetas[k])
+
+
+@pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3"])
+def test_row_of_a_stacked_forward_equals_the_forward_of_that_row(family):
+    # The line search accepts a rung of a stacked ladder and takes its
+    # gradient from that stacked pass; trajectories stay those of one
+    # forward per trial only if every array grad reads is the same.
+    rng = np.random.default_rng(19)
+    for t, K in enumerate((1, 2, 8)):
+        loss = objective.logistic() if t % 2 == 0 else objective.smooth_hinge(3)
+        fob, thetas = stacked_case(rng, family, t, K, loss)
+        stacked = fob.forward(thetas)
+        for k in range(K):
+            got, want = fob.row(stacked, k), fob.forward(thetas[k])
+            got_arrays, want_arrays = _arrays(got), _arrays(want)
+            assert len(got_arrays) == len(want_arrays)
+            for x, y in zip(got_arrays, want_arrays):
+                assert np.shape(x) == np.shape(y) and np.array_equal(x, y)
+            assert np.array_equal(fob.grad(got), fob.grad(want))
+
+
+def _arrays(fwd):
+    """Every array of a forward result, in order, nested tuples flattened."""
+    if isinstance(fwd, (tuple, list)):
+        return [x for part in fwd for x in _arrays(part)]
+    return [fwd]
 
 
 def test_stacked_filter_anchor_equals_one_filter_at_a_time():

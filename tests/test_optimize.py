@@ -347,25 +347,53 @@ def test_train_raises_when_the_loss_falls_below_the_cubic_floor(monkeypatch):
     assert traj.status == "budget-exhausted"
 
 
-def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
-    # c09 seed 2 with one stall try: a snap at iteration 49, a stall escape
-    # at 849 and a "stalled" end, about 1650 iterations.  Every objective
-    # entry point is counted by the function that called it.
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(self, *args):
-            calls[name, sys._getframe(1).f_code.co_name] += 1
-            return fn(self, *args)
-        return wrapper
-
-    for name in ("forward", "grad", "value", "values", "value_and_grad"):
-        monkeypatch.setattr(FlatObjective, name, counted(name, getattr(FlatObjective, name)))
+def c09_seed2_one_stall_try():
+    """c09 seed 2 with one stall try: a snap at iteration 49, a stall escape
+    at 849 and a "stalled" end, about 1650 iterations, most of them on a
+    leaky-ReLU kink where the spectral step overshoots."""
     ds = gen_random(3, 4, seed=2002)
     lam0 = opt.estimate_lambda0(ds, logistic(), seed=2)
     cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=2), lam_c=1.0)
     opts = opt.TrainOptions(grad_tol=1e-8, seed=2, max_stall_escapes=1)
-    _, traj = opt.train(opt.init_deep(d=4, s=2, l=2, m=25, seed=2), ds, cfg, opts)
+    return opt.init_deep(d=4, s=2, l=2, m=25, seed=2), ds, cfg, opts
+
+
+def c01_seed5():
+    """c01 seed 5: 1344 iterations with an escape at iteration 999."""
+    ds = gen_random(10, 3, seed=1005)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
+    return opt.init_single(11, 3, seed=5), ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5)
+
+
+@pytest.mark.parametrize("run", [c09_seed2_one_stall_try, c01_seed5])
+def test_stacked_ladder_matches_the_serial_ladder(run, monkeypatch):
+    # A width cap of 1 evaluates every Armijo rung alone, as one forward per
+    # trial did; the stacked blocks may change only the cost.
+    net, traj = opt.train(*run())
+    monkeypatch.setattr(opt, "LADDER_MAX", 1)
+    serial_net, serial_traj = opt.train(*run())
+    assert repr(traj.rows) == repr(serial_traj.rows)
+    assert net_to_flat(net).tobytes() == net_to_flat(serial_net).tobytes()
+
+
+def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
+    # Every objective entry point is counted by the function that called
+    # it, and forward also by the trial rows it evaluates.
+    calls, rows = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            caller = sys._getframe(1).f_code.co_name
+            calls[name, caller] += 1
+            if name == "forward":
+                rows[caller] += 1 if args[0].ndim == 1 else len(args[0])
+            return fn(self, *args)
+        return wrapper
+
+    for name in ("forward", "row", "grad", "value", "values", "value_and_grad"):
+        monkeypatch.setattr(FlatObjective, name, counted(name, getattr(FlatObjective, name)))
+    _, traj = opt.train(*c09_seed2_one_stall_try())
     moves = Counter(row[4] for row in traj.rows)
     assert traj.status == "stalled" and moves["snap"] >= 1 and moves["escape"] == 1
 
@@ -376,15 +404,19 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
     assert by("value_and_grad") == {"train": 1, "refresh": moves["snap"] + moves["escape"]}
     # The line search is train's only forward; its accepted trials take
     # their gradient from that forward, and no other gradient is taken.
-    trials, accepted = by("forward")["train"], by("grad")["train"]
+    # Rungs are stacked where the last iteration backtracked, so on this
+    # kink run the forward calls are fewer than the trial rows.
+    trials, accepted = rows["train"], by("grad")["train"]
     assert 0 < accepted <= traj.n_iter < trials
+    assert by("forward")["train"] < trials
     assert by("grad") == {"train": accepted, "value_and_grad": sum(by("value_and_grad").values())}
+    assert set(by("row")) <= {"train"} and by("row").get("train", 0) <= accepted
     assert set(by("value")) == {"_try_snaps", "_attempt_stall_escape"}
     assert set(by("values")) == {"_attempt_stall_escape"}
     # Every forward pass is a line-search trial, a snap or escape
     # evaluation, or the start of a value_and_grad.
     assert by("forward") == {
-        "train": trials,
+        "train": by("forward")["train"],
         "value": sum(by("value").values()),
         "values": sum(by("values").values()),
         "value_and_grad": sum(by("value_and_grad").values()),
