@@ -47,7 +47,7 @@ from .landscape import (
     write_json,
 )
 from .models import load_net, save_net
-from .numkit import conv_matrix, frobenius, min_singular_value, min_singular_values, row_dots, sym_eigvals
+from .numkit import conv_matrix, frobenius, min_singular_value, row_dots, sym_eigvals, sym_min_singular_values
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
@@ -423,7 +423,7 @@ def _probe_lemma2(cfg: dict) -> dict:
     result = {"min_max_sigma": float(minmax), "pass": minmax > 0.0}
     if cfg["adversarial"] and m == ds.n:
         z, A = certificate_matrix_adversarial(ds, lam)
-        sigma = min_singular_values(certificate_matrices_zA(ds, z, A, lam))
+        sigma = sym_min_singular_values(certificate_matrices_zA(ds, z, A, lam))
         result["adversarial_max_sigma"] = float(np.max(sigma))
     return result
 

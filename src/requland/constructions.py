@@ -3,8 +3,8 @@
 Both constructions project data onto a single direction chosen to keep the
 projections well separated, then place one ReQU neuron per knot.  The bad
 local minimum instead pairs mutually repelling data with per-neuron scalar
-subproblems, yielding a critical point whose training error stays at
-1 - m/n however small the gradient tolerance.
+subproblems, each solved in closed form, yielding a critical point whose
+training error stays at 1 - m/n however small the gradient tolerance.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import numpy as np
 
 from .datasets import Dataset, gen_mutually_repelling, validate_distinct
 from .models import SingleLayerReQUNet
-from .objective import ObjectiveConfig, logistic, loss_value
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .objective import ObjectiveConfig, logistic
 
 
 def find_separating_direction(ds: Dataset, seed: int = 0, budget: int = 1024) -> np.ndarray:
@@ -102,25 +100,6 @@ def build_interpolating_requ(
     return InterpolatorNet(net=net, direction=omega, margin=margin)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def neuron_subproblem_closed_form(lam_j: float, sq_norm: float):
     """Exact minimizer of the per-neuron objective under the logistic loss.
 
@@ -133,37 +112,9 @@ def neuron_subproblem_closed_form(lam_j: float, sq_norm: float):
     c = lam_j * np.log(2.0) / s2
     if not 0.0 < c < 0.5:
         raise ValueError("no interior solution: need lam_j / s^2 < 1/(2 ln 2)")
-    T = float(np.log((1.0 - c) / c))
+    T = float(np.log1p(-c) - np.log(c))
     r = (T / s2**2.5) ** (1.0 / 3.0)
     return s2**0.5 * r, r, T
-
-
-def solve_neuron_subproblem(lam_j: float, sq_norm: float, loss=None, tol: float = 1e-13):
-    """Minimize loss(-a r^2 s^4) + (lam_j/3)(a^3 + 2 (s r)^3) over a, r >= 0.
-
-    Nested golden-section search: the outer variable is r, the inner problem
-    in a is strictly convex.  Search windows come from the closed form, which
-    also certifies the solution is interior.  Returns (a, r).
-    """
-    loss = loss or logistic()
-    s2 = float(sq_norm)
-    s = np.sqrt(s2)
-    a_star, r_star, _ = neuron_subproblem_closed_form(lam_j, sq_norm)
-
-    def g(a, r):
-        return float(loss_value(loss, -a * r**2 * s2**2) + lam_j / 3.0 * (a**3 + 2.0 * (s * r) ** 3))
-
-    def best_a(r):
-        return _golden_min(lambda a: g(a, r), 0.0, 4.0 * a_star + 1.0, tol)
-
-    r, _ = _golden_min(lambda r: best_a(r)[1], 0.0, 4.0 * r_star + 1.0, tol)
-    a, _ = best_a(r)
-    if a <= 1e-8 or r <= 1e-8:
-        raise RuntimeError(
-            f"subproblem solver collapsed to zero at lam_j={lam_j}; "
-            "an interior solution exists for every lam_j < 1/2"
-        )
-    return a, r
 
 
 def build_bad_local_min(
@@ -199,7 +150,7 @@ def build_bad_local_min(
     b = np.zeros(m)
     for j in range(m):
         sq = float(Z[j] @ Z[j])
-        a[j], r = solve_neuron_subproblem(lam[j], sq)
+        a[j], r, _ = neuron_subproblem_closed_form(lam[j], sq)
         W[j] = r * ds.X[j]
         b[j] = r
     net = SingleLayerReQUNet(a, W, b)

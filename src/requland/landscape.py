@@ -19,9 +19,10 @@ configuration from certificate_matrix_adversarial does make every matrix
 singular, showing the overparameterization hypothesis is load-bearing.
 
 _certificate_sum builds the certificate matrices of one network, one (z, A)
-draw or a whole stack of draws, and numkit.min_singular_values takes a
-stack's sigma_min in one batched SVD.  Stacking is exact: each matrix and
-each sigma_min equals (==) the one built and factored alone.
+draw or a whole stack of draws, and numkit.sym_min_singular_values takes a
+stack's sigma_min = min |eig| in one batched symmetric eigensolve.  Stacking
+is exact: each matrix and each sigma_min equals (==) the one built and
+factored alone.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ import numpy as np
 
 from .datasets import Dataset
 from .models import DeepConvNet, QuadraticNet, net_to_flat
-from .numkit import min_singular_values, row_dots
+from .numkit import row_dots, sym_min_singular_values
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
     loss_deriv,
     margins,
-    neuron_block_norms,
     training_error,
     value_and_gradient,
 )
@@ -63,6 +63,8 @@ def _certificate_sum(lifted, weights, lam) -> np.ndarray:
 
     Weights of shape (..., n, m) give matrices of shape (..., m, p, p), each
     == its one-matrix build: the same product, negation and shift per block.
+    The product is not symmetrized, so M_j is symmetric only to rounding
+    (about 5e-16 * ||M_j||_2); sym_min_singular_values reads its lower triangle.
     """
     weighted = lifted * weights.swapaxes(-1, -2)[..., None]  # (..., m, n, p)
     shift = lam[:, None, None] * np.eye(lifted.shape[1])
@@ -200,7 +202,7 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
         for j in range(net.m)
         if abs_a[j] < tol and w_norms[j] < tol and abs_b[j] < tol
     ]
-    sigma = min_singular_values(build_M_matrices(net, ds, cfg))
+    sigma = sym_min_singular_values(build_M_matrices(net, ds, cfg))
     marg = float(np.min(ds.y * net.value(ds.X)))
     err = training_error(net, ds)
     lp = loss_deriv(cfg.loss, margins(net, ds))
@@ -236,46 +238,6 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
         tol=tol,
         verdict=verdict,
     )
-
-
-@dataclass
-class ProbeResult:
-    estimate: float
-    direction: np.ndarray  # unit (u; v) achieving the estimate
-    lam_j: float
-
-    @property
-    def passed(self) -> bool:
-        """At a genuine local minimum the sampled supremum stays below
-        lam_j; a violating direction is a certified descent move."""
-        return self.estimate < self.lam_j
-
-
-def perturbation_probe(net, ds: Dataset, cfg: ObjectiveConfig, j: int,
-                       samples: int = 512, seed: int = 0) -> ProbeResult:
-    """Sampled supremum of |sum_i l'_i (-y_i) (u.f_i + v)_+^2| over unit (u, v).
-
-    Block j must be inactive: repointing an inactive block along (u, v) at
-    amplitude delta changes the loss by delta^3 (lam_j - drive) + o(delta^3),
-    so any direction driving past lam_j certifies descent.  The sample set
-    mixes random unit directions with the lifted data directions (f_i; 1),
-    which activate their own sample and are the natural extremal candidates.
-    """
-    bn = neuron_block_norms(net)
-    if bn[j] > 1e-8:
-        raise ValueError(f"block {j} is not inactive (norm {bn[j]:.3e})")
-    F = net.head_inputs(ds.X)
-    lp = loss_deriv(cfg.loss, margins(net, ds))
-    coef = lp * (-ds.y)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, F.shape[1] + 1))
-    lifted = np.hstack([F, np.ones((F.shape[0], 1))])
-    dirs = np.vstack([dirs, lifted, -lifted])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    act = np.maximum(F @ dirs[:, :-1].T + dirs[:, -1], 0.0) ** 2
-    drives = np.abs(coef @ act)
-    best = int(np.argmax(drives))
-    return ProbeResult(float(drives[best]), dirs[best], float(cfg.lam[j]))
 
 
 def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
@@ -361,7 +323,7 @@ def certificate_matrix_monte_carlo(ds: Dataset, m: int, lam, trials: int = 1000,
         A = rng.integers(-1, 2, shape + (m,))
         k = min(MC_BLOCK, trials - start)
         weights = np.where(u[:k] < 0.5, g[:k], c[:k])[..., None] * A[:k]
-        sigma = min_singular_values(_certificate_sum(lifted, weights, lam))  # (k, m)
+        sigma = sym_min_singular_values(_certificate_sum(lifted, weights, lam))  # (k, m)
         worst = min(worst, float(sigma.max(axis=1).min()))
     return worst
 
@@ -472,15 +434,17 @@ def hidden_injectivity_check(net: DeepConvNet, ds: Dataset, tol: float = 1e-12):
     matrix) and the strictly increasing activation preserves that, so
     distinct inputs must stay distinct; a collision therefore means either
     duplicated inputs or a degenerate filter.  A filter with norm <= tol
-    violates the precondition outright.
+    violates the precondition outright.  The distances of all pairs come
+    from one stacked computation (numkit.row_dots, the dot np.linalg.norm
+    takes), and the first pair within tol in (i, j) order is returned.
     """
     for k, v in enumerate(net.filters):
         nv = float(np.linalg.norm(v))
         if nv <= tol:
             raise ValueError(f"filter {k} has norm {nv:.3e} <= tol {tol:.3e}")
     H = net.head_inputs(ds.X)
-    for i in range(ds.n):
-        for j in range(i + 1, ds.n):
-            if float(np.linalg.norm(H[i] - H[j])) <= tol:
-                return False, (i, j)
+    i, j = np.triu_indices(ds.n, k=1)  # every pair, in (i, j) order
+    hits = np.flatnonzero(np.sqrt(row_dots(H[i] - H[j])) <= tol)
+    if hits.size:
+        return False, (int(i[hits[0]]), int(j[hits[0]]))
     return True, None

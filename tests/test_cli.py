@@ -169,6 +169,15 @@ def test_counterexample_exact_mode(tmp_path):
     assert (out / "dataset.csv").is_file() and (out / "checkpoint.json").is_file()
 
 
+def test_counterexample_is_critical_to_rounding(tmp_path):
+    # Each neuron comes from the subproblem's closed form; the golden-section
+    # search it replaced left grad_norm at 1.46e-8 on this case.
+    out = tmp_path / "ce"
+    assert run("counterexample", "--n", "10", "--m", "3", "--mode", "generalized",
+               "--seed", "1", "--out", out) == 0
+    assert strict_json(out / "report.json")["grad_norm"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "kind,trials",
     [("coercivity", 50), ("lemma2", 50), ("lidskii", 300),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from requland import constructions as cons
 from requland.datasets import Dataset, gen_random
@@ -125,10 +127,53 @@ def test_interpolator_margin_and_size_sweep():
         assert out.net.m <= n + 1
 
 
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, lo, hi, tol=1e-12):
+    """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x))."""
+    a, b = float(lo), float(hi)
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol * (1.0 + abs(a) + abs(b)):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def golden_subproblem_oracle(lam_j, sq_norm, tol=1e-13):
+    """Minimize loss(-a r^2 s^4) + (lam_j/3)(a^3 + 2 (s r)^3) over a, r >= 0
+    under the logistic loss by nested golden-section search, independent of
+    the closed form's derivation: the outer variable is r, the inner problem
+    in a is strictly convex.  The closed form only sizes the search windows.
+    Returns (a, r)."""
+    loss = logistic()
+    s2 = float(sq_norm)
+    s = np.sqrt(s2)
+    a_star, r_star, _ = cons.neuron_subproblem_closed_form(lam_j, sq_norm)
+
+    def g(a, r):
+        return float(loss_value(loss, -a * r**2 * s2**2) + lam_j / 3.0 * (a**3 + 2.0 * (s * r) ** 3))
+
+    def best_a(r):
+        return golden_min(lambda a: g(a, r), 0.0, 4.0 * a_star + 1.0, tol)
+
+    r, _ = golden_min(lambda r: best_a(r)[1], 0.0, 4.0 * r_star + 1.0, tol)
+    return best_a(r)[0], r
+
+
 def test_subproblem_golden_matches_closed_form():
     for lam_j, sq in ((0.1, 3.0), (0.4, 7.0), (0.01, 1.5)):
         a_cf, r_cf, T = cons.neuron_subproblem_closed_form(lam_j, sq)
-        a, r = cons.solve_neuron_subproblem(lam_j, sq)
+        a, r = golden_subproblem_oracle(lam_j, sq)
         assert a == pytest.approx(a_cf, rel=1e-6)
         assert r == pytest.approx(r_cf, rel=1e-6)
         assert a_cf == pytest.approx(np.sqrt(sq) * r_cf)  # cube-balance equality
@@ -137,7 +182,7 @@ def test_subproblem_golden_matches_closed_form():
 
 def test_subproblem_two_variable_stationarity():
     lam_j, sq = 0.2, 4.0
-    a, r = cons.solve_neuron_subproblem(lam_j, sq)
+    a, r = golden_subproblem_oracle(lam_j, sq)
     s = np.sqrt(sq)
     loss = logistic()
 
@@ -151,6 +196,22 @@ def test_subproblem_two_variable_stationarity():
     da = (g(a + h, r) - g(a - h, r)) / (2 * h)
     dr = (g(a, r + h) - g(a, r - h)) / (2 * h)
     assert abs(da) < 1e-5 and abs(dr) < 1e-5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam_j=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True, allow_subnormal=False),
+    sq=st.floats(1.0, 1e3),
+)
+@example(lam_j=1e-307, sq=50.0)  # (1 - c) / c overflowed to T = inf here
+def test_subproblem_closed_form_property(lam_j, sq):
+    # Every lam_j in (0, 1/2) with s^2 >= 1 (the lifted rows of
+    # build_bad_local_min) has an interior minimizer, and the search finds it.
+    a_cf, r_cf, T = cons.neuron_subproblem_closed_form(lam_j, sq)
+    assert np.isfinite(T) and a_cf > 0.0 and r_cf > 0.0
+    a, r = golden_subproblem_oracle(lam_j, sq)
+    assert a == pytest.approx(a_cf, rel=1e-7)
+    assert r == pytest.approx(r_cf, rel=1e-7)
 
 
 def test_subproblem_closed_form_domain():

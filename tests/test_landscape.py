@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from requland import landscape, objective, optimize
 from requland.constructions import build_bad_local_min
 from requland.datasets import Dataset, gen_random
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet, net_to_flat
-from requland.numkit import min_singular_value, min_singular_values
+from requland.numkit import min_singular_value, sym_min_singular_values
 from requland.objective import ObjectiveConfig, logistic, smooth_hinge
 
 
@@ -214,13 +215,53 @@ def test_certificate_report_with_a_nan_margin_is_strict_json(tmp_path, single_ru
     assert back.to_dict() == rep.to_dict()
 
 
+@dataclass
+class ProbeResult:
+    estimate: float
+    direction: np.ndarray  # unit (u; v) achieving the estimate
+    lam_j: float
+
+    @property
+    def passed(self) -> bool:
+        """At a genuine local minimum the sampled supremum stays below
+        lam_j; a violating direction is a certified descent move."""
+        return self.estimate < self.lam_j
+
+
+def perturbation_probe(net, ds, cfg, j, samples=512, seed=0) -> ProbeResult:
+    """Test helper: sampled supremum of |sum_i l'_i (-y_i) (u.f_i + v)_+^2| over unit (u, v).
+
+    Block j must be inactive: repointing an inactive block along (u, v) at
+    amplitude delta changes the loss by delta^3 (lam_j - drive) + o(delta^3),
+    so any direction driving past lam_j certifies descent.  The sample set
+    mixes random unit directions with the lifted data directions (f_i; 1),
+    which activate their own sample and are the natural extremal candidates.
+    """
+    bn = objective.neuron_block_norms(net)
+    if bn[j] > 1e-8:
+        raise ValueError(f"block {j} is not inactive (norm {bn[j]:.3e})")
+    F = net.head_inputs(ds.X)
+    lp = objective.loss_deriv(cfg.loss, objective.margins(net, ds))
+    coef = lp * (-ds.y)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, F.shape[1] + 1))
+    L = lifted(F)
+    dirs = np.vstack([dirs, L, -L])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    act = np.maximum(F @ dirs[:, :-1].T + dirs[:, -1], 0.0) ** 2
+    drives = np.abs(coef @ act)
+    best = int(np.argmax(drives))
+    return ProbeResult(float(drives[best]), dirs[best], float(cfg.lam[j]))
+
+
+
 def test_probe_single_sample_closed_form():
     X = np.array([[2.0, 1.0]])
     ds = Dataset(X, np.array([-1]))
     m = 2
     net = SingleLayerReQUNet(np.zeros(m), np.zeros((m, 2)), np.zeros(m))
     cfg = ObjectiveConfig(loss=logistic(), lam=np.array([5.0, 6.0]))
-    res = landscape.perturbation_probe(net, ds, cfg, j=0, samples=64, seed=3)
+    res = perturbation_probe(net, ds, cfg, j=0, samples=64, seed=3)
     # Supremum attained along the lifted direction (x;1)/||(x;1)||:
     # value = l'(0) * (||x||^2 + 1).
     assert res.estimate == pytest.approx((1.0 / (2.0 * np.log(2.0))) * 6.0)
@@ -236,7 +277,7 @@ def test_probe_zero_derivative_gives_zero():
         np.array([2.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)
     )
     cfg = ObjectiveConfig(loss=smooth_hinge(3), lam=np.array([0.1, 0.2]))
-    res = landscape.perturbation_probe(net, ds, cfg, j=1, samples=32, seed=0)
+    res = perturbation_probe(net, ds, cfg, j=1, samples=32, seed=0)
     assert res.estimate == 0.0
 
 
@@ -244,7 +285,7 @@ def test_probe_requires_inactive_block(single_run):
     net, ds, cfg = single_run
     active = [j for j in range(net.m) if objective.neuron_block_norms(net)[j] > 0]
     with pytest.raises(ValueError, match="not inactive"):
-        landscape.perturbation_probe(net, ds, cfg, j=active[0])
+        perturbation_probe(net, ds, cfg, j=active[0])
 
 
 def test_probe_two_sided_at_zero_net_local_min():
@@ -259,14 +300,14 @@ def test_probe_two_sided_at_zero_net_local_min():
     sup = None
     for scale, expect_pass in ((100.0, True), (1e-4, False)):
         cfg = ObjectiveConfig(loss=logistic(), lam=scale * np.array([1.0, 1.1, 1.2]))
-        res = landscape.perturbation_probe(net, ds, cfg, j=0, samples=2048, seed=7)
+        res = perturbation_probe(net, ds, cfg, j=0, samples=2048, seed=7)
         assert res.passed is expect_pass
         if sup is None:
             sup = res.estimate
         else:
             assert res.estimate == sup  # the drive does not depend on lam
     cfg = ObjectiveConfig(loss=logistic(), lam=1e-4 * np.array([1.0, 1.1, 1.2]))
-    res = landscape.perturbation_probe(net, ds, cfg, j=0, samples=2048, seed=7)
+    res = perturbation_probe(net, ds, cfg, j=0, samples=2048, seed=7)
     base = objective.empirical_loss(net, ds, cfg)
     fob = objective.FlatObjective(net, ds, cfg)
     theta = net_to_flat(net).copy()
@@ -293,7 +334,7 @@ def test_probe_violation_at_terminal_point_certifies_descent(moderate_run):
     base = fob.value(theta0)
     m = net.m
     for j in rep.inactive:
-        res = landscape.perturbation_probe(net, ds, cfg, j=j, samples=1024, seed=1)
+        res = perturbation_probe(net, ds, cfg, j=j, samples=1024, seed=1)
         assert res.estimate < 2.0 * np.max(cfg.lam)
         if res.passed:
             continue
@@ -409,9 +450,9 @@ def test_certificate_sum_matches_serial_oracle(monkeypatch):
         assert np.all(stacked == np.stack(want[len(nets) + first :][:10]))
 
 
-def serial_monte_carlo_oracle(ds, m, lam, trials, seed):
-    """certificate_matrix_monte_carlo as one draw row, one build and m SVDs
-    per trial: each trial's max_j sigma_min, in trial order.  Trial t is row
+def serial_monte_carlo_matrices(ds, m, lam, trials, seed):
+    """The certificate matrices certificate_matrix_monte_carlo draws, as one
+    draw row and one build per trial, in trial order.  Trial t is row
     t % MC_BLOCK of the whole block drawn from SeedSequence((seed, t // MC_BLOCK))."""
     lam = np.asarray(lam, dtype=float)
     block, n = landscape.MC_BLOCK, ds.n
@@ -422,9 +463,15 @@ def serial_monte_carlo_oracle(ds, m, lam, trials, seed):
         c, A = rng.standard_cauchy((block, n)), rng.integers(-1, 2, (block, n, m))
         r = t % block
         z = np.where(u[r] < 0.5, g[r], c[r])
-        Ms = serial_certificate_sum_oracle(ds.lifted(), z[:, None] * A[r].astype(float), lam)
-        per_trial.append(max(min_singular_value(M) for M in Ms))
-    return np.array(per_trial)
+        weights = z[:, None] * A[r].astype(float)
+        per_trial.append(serial_certificate_sum_oracle(ds.lifted(), weights, lam))
+    return per_trial
+
+
+def serial_monte_carlo_oracle(ds, m, lam, trials, seed):
+    """Each trial's max_j sigma_min from one kernel call on its m matrices."""
+    mats = serial_monte_carlo_matrices(ds, m, lam, trials, seed)
+    return np.array([sym_min_singular_values(Ms).max() for Ms in mats])
 
 
 def monte_carlo_trials(monkeypatch, ds, m, lam, trials, seed):
@@ -433,11 +480,11 @@ def monte_carlo_trials(monkeypatch, ds, m, lam, trials, seed):
     stacks = []
 
     def recording(stack):
-        stacks.append(min_singular_values(stack))
+        stacks.append(sym_min_singular_values(stack))
         return stacks[-1]
 
     with monkeypatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(landscape, "min_singular_values", recording)
+        mp.setattr(landscape, "sym_min_singular_values", recording)
         warnings.simplefilter("ignore")  # m = n warns
         got = landscape.certificate_matrix_monte_carlo(ds, m, lam, trials, seed=seed)
     return got, np.concatenate(stacks).max(axis=1)
@@ -453,6 +500,19 @@ def test_monte_carlo_matches_serial_oracle(n, m, monkeypatch):
         want = serial_monte_carlo_oracle(ds, m, lam, trials, seed=1)
         assert np.array_equal(per_trial, want)  # every trial, once, in order
         assert got == want.min()
+
+
+@pytest.mark.parametrize("n,m", [(5, 6), (8, 8), (8, 9)])
+def test_monte_carlo_sigma_matches_svd_oracle(n, m):
+    # min |eig| of the (symmetric to rounding) matrices against an SVD of
+    # the whole matrix, trial by trial, to 1e-12 of the largest ||M_j||_F.
+    ds = gen_random(n, 3, seed=n)
+    lam = optimize.sample_lambda(m, 1e-2, seed=m)
+    mats = serial_monte_carlo_matrices(ds, m, lam, 300, seed=1)
+    want = serial_monte_carlo_oracle(ds, m, lam, 300, seed=1)
+    svd = np.array([max(min_singular_value(M) for M in Ms) for Ms in mats])
+    scale = np.array([max(np.linalg.norm(M) for M in Ms) for Ms in mats])
+    assert np.all(np.abs(want - svd) <= 1e-12 * scale)
 
 
 def test_monte_carlo_trials_are_a_prefix_of_a_longer_run(monkeypatch):
@@ -579,6 +639,35 @@ def test_certify_deep_run(deep_run):
     assert rep.verdict == "ok"
     assert rep.training_error == 0.0
     assert len(rep.inactive) >= 1
+
+
+def serial_injectivity_oracle(net, ds, tol=1e-12):
+    """hidden_injectivity_check's pair search as a double loop over (i, j)."""
+    H = net.head_inputs(ds.X)
+    for i in range(ds.n):
+        for j in range(i + 1, ds.n):
+            if float(np.linalg.norm(H[i] - H[j])) <= tol:
+                return False, (i, j)
+    return True, None
+
+
+def test_hidden_injectivity_matches_serial_oracle():
+    rng = np.random.default_rng(5)
+    net = optimize.init_deep(4, 2, 2, 3, seed=5)
+    X = rng.standard_normal((9, 4))
+    y = np.where(np.arange(9) % 2 == 0, 1, -1)
+    cases = [X]
+    for copies in ([(0, 1)], [(3, 8)], [(7, 8)], [(5, 2), (1, 6)], [(4, 0), (8, 4)]):
+        Xd = X.copy()
+        for src, dst in copies:
+            Xd[dst] = Xd[src]
+        cases.append(Xd)
+    for Xc in cases:
+        ds = Dataset(Xc, y)
+        for tol in (1e-12, 0.6, 0.9):  # wide tolerances flag several pairs
+            want = serial_injectivity_oracle(net, ds, tol)
+            assert landscape.hidden_injectivity_check(net, ds, tol) == want
+    assert landscape.hidden_injectivity_check(net, Dataset(X[:1], y[:1])) == (True, None)
 
 
 def test_hidden_injectivity_trivial_and_failure_modes():

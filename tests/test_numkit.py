@@ -137,15 +137,18 @@ def test_min_singular_value_against_gram_eigs():
         np.testing.assert_allclose(numkit.min_singular_value(A), oracle, atol=1e-10)
 
 
-def test_min_singular_values_equals_one_matrix_at_a_time():
+def test_sym_min_singular_values_equals_one_matrix_at_a_time():
     rng = np.random.default_rng(7)
-    for shape in ((1, 1), (4, 4), (9, 9), (3, 5), (6, 2), (21, 21)):
-        S = rng.standard_cauchy((3, 17, *shape))
-        got = numkit.min_singular_values(S)
+    for p in (1, 4, 9, 21):
+        S = rng.standard_cauchy((3, 17, p, p))
+        S = S + S.swapaxes(-1, -2)
+        got = numkit.sym_min_singular_values(S)
         assert got.shape == (3, 17)
         for k in np.ndindex(3, 17):
-            assert got[k] == numkit.min_singular_value(S[k])
-    assert numkit.min_singular_values(np.eye(3)) == 1.0  # one 2-D matrix
+            assert got[k] == numkit.sym_min_singular_values(S[k])
+            assert abs(got[k] - numkit.min_singular_value(S[k])) <= 1e-12 * numkit.frobenius(S[k])
+    assert numkit.sym_min_singular_values(np.eye(3)) == 1.0  # one 2-D matrix
+    assert numkit.sym_min_singular_values(np.diag([-3.0, 2.0, -0.5])) == 0.5  # |eig|
 
 
 def test_row_dots_equal_one_dot_per_row():
@@ -161,12 +164,12 @@ def test_row_dots_equal_one_dot_per_row():
                 assert np.sqrt(got[i]) == np.linalg.norm(U[i])
 
 
-def test_min_singular_values_rejects_what_min_singular_value_does():
+def test_sym_min_singular_values_rejects_what_min_singular_value_does():
     nan, inf = np.ones((2, 3, 3)), np.ones((2, 3, 3))
     nan[1, 2, 0], inf[0, 0, 0] = np.nan, np.inf
-    for bad in (nan, inf, np.ones((0, 3, 3)), np.ones(4), np.ones(0)):
+    for bad in (nan, inf, np.ones((0, 3, 3)), np.ones(4), np.ones(0), np.ones((2, 3, 4))):
         with pytest.raises(ValueError):
-            numkit.min_singular_values(bad)
+            numkit.sym_min_singular_values(bad)
     for bad in (np.ones(4), np.ones((2, 3, 3)), np.ones((0, 3)), np.array([[np.inf]])):
         with pytest.raises(ValueError):
             numkit.min_singular_value(bad)
