@@ -110,6 +110,8 @@ def neuron_subproblem_closed_form(lam_j: float, sq_norm: float):
     """
     s2 = float(sq_norm)
     c = lam_j * np.log(2.0) / s2
+    if c == 0.0 and lam_j > 0.0:
+        raise ValueError(f"lam_j ln 2 / s^2 underflows to 0 for lam_j = {lam_j:g}, s^2 = {s2:g}")
     if not 0.0 < c < 0.5:
         raise ValueError("no interior solution: need lam_j / s^2 < 1/(2 ln 2)")
     T = float(np.log1p(-c) - np.log(c))

@@ -34,6 +34,11 @@ def sym_eigvals(A, sym_tol: float = 1e-10) -> np.ndarray:
     the measured asymmetry is reported otherwise.  The symmetrized matrix
     (A + A^T)/2 is what actually gets factored, so tiny representation noise
     cannot push eigenvalues off the real line.
+
+    LAPACK's values-only solver squares off-diagonal entries, and entries
+    near 1e-143 beside O(1) ones moved an O(1) eigenvalue by 4e-7.  So
+    entries below eps^2 times the largest are zeroed first; that moves no
+    eigenvalue by more than n eps^2 max|A|, far below the solver's own error.
     """
     A = as_matrix(A)
     n, m = A.shape
@@ -45,7 +50,10 @@ def sym_eigvals(A, sym_tol: float = 1e-10) -> np.ndarray:
             f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
             f"tolerance {sym_tol:.1e} * (1 + ||A||_F)"
         )
-    return np.linalg.eigvalsh(0.5 * (A + A.T))
+    S = 0.5 * (A + A.T)
+    mag = np.abs(S)
+    S[mag < np.finfo(float).eps ** 2 * mag.max()] = 0.0
+    return np.linalg.eigvalsh(S)
 
 
 def sym_min_singular_values(stack) -> np.ndarray:

@@ -12,6 +12,9 @@ keeps the best strict improvement.  And when the loss flatlines with the
 gradient still large — the signature of an iterate pinned on a leaky-ReLU
 kink, where the almost-everywhere gradient is not a descent direction — the
 trainer probes random nearby points for a strict decrease before giving up.
+It probes at once when no Armijo rung moves the iterate, either because none
+decreases the loss or because the accepted step rounds away and leaves
+theta unchanged; the flatline watch catches pins where theta still moves.
 
 The Armijo backtracking ladder runs in blocks of rungs, each block one
 FlatObjective.forward on a stack of trial points, from which the accepted
@@ -82,8 +85,10 @@ class Trajectory:
     """Recorded (iter, loss, grad_norm, param_norm, status) rows.
 
     Row statuses are "descent", "snap", or "escape"; the final row carries the
-    terminal status: "converged", "budget-exhausted", "stalled" (no
-    representable step could decrease the loss), or "non-finite" (the loss
+    terminal status: "converged", "budget-exhausted", "stalled" (the iterate
+    is pinned -- no representable step decreases the loss, an accepted step
+    rounds away to theta itself, or the loss flatlined -- and the stall
+    probes found no decrease or ran out of tries), or "non-finite" (the loss
     or the gradient norm is inf or NaN).  Escapes that later converge still
     end in "converged"; the escape rows keep the history.
     """
@@ -329,7 +334,10 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     FlatObjective.forward: one rung after an iteration that took its first
     trial, else as many as that iteration took, capped at LADDER_MAX, which
     later blocks use.  The first passing rung wins and takes its gradient
-    from its block's pass, so the widths change only the cost.  See the
+    from its block's pass, so the widths change only the cost.  An
+    accepted rung whose trial equals theta (the decrease ARMIJO*step*gn^2
+    fell below half an ulp of the loss) is no step: like an exhausted
+    ladder it pins the iterate and hands it to the stall probe.  See the
     module docstring for the snap and escape moves.
     """
     opts = opts or TrainOptions()
@@ -464,7 +472,8 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                     else:
                         step *= SHRINK
                 width = LADDER_MAX
-            if accepted:
+            # A rung whose step rounds away leaves theta where it is: no step.
+            if accepted and not (trial_loss == loss and np.array_equal(trial, theta)):
                 prev_theta, prev_g = theta, g
                 theta = trial
                 loss, g = trial_loss, fob.grad(fwd)  # the accepted rung's own forward pass
@@ -472,7 +481,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 rungs = tried
                 it += 1
             else:
-                pinned = True  # no representable step decreases the loss
+                pinned = True  # no representable step decreases the loss or moves theta
         if not pinned:
             continue
 

@@ -460,6 +460,7 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("probe lemma2", 'adversarial: "no"', "adversarial"),
     ("sweep", "d: 0", "d >= 1"),
     ("sweep", "lambda0: -1", "lambda0 must be positive"),
+    ("counterexample", "lam: [5.0e-324, 0.1]", "underflows to 0"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
@@ -471,7 +472,8 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # and writing four artifacts; a list where a number belongs raised
     # TypeError; lemma2 read the string "no" as true.  sweep ran gen_random
     # and sample_lambda per cell after creating --out, so d: 0 and
-    # lambda0: -1 left it behind.
+    # lambda0: -1 left it behind.  A subnormal lam made counterexample claim
+    # lam_j / s^2 was too large where lam_j ln 2 / s^2 had underflowed.
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"

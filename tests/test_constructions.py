@@ -219,6 +219,17 @@ def test_subproblem_closed_form_domain():
         cons.neuron_subproblem_closed_form(0.45, 0.5)  # lam/s^2 too large
 
 
+def test_subnormal_lam_names_the_underflow():
+    # lam_j ln 2 / s^2 rounds to 0 for a subnormal lam_j; that used to be
+    # reported as lam_j / s^2 being too large, which is false here.
+    with pytest.raises(ValueError, match="underflows to 0") as err:
+        cons.build_bad_local_min(4, 2, np.array([5e-324, 0.1]))
+    assert "interior" not in str(err.value)
+    # A subnormal lam_j whose c stays nonzero keeps the closed form.
+    a, r, T = cons.neuron_subproblem_closed_form(1e-320, 2.0)
+    assert np.isfinite(T) and a > 0.0 and r > 0.0
+
+
 def test_bad_local_min_exact_case():
     ds, net, cfg = cons.build_bad_local_min(4, 2, np.array([0.1, 0.3]), seed=0)
     assert training_error(net, ds) == pytest.approx(1.0 - 2.0 / 4.0)

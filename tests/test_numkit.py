@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -194,11 +194,21 @@ def test_eigenvalue_map_is_frobenius_lipschitz(pair):
     assert np.linalg.norm(lam_a - lam_b) <= numkit.frobenius(A - B) + slack
 
 
+def tiny_beside_order_one():
+    """Entries near 1e-143 beside O(1) ones: LAPACK's values-only solver
+    moved the lowest eigenvalue of this matrix's symmetric part by 4e-7,
+    while the same matrix plus I came out right."""
+    M = np.full((5, 5), 6.46970195e-144)
+    M[0, 4], M[4, 1:4] = 9.0, (1e-7, -2.0, -3.0)
+    return M
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     arrays(np.float64, (5, 5), elements=st.floats(-10, 10)),
     st.floats(-50, 50),
 )
+@example(M=tiny_beside_order_one(), c=1.0)
 def test_eigenvalue_shift_identity(M, c):
     A = 0.5 * (M + M.T)
     shifted = numkit.sym_eigvals(A + c * np.eye(5))

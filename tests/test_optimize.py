@@ -349,8 +349,9 @@ def test_train_raises_when_the_loss_falls_below_the_cubic_floor(monkeypatch):
 
 def c09_seed2_one_stall_try():
     """c09 seed 2 with one stall try: a snap at iteration 49, a stall escape
-    at 849 and a "stalled" end, about 1650 iterations, most of them on a
-    leaky-ReLU kink where the spectral step overshoots."""
+    at 283 and a "stalled" end at 416, on a leaky-ReLU kink where the
+    spectral step overshoots and the Armijo steps shrink until they round
+    away."""
     ds = gen_random(3, 4, seed=2002)
     lam0 = opt.estimate_lambda0(ds, logistic(), seed=2)
     cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=2), lam_c=1.0)
@@ -421,3 +422,42 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
         "values": sum(by("values").values()),
         "value_and_grad": sum(by("value_and_grad").values()),
     }
+
+
+def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
+    # On this kink run the Armijo decrease ARMIJO step gn^2 fell below half
+    # an ulp of the loss, so a rung with trial == theta passed and the
+    # trainer took a gradient at the same point again, 1233 times, until
+    # the flatline window noticed.  Such a rung now pins the iterate at once.
+    points = []
+    grad = FlatObjective.grad
+
+    def recorded(self, fwd):
+        a, W, b, filts = fwd[1]
+        points.append(b"".join(p.tobytes() for p in (a, W, b, *filts)))
+        return grad(self, fwd)
+
+    monkeypatch.setattr(FlatObjective, "grad", recorded)
+    _, traj = opt.train(*c09_seed2_one_stall_try())
+    assert traj.status == "stalled" and traj.escapes == 1
+    assert len(points) > 2
+    assert all(p != q for p, q in zip(points, points[1:]))
+
+
+def c09_seed0():
+    """c09 seed 0: converges without a pin."""
+    ds = gen_random(3, 4, seed=2000)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=0)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=0), lam_c=1.0)
+    return opt.init_deep(d=4, s=2, l=2, m=25, seed=0), ds, cfg, opt.TrainOptions(grad_tol=1e-8, seed=0)
+
+
+@pytest.mark.parametrize("run", [c01_seed5, c09_seed0])
+def test_runs_off_the_kinks_never_pin(run, monkeypatch):
+    # Neither run ever holds theta still, so neither may reach the stall path.
+    def refuse(*args):
+        raise AssertionError("stall path reached")
+
+    monkeypatch.setattr(opt, "_attempt_stall_escape", refuse)
+    _, traj = opt.train(*run())
+    assert traj.status == "converged"
