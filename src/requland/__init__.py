@@ -1,9 +1,10 @@
 """Regularized ReQU network landscapes: training, certificates, constructions.
 
 Submodules group the work: `datasets` (generators and CSV I/O), `models`
-(network forward passes and parameter flattening), `objective` (losses,
-regularizers, gradients), `optimize` (training loop and the decreasing-path
-table), `landscape` (criticality certificates and randomized checks),
+(the one network pass, the network classes, parameter flattening and
+checkpoints), `objective` (losses, regularizers, gradients, all read from
+that pass), `optimize` (training loop and the decreasing-path table),
+`landscape` (criticality certificates and randomized checks),
 `constructions` (interpolators and engineered bad minima), `numkit` (the
 small dense-linear-algebra layer), and `cli` (the command-line harness).
 The names below cover the common workflow: generate data, train, certify.

@@ -637,7 +637,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="requland", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[], help="train a network and certify the terminal point")
+    p = sub.add_parser("train", help="train a network and certify the terminal point")
     p.add_argument("--config", help="YAML config; flags override its values")
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--dataset", help="dataset CSV (default: generator from config)")

@@ -27,6 +27,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=int)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("X must be a (n, d) array with n >= 1")
+        if X.shape[1] < 1:
+            raise ValueError("a dataset needs at least one feature column (d >= 1)")
         if y.shape != (X.shape[0],):
             raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
         if not np.all(np.isfinite(X)):
@@ -204,8 +206,8 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no samples" if rows else f"{path}: empty file")
     header = rows[0]
     if header[-1] != "y" or any(h != f"x{k + 1}" for k, h in enumerate(header[:-1])):
         raise ValueError(f"{path}: expected header x1,...,xd,y, got {header}")

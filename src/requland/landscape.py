@@ -34,16 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .models import DeepConvNet, QuadraticNet, net_to_flat
+from .models import DeepConvNet, net_to_flat
 from .numkit import row_dots, sym_min_singular_values
-from .objective import (
-    FlatObjective,
-    ObjectiveConfig,
-    loss_deriv,
-    margins,
-    training_error,
-    value_and_gradient,
-)
+from .objective import FlatObjective, ObjectiveConfig, loss_deriv
 
 
 class NotCriticalError(RuntimeError):
@@ -80,14 +73,11 @@ def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
     sign of a_j and the lam_j shift.  For a conv stack the lifted features
     are the last hidden states rather than the raw inputs.
     """
-    F = net.head_inputs(ds.X)
-    lifted = np.hstack([F, np.ones((F.shape[0], 1))])
-    coef = loss_deriv(cfg.loss, margins(net, ds)) * ds.y
-    if isinstance(net, QuadraticNet):
-        ind = np.ones((F.shape[0], net.m))
-    else:
-        ind = (F @ net.W.T + net.b >= 0.0).astype(float)
-    return _certificate_sum(lifted, coef[:, None] * ind * np.sign(net.a), cfg.lam)
+    states, _, pre, _, _, f = net.forward(ds.X)
+    lifted = np.hstack([states[-1], np.ones((ds.n, 1))])
+    coef = loss_deriv(cfg.loss, -ds.y * f) * ds.y
+    active = net.squared | (pre >= 0.0)  # not act > 0, which would drop pre == 0
+    return _certificate_sum(lifted, coef[:, None] * active * np.sign(net.a), cfg.lam)
 
 
 def write_json(doc: dict, path) -> None:
@@ -178,7 +168,9 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
     Requires near-criticality: ||grad|| < grad_tol * (1 + |loss|), else
     NotCriticalError.  tol defaults to 0.1 * min(lam): inactive blocks show
     sigma_min(M_j) = lam_j, so the threshold must sit below min(lam) yet
-    far above the numerical noise floor of a converged run.
+    far above the numerical noise floor of a converged run.  The loss,
+    gradient, margins and training error come from one FlatObjective.forward,
+    the certificate matrices from one network pass.
 
     Raises CertificateContradiction if some certificate matrix is
     nonsingular yet no block is inactive, or if the criterion threshold is
@@ -186,8 +178,9 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
     """
     if tol is None:
         tol = 0.1 * float(np.min(cfg.lam))
-    loss, g = value_and_gradient(net, ds, cfg)
-    gn = float(np.linalg.norm(g))
+    fob = FlatObjective(net, ds, cfg)
+    fwd = fob.forward(net_to_flat(net))
+    loss, gn = float(fwd[0]), float(np.linalg.norm(fob.grad(fwd)))
     if not gn < grad_tol * (1.0 + abs(loss)):
         raise NotCriticalError(
             f"gradient norm {gn:.6e} exceeds {grad_tol:.1e} * (1 + |{loss:.6e}|)"
@@ -203,10 +196,10 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
         if abs_a[j] < tol and w_norms[j] < tol and abs_b[j] < tol
     ]
     sigma = sym_min_singular_values(build_M_matrices(net, ds, cfg))
-    marg = float(np.min(ds.y * net.value(ds.X)))
-    err = training_error(net, ds)
-    lp = loss_deriv(cfg.loss, margins(net, ds))
-    worst = float(np.max(lp))
+    f, z = fwd[2][-1], fwd[3]  # the outputs and margins of the kernel's pass
+    marg = float(np.min(ds.y * f))
+    err = float(np.mean(np.sign(f) != ds.y))
+    worst = float(np.max(loss_deriv(cfg.loss, z)))
     eps = cfg.loss.epsilon
 
     if bool(np.all(sigma <= tol)):

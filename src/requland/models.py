@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import conv_matrix
+from .numkit import conv_fill
 
 CHECKPOINT_FORMAT = "requland-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -28,11 +28,24 @@ def requ(z):
     return np.square(np.maximum(z, 0.0))
 
 
-def leaky_relu(z, slope: float):
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky slope must lie in (0, 1), got {slope}")
-    z = np.asarray(z, dtype=float)
-    return np.where(z >= 0.0, z, slope * z)
+def network_pass(X, a, W, b, filts, slope, squared):
+    """The network on the rows of X at one parameter point, or at each row of
+    a stack that every parameter array carries as its leading axis (X never
+    is); no checks.  Returns (states, convs, pre, act, phi, f): states =
+    [X, h^(1), ..., h^(l-1)]; per conv layer, its matrix and preactivation;
+    the head preactivation pre, act = pre (square head) or max(pre, 0)
+    (ReQU), phi = act^2 and the outputs f = phi @ a."""
+    H, states, convs = X, [X], []
+    for v in filts:
+        V = conv_fill(v, H.shape[-1])
+        P = H @ V.swapaxes(-1, -2)
+        H = np.where(P >= 0.0, P, slope * P)
+        states.append(H)
+        convs.append((V, P))
+    pre = H @ W.swapaxes(-1, -2) + b[..., None, :]
+    act = pre if squared else np.maximum(pre, 0.0)
+    phi = act * act
+    return states, convs, pre, act, phi, (phi @ a[..., None])[..., 0]
 
 
 def _check_head(a, W, b):
@@ -52,52 +65,85 @@ def _check_head(a, W, b):
     return a, W, b
 
 
-@dataclass
-class SingleLayerReQUNet:
-    """f(x) = sum_j a_j * requ(w_j . x + b_j)."""
+class _Net:
+    """What every network family shares: shapes, and network_pass on validated
+    inputs.  squared picks the head activation and slope the conv layers'."""
 
-    a: np.ndarray  # (m,)
-    W: np.ndarray  # (m, d)
-    b: np.ndarray  # (m,)
-
-    activation = staticmethod(requ)
-    filters = ()  # no convolutions: the head sees the inputs themselves
-
-    def __post_init__(self):
-        self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
+    slope = None
+    squared = False
 
     @property
     def m(self) -> int:
         return self.W.shape[0]
 
     @property
-    def d(self) -> int:
+    def head_dim(self) -> int:
         return self.W.shape[1]
 
-    input_dim = d
+    @property
+    def l(self) -> int:
+        return len(self.filters) + 1
+
+    @property
+    def s(self) -> int:
+        return self.filters[0].size if self.filters else 1
+
+    @property
+    def input_dim(self) -> int:
+        return self.head_dim - (self.l - 1) * (self.s - 1)
+
+    d = input_dim
+
+    def with_params(self, a, W, b, filts):
+        """A network of this kind, slope included, with the given parameters."""
+        return type(self)(a, W, b)
+
+    def forward(self, X):
+        """network_pass at this network on the rows of X, a (n, input_dim)
+        array or one input vector."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError(f"expected inputs of length {self.input_dim}, got shape {X.shape}")
+        return network_pass(X, self.a, self.W, self.b, self.filters, self.slope, self.squared)
+
+    def hidden_states(self, X) -> list:
+        """All conv-layer outputs [h^(1), ..., h^(l-1)] as (n, dim_k) arrays."""
+        return self.forward(X)[0][1:]
 
     def head_inputs(self, X) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float))
-
-    def preactivations(self, X) -> np.ndarray:
-        return self.head_inputs(X) @ self.W.T + self.b
+        return self.forward(X)[0][-1]
 
     def value(self, X) -> np.ndarray:
-        return self.activation(self.preactivations(X)) @ self.a
+        return self.forward(X)[-1]
+
+
+@dataclass
+class SingleLayerReQUNet(_Net):
+    """f(x) = sum_j a_j * requ(w_j . x + b_j)."""
+
+    a: np.ndarray  # (m,)
+    W: np.ndarray  # (m, d)
+    b: np.ndarray  # (m,)
+
+    filters = ()  # no convolutions: the head sees the inputs themselves
+
+    def __post_init__(self):
+        self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
 
 
 class QuadraticNet(SingleLayerReQUNet):
     """f(x) = sum_j a_j * (w_j . x + b_j)^2; every neuron is everywhere active."""
 
-    activation = staticmethod(np.square)
+    squared = True
 
 
 @dataclass
-class DeepConvNet:
+class DeepConvNet(_Net):
     """ReQU head on top of l-1 padded single-channel convolutions.
 
-    h^(0) = x; h^(k) = leaky_relu(v_k * h^(k-1)); f = sum_j a_j requ(w_j . h^(l-1) + b_j).
-    The head therefore sees vectors of length d + (l-1)(s-1).
+    h^(0) = x; h^(k) = leaky_slope(v_k * h^(k-1)); f = sum_j a_j requ(w_j . h^(l-1) + b_j),
+    where leaky_slope(t) is t for t >= 0 and slope * t below.  The head
+    therefore sees vectors of length d + (l-1)(s-1).
     """
 
     filters: tuple  # l-1 arrays of shape (s,)
@@ -124,46 +170,8 @@ class DeepConvNet:
                 f"convolutions of size {self.s}"
             )
 
-    @property
-    def l(self) -> int:
-        return len(self.filters) + 1
-
-    @property
-    def s(self) -> int:
-        return self.filters[0].size if self.filters else 1
-
-    @property
-    def m(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.head_dim - (self.l - 1) * (self.s - 1)
-
-    def hidden_states(self, X):
-        """All conv-layer outputs [h^(1), ..., h^(l-1)] as (n, dim_k) arrays."""
-        H = np.atleast_2d(np.asarray(X, dtype=float))
-        if H.shape[1] != self.input_dim:
-            raise ValueError(f"expected inputs of length {self.input_dim}, got {H.shape[1]}")
-        states = []
-        for v in self.filters:
-            H = leaky_relu(H @ conv_matrix(v, H.shape[1]).T, self.slope)
-            states.append(H)
-        return states
-
-    def head_inputs(self, X) -> np.ndarray:
-        states = self.hidden_states(X)
-        return states[-1] if states else np.atleast_2d(np.asarray(X, dtype=float))
-
-    def preactivations(self, X) -> np.ndarray:
-        return self.head_inputs(X) @ self.W.T + self.b
-
-    def value(self, X) -> np.ndarray:
-        return requ(self.preactivations(X)) @ self.a
+    def with_params(self, a, W, b, filts):
+        return DeepConvNet(tuple(filts), a, W, b, self.slope)
 
 
 @dataclass(frozen=True)
@@ -212,10 +220,7 @@ def net_from_flat(like, theta) -> object:
     layout = FlatLayout.of(like)
     if theta.shape != (layout.size,):
         raise ValueError(f"flat vector has shape {theta.shape}, expected ({layout.size},)")
-    a, W, b, filts = layout.split(theta)
-    if isinstance(like, DeepConvNet):
-        return DeepConvNet(tuple(filts), a, W, b, like.slope)
-    return type(like)(a, W, b)
+    return like.with_params(*layout.split(theta))
 
 
 def scale_params(net, r):
@@ -228,15 +233,11 @@ def scale_params(net, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("scale factors must be positive")
-    if isinstance(net, DeepConvNet):
-        if r.size != net.l + 1:
-            raise ValueError(f"need {net.l + 1} scale factors, got {r.size}")
-        filts = tuple(rk * v for rk, v in zip(r, net.filters))
-        pre_scale = float(np.prod(r[: net.l]))
-        return DeepConvNet(filts, r[-1] * net.a, r[net.l - 1] * net.W, pre_scale * net.b, net.slope)
-    if r.size != 2:
-        raise ValueError(f"need 2 scale factors for a single-layer net, got {r.size}")
-    return type(net)(r[1] * net.a, r[0] * net.W, r[0] * net.b)
+    if r.size != net.l + 1:
+        raise ValueError(f"need {net.l + 1} scale factors, got {r.size}")
+    filts = [rk * v for rk, v in zip(r, net.filters)]
+    pre_scale = float(np.prod(r[: net.l]))
+    return net.with_params(r[-1] * net.a, r[net.l - 1] * net.W, pre_scale * net.b, filts)
 
 
 def homogeneity_factor(net, r) -> float:
@@ -253,17 +254,14 @@ def positive_homogeneity_check(net, x, r) -> float:
     return float(abs(got - want) / (1.0 + abs(want)))
 
 
-def _net_kind(net) -> str:
-    return {SingleLayerReQUNet: "single_requ", QuadraticNet: "quadratic", DeepConvNet: "deep_conv"}[
-        type(net)
-    ]
+_KINDS = {"single_requ": SingleLayerReQUNet, "quadratic": QuadraticNet, "deep_conv": DeepConvNet}
 
 
 def save_net(net, path) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "kind": _net_kind(net),
+        "kind": next(k for k, cls in _KINDS.items() if type(net) is cls),
         "m": int(net.m),
         "width": int(net.W.shape[1]),
         "params": net_to_flat(net).tolist(),
@@ -277,29 +275,44 @@ def save_net(net, path) -> None:
         fh.write("\n")
 
 
+def _shape_field(doc, key, least=1) -> int:
+    """A checkpoint's shape entry: a JSON integer, not a bool, >= least."""
+    value = doc[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def load_net(path):
+    """The network saved at path.  Every fault of the file, down to a
+    params list that does not fit the shapes (checked before anything is
+    allocated), raises a ValueError naming path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or bytes that are not UTF-8
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: missing checkpoint format marker")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     try:
-        kind = doc["kind"]
-        m, width = int(doc["m"]), int(doc["width"])
-        theta = np.asarray(doc["params"], dtype=float)
-        if kind == "single_requ":
-            like = SingleLayerReQUNet(np.zeros(m), np.zeros((m, width)), np.zeros(m))
-        elif kind == "quadratic":
-            like = QuadraticNet(np.zeros(m), np.zeros((m, width)), np.zeros(m))
-        elif kind == "deep_conv":
-            filts = tuple(np.zeros(int(doc["filter_size"])) for _ in range(int(doc["num_filters"])))
-            like = DeepConvNet(filts, np.zeros(m), np.zeros((m, width)), np.zeros(m), float(doc["slope"]))
-        else:
+        kind, params = doc["kind"], doc["params"]
+        if kind not in _KINDS:
             raise ValueError(f"unknown network kind {kind!r}")
-        return net_from_flat(like, theta)
-    except (KeyError, TypeError, ValueError) as exc:
+        cls = _KINDS[kind]
+        m, width = _shape_field(doc, "m"), _shape_field(doc, "width")
+        num, s = 0, 1
+        if cls is DeepConvNet:
+            num, s = _shape_field(doc, "num_filters", 0), _shape_field(doc, "filter_size")
+        size = m * (width + 2) + num * s
+        if not isinstance(params, list) or len(params) != size:
+            raise ValueError(f"params must be a list of the layout's {size} numbers")
+        head = np.zeros(m), np.zeros((m, width)), np.zeros(m)
+        if cls is DeepConvNet:
+            like = DeepConvNet((np.zeros(s),) * num, *head, float(doc["slope"]))
+        else:
+            like = cls(*head)
+        return net_from_flat(like, np.asarray(params, dtype=float))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint: {exc}") from None

@@ -7,6 +7,8 @@ the heavy lifting.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -102,15 +104,29 @@ def conv_padded(alpha, beta) -> np.ndarray:
     return np.convolve(alpha[::-1], beta, mode="full")
 
 
+@functools.lru_cache(maxsize=64)
 def conv_band(d_v: int, d_z: int):
     """Index arrays (rows, cols, taps) of the banded conv matrix.
 
     The matrix V with V @ z == conv_padded(v, z) has V[rows, cols] = v[taps]
     and zeros elsewhere: row j, column c holds v[c + d_v - 1 - j] whenever
-    that tap exists.
+    that tap exists.  Every conv layer of every network evaluation reads
+    them, so they are kept per (d_v, d_z), read-only.
     """
     taps, cols = np.divmod(np.arange(d_v * d_z), d_z)
-    return cols + d_v - 1 - taps, cols, taps
+    band = cols + d_v - 1 - taps, cols, taps
+    for idx in band:
+        idx.flags.writeable = False
+    return band
+
+
+def conv_fill(v, d_z: int) -> np.ndarray:
+    """conv_matrix(v, d_z) without its checks, for a filter v or for each
+    row of a (..., d_v) stack of them: the network pass's conv layers."""
+    rows, cols, taps = conv_band(v.shape[-1], d_z)
+    V = np.zeros(v.shape[:-1] + (v.shape[-1] + d_z - 1, d_z))
+    V.T[cols, rows] = v.T[taps]  # indexes the band axes first, stacked or not
+    return V
 
 
 def conv_matrix(v, d_z: int) -> np.ndarray:
@@ -123,8 +139,4 @@ def conv_matrix(v, d_z: int) -> np.ndarray:
     v = _as_vector(v, "v")
     if int(d_z) != d_z or d_z < 1:
         raise ValueError(f"d_z must be a positive integer, got {d_z!r}")
-    d_z = int(d_z)
-    rows, cols, taps = conv_band(v.size, d_z)
-    V = np.zeros((v.size + d_z - 1, d_z))
-    V[rows, cols] = v[taps]
-    return V
+    return conv_fill(v, int(d_z))

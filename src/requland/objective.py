@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DeepConvNet, FlatLayout, QuadraticNet, net_to_flat
-from .numkit import conv_band, row_dots
+from .models import FlatLayout, net_to_flat, network_pass
+from .numkit import row_dots
 
 _LN2 = float(np.log(2.0))
 
@@ -118,18 +118,9 @@ class ObjectiveConfig:
             raise ValueError(f"lam has {self.lam.size} entries but the net has {net.m} neurons")
 
 
-def margins(net, ds) -> np.ndarray:
-    """Loss arguments z_i = -y_i f(x_i)."""
-    return -ds.y * net.value(ds.X)
-
-
 def training_error(net, ds) -> float:
     """Fraction misclassified; an exactly-zero output never matches its label."""
     return float(np.mean(np.sign(net.value(ds.X)) != ds.y))
-
-
-def max_loss_deriv(net, ds, cfg: ObjectiveConfig) -> float:
-    return float(np.max(loss_deriv(cfg.loss, margins(net, ds))))
 
 
 def neuron_block_norms(net) -> np.ndarray:
@@ -140,19 +131,20 @@ def neuron_block_norms(net) -> np.ndarray:
 class FlatObjective:
     """The objective and its gradient on flat parameter vectors.
 
-    Shapes, the parameter layout and each conv layer's banded index pattern
-    are frozen at construction, so evaluations skip network rebuilding and
-    validation.  value, values and value_and_grad share one forward pass,
-    written over a leading batch axis, which also holds the one regularizer
-    formula; grad is the one backward pass, from a kept forward result.
+    Shapes and the parameter layout are frozen at construction, so
+    evaluations skip network rebuilding and validation.  forward runs
+    models.network_pass, the one evaluation of the network, which the
+    network classes also call, and adds the loss and the one regularizer
+    formula, over a leading batch axis; value, values and value_and_grad
+    read it, and grad is the one backward pass, from a kept forward result.
     value(theta) equals value_and_grad(theta)[0] exactly, and
     values(thetas)[k] equals value(thetas[k]) exactly (==, not approx), and
     so does the gradient, grad(row(forward(thetas), k)) ==
     grad(forward(thetas[k])): a stacked row goes through the same BLAS calls
     and elementwise operations as a single point, so batched searches select
     what point-by-point loops would, and take the same gradient at what they
-    select.  The tests pin the gradient to central differences, the conv
-    layers to numkit.conv_padded, the regularizer to closed forms, and
+    select.  The tests pin the gradient to central differences, each hidden
+    state to numkit.conv_padded, the regularizer to closed forms, and
     values to value.  grad pads conv inputs in buffers that the instance
     keeps, so no instance may be shared between threads.
     """
@@ -165,21 +157,12 @@ class FlatObjective:
         self.neg_y = (-ds.y).tolist()  # dz_i/df_i, as Python floats for _logistic_deriv
         self.lam, self.lam_c, self.loss = cfg.lam, cfg.lam_c, cfg.loss
         self.layout = FlatLayout.of(like)
-        self.squared = isinstance(like, QuadraticNet)
-        self.slope = like.slope if isinstance(like, DeepConvNet) else None
-        self.bands = []  # per conv layer: (input length, rows, cols, taps)
-        self.pads = []  # per conv layer: zero-bordered copy of its input, for grad
-        n, dim = self.X.shape
+        self.squared, self.slope = like.squared, like.slope
+        self.pads = []  # per conv layer: a zero-bordered copy of its input, for grad
+        dim = ds.d
         for s in self.layout.filter_sizes:
-            self.bands.append((dim, *conv_band(s, dim)))
-            self.pads.append(np.zeros((n, dim + 2 * (s - 1))))
+            self.pads.append(np.zeros((ds.n, dim + 2 * (s - 1))))
             dim += s - 1
-
-    def _conv_mat(self, k, v):
-        dim, rows, cols, taps = self.bands[k]
-        V = np.zeros(v.shape[:-1] + (dim + v.shape[-1] - 1, dim))
-        V.T[cols, rows] = v.T[taps]  # indexes the band axes first, stacked or not
-        return V
 
     def _anchor(self, v):
         """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack
@@ -192,38 +175,29 @@ class FlatObjective:
 
     def forward(self, theta):
         """Evaluate at theta, or at each row of a (K, size) stack: the
-        objective value first, then what grad needs -- (a, W, b, filters),
-        per conv layer (input, conv matrix, preactivation), the head input,
-        the head activation, phi, the margins z and the joint weight-bias
-        norms u_j, each with the stack's leading axis."""
+        objective value first, then what grad and the certificates read --
+        (a, W, b, filters), the network_pass result, the margins z and the
+        joint weight-bias norms u_j, each with the stack's leading axis."""
         params = self.layout.split(theta)
         a, W, b, filts = params
-        layers = []
-        H = self.X
-        for k, v in enumerate(filts):
-            V = self._conv_mat(k, v)
-            P = H @ V.swapaxes(-1, -2)
-            layers.append((H, V, P))
-            H = np.where(P >= 0.0, P, self.slope * P)
-        pre = H @ W.swapaxes(-1, -2) + b[..., None, :]
-        act = pre if self.squared else np.maximum(pre, 0.0)
-        phi = act * act
-        z = -self.y * (phi @ a[..., None])[..., 0]
+        out = network_pass(self.X, a, W, b, filts, self.slope, self.squared)
+        z = -self.y * out[-1]
         u = np.sqrt((W * W).sum(axis=-1) + b * b)
         reg = (self.lam * (np.abs(a) ** 3 + 2.0 * u**3)).sum(axis=-1) / 3.0
         for v in filts:
             reg = reg + self._anchor(v)
         value = loss_value(self.loss, z).sum(axis=-1) + reg
-        return value, params, layers, H, act, phi, z, u
+        return value, params, out, z, u
 
     def row(self, fwd, k):
         """forward(thetas[k]) cut out of fwd = forward(thetas): row k of
         every stacked array.  The data X, which a conv stack's first layer
         and a filterless head take as input, is never stacked."""
-        value, (a, W, b, filts), layers, F, act, phi, z, u = fwd
-        layers = [(H if H is self.X else H[k], V[k], P[k]) for H, V, P in layers]
-        return (value[k], (a[k], W[k], b[k], [v[k] for v in filts]), layers,
-                F if F is self.X else F[k], act[k], phi[k], z[k], u[k])
+        value, (a, W, b, filts), (states, convs, pre, act, phi, f), z, u = fwd
+        states = [self.X] + [H[k] for H in states[1:]]
+        convs = [(V[k], P[k]) for V, P in convs]
+        return (value[k], (a[k], W[k], b[k], [v[k] for v in filts]),
+                (states, convs, pre[k], act[k], phi[k], f[k]), z[k], u[k])
 
     def value(self, theta) -> float:
         return float(self.forward(theta)[0])
@@ -243,8 +217,8 @@ class FlatObjective:
     def grad(self, fwd):
         """The gradient at a 1-D theta, from its forward(theta) result fwd
         or from row(forward(thetas), k) for the row thetas[k] == theta."""
-        _, (a, W, b, filts), layers, F, act, phi, z, u = fwd
-        lam = self.lam
+        _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fwd
+        F, lam = states[-1], self.lam
         if self.loss.name == "logistic":  # d(data term)/d f_i, in one pass over the samples
             g = np.array(_logistic_deriv(z.tolist(), self.neg_y))
         else:
@@ -259,7 +233,7 @@ class FlatObjective:
         dH = (S * a[None, :]) @ W
         dfilts = [None] * len(filts)
         for k in range(len(filts) - 1, -1, -1):
-            v, (H_prev, V, P) = filts[k], layers[k]
+            v, H_prev, (V, P) = filts[k], states[k], convs[k]
             dpre = dH * np.where(P >= 0.0, 1.0, self.slope)
             s = v.size
             Hp = self.pads[k]  # borders stay zero; only the interior is written

@@ -233,18 +233,20 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, rng):
     perturbation (the loss change is third order in delta), whereas rewriting
     an active block would be a non-local jump that can tunnel out of true
     local minima the descent method is supposed to terminate at.  Returns
-    (None, loss) when every block is active.  The (candidate, delta) grid is
-    evaluated through FlatObjective.values a few candidates at a time and
-    scanned in candidate-major order; the last strict improvement wins.
+    (None, loss) when every block is active.  The head inputs and margins
+    come from one FlatObjective.forward at theta.  The (candidate, delta)
+    grid is evaluated through FlatObjective.values a few candidates at a
+    time and scanned in candidate-major order; the last strict improvement
+    wins.
     """
     net = net_from_flat(like, theta)
     norms = neuron_block_norms(net)
     if not np.any(norms == 0.0):
         return None, loss
-    features = net.head_inputs(ds.X)
+    _, _, (states, _, _, _, _, outputs), z, _ = fob.forward(theta)
+    features = states[-1]
     j = int(np.argmin(norms))
-    outputs = net.value(ds.X)
-    lp = loss_deriv(cfg.loss, -ds.y * outputs)
+    lp = loss_deriv(cfg.loss, z)
     misclassified = np.sign(outputs) != ds.y
 
     dirs = _escape_candidates(features, ds.y, misclassified, rng, ESCAPE_DIRECTIONS)

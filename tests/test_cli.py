@@ -15,7 +15,7 @@ from requland import cli
 from requland.cli import PROBE_DEFAULTS, UsageError, _make_loss, _merge_config, _probe_coercivity, main
 from requland.datasets import gen_random
 from requland.landscape import MC_BLOCK, CertificateReport
-from requland.models import SingleLayerReQUNet, save_net
+from requland.models import SingleLayerReQUNet, load_net, save_net
 from requland.objective import FlatObjective, ObjectiveConfig, coercivity_lower_bound
 from requland.optimize import init_single, sample_lambda
 
@@ -108,6 +108,38 @@ def test_certify_corrupt_checkpoint_is_a_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("definitely not a checkpoint")
     assert run("certify", "--checkpoint", bad, "--dataset", "whatever.csv") == 1
+
+
+CORRUPT_SHAPES = {  # raised OverflowError, MemoryError, or loaded as m = 2
+    "m-overflows": '"m": 1e400, "width": 2, "params": [0, 0, 0, 0]',
+    "float-shapes-too-large": '"m": 1e11, "width": 1e11, "params": [0, 0, 0]',
+    "int-shapes-too-large": '"m": 100000000000, "width": 100000000000, "params": [0, 0, 0]',
+    "fractional-m": '"m": 2.5, "width": 2, "params": [0, 0, 0, 0, 0, 0, 0, 0]',
+    "boolean-m": '"m": true, "width": 2, "params": [0, 0, 0, 0]',
+    "zero-width": '"m": 1, "width": 0, "params": [0, 0]',
+    "filter-count-too-large": '"kind": "deep_conv", "m": 1, "width": 2, "num_filters": '
+                              '100000000000, "filter_size": 2, "slope": 0.1, "params": [0, 0, 0, 0]',
+}
+
+
+@pytest.mark.parametrize("fields", list(CORRUPT_SHAPES.values()), ids=list(CORRUPT_SHAPES))
+def test_corrupt_checkpoint_shapes_are_value_errors_naming_the_file(fields, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    head = '"format": "requland-checkpoint", "version": 1, '
+    bad.write_text("{" + head + ('' if '"kind"' in fields else '"kind": "single_requ", ') + fields + "}")
+    with pytest.raises(ValueError, match="bad.json: corrupt checkpoint"):
+        load_net(bad)
+    capsys.readouterr()
+    assert run("certify", "--checkpoint", bad, "--dataset", "whatever.csv") == 1
+    assert f"{bad}: corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_dataset_without_feature_columns_is_a_usage_error(tmp_path, capsys):
+    data = tmp_path / "y_only.csv"
+    data.write_text("y\n1\n-1\n1\n")
+    assert run("train", "--dataset", data, "--out", tmp_path / "out") == 1
+    assert "at least one feature column" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_certify_needs_some_dataset(train_run, tmp_path):

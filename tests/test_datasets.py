@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from requland import datasets
 from requland.datasets import Dataset
@@ -12,6 +14,18 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([1]))
     with pytest.raises(ValueError):
         Dataset(np.array([[np.nan, 0.0]]), np.array([1]))
+
+
+def test_dataset_rejects_zero_feature_columns(tmp_path):
+    with pytest.raises(ValueError, match="at least one feature column"):
+        Dataset(np.zeros((3, 0)), np.array([1, -1, 1]))
+    path = tmp_path / "y_only.csv"
+    path.write_text("y\n1\n-1\n")
+    with pytest.raises(ValueError, match="at least one feature column"):
+        datasets.load_csv(path)
+    path.write_text("x1,y\n")  # a header alone read as a sample with no features
+    with pytest.raises(ValueError, match="no samples"):
+        datasets.load_csv(path)
 
 
 def test_lifted_appends_ones():
@@ -101,6 +115,24 @@ def test_csv_round_trip_exact(tmp_path):
     back = datasets.load_csv(path)
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.y, ds.y)
+
+
+@st.composite
+def any_dataset(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    X = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n * d, max_size=n * d))
+    y = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return Dataset(np.reshape(X, (n, d)), np.array(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=any_dataset())
+def test_csv_round_trip_is_the_identity(tmp_path_factory, ds):
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    datasets.save_csv(ds, path)
+    back = datasets.load_csv(path)
+    assert back.X.shape == ds.X.shape and back.X.tobytes() == ds.X.tobytes()
+    assert back.y.tolist() == ds.y.tolist()
 
 
 def test_csv_rejects_malformed(tmp_path):

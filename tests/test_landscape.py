@@ -95,6 +95,18 @@ def test_m_matrix_single_sample_rank_one_spectrum():
     assert np.allclose(got, expected)
 
 
+def test_m_matrix_indicator_counts_a_preactivation_of_exactly_zero():
+    # Neuron 0 sits on its ReQU kink at x = 1 (pre = 0, act = 0); the
+    # indicator is 1{pre >= 0}, so that sample still enters M_0.
+    ds = Dataset(np.array([[1.0], [2.0]]), np.array([1, -1]))
+    net = SingleLayerReQUNet(np.array([1.0, -2.0]), np.array([[1.0], [1.0]]), np.array([-1.0, 0.5]))
+    cfg = ObjectiveConfig(loss=logistic(), lam=np.array([0.3, 0.4]))
+    lp = objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))
+    Z = lifted(ds.X)
+    want = -sum(lp[i] * ds.y[i] * np.outer(Z[i], Z[i]) for i in range(2)) + 0.3 * np.eye(2)
+    np.testing.assert_allclose(landscape.build_M_matrices(net, ds, cfg)[0], want, rtol=1e-14)
+
+
 def test_m_matrices_annihilate_active_blocks_at_criticality(single_run):
     net, ds, cfg = single_run
     Ms = landscape.build_M_matrices(net, ds, cfg)
@@ -241,7 +253,7 @@ def perturbation_probe(net, ds, cfg, j, samples=512, seed=0) -> ProbeResult:
     if bn[j] > 1e-8:
         raise ValueError(f"block {j} is not inactive (norm {bn[j]:.3e})")
     F = net.head_inputs(ds.X)
-    lp = objective.loss_deriv(cfg.loss, objective.margins(net, ds))
+    lp = objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))
     coef = lp * (-ds.y)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((samples, F.shape[1] + 1))
@@ -313,7 +325,7 @@ def test_probe_two_sided_at_zero_net_local_min():
     theta = net_to_flat(net).copy()
     delta = 1e-2
     drive = res.estimate  # pick the sign that works downhill
-    lp = objective.loss_deriv(cfg.loss, objective.margins(net, ds))
+    lp = objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))
     act = np.maximum(ds.X @ res.direction[:-1] + res.direction[-1], 0.0) ** 2
     sgn = 1.0 if float((lp * ds.y) @ act) >= 0 else -1.0
     theta[0] = sgn * delta
@@ -338,7 +350,7 @@ def test_probe_violation_at_terminal_point_certifies_descent(moderate_run):
         assert res.estimate < 2.0 * np.max(cfg.lam)
         if res.passed:
             continue
-        lp = objective.loss_deriv(cfg.loss, objective.margins(net, ds))
+        lp = objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))
         act = np.maximum(ds.X @ res.direction[:-1] + res.direction[-1], 0.0) ** 2
         sgn = 1.0 if float((lp * ds.y) @ act) >= 0 else -1.0
         found = False

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from requland import models
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet
@@ -39,13 +43,10 @@ def test_requ_is_c1_at_kink():
         assert abs(right - 2.0 * h) < 1e-6 * h
 
 
-def test_leaky_relu():
-    z = np.array([-10.0, 0.0, 4.0])
-    np.testing.assert_allclose(models.leaky_relu(z, 0.25), [-2.5, 0.0, 4.0])
-    with pytest.raises(ValueError):
-        models.leaky_relu(z, 1.5)
-    with pytest.raises(ValueError):
-        models.leaky_relu(z, 0.0)
+def test_deep_net_rejects_slopes_outside_the_open_unit_interval():
+    for slope in (1.5, 1.0, 0.0, -0.25):
+        with pytest.raises(ValueError, match="leaky slope"):
+            DeepConvNet((np.ones(2),), np.ones(1), np.ones((1, 4)), np.ones(1), slope)
 
 
 def test_forward_single_matches_neuron_loop():
@@ -130,9 +131,10 @@ def test_quadratic_net_is_a_single_layer_net_with_the_square():
     quad = random_single(rng, cls=QuadraticNet)
     assert isinstance(quad, SingleLayerReQUNet)
     X = rng.standard_normal((6, quad.d))
-    np.testing.assert_array_equal(quad.value(X), np.square(quad.preactivations(X)) @ quad.a)
+    pre = X @ quad.W.T + quad.b
+    np.testing.assert_array_equal(quad.value(X), np.square(pre) @ quad.a)
     requ_net = SingleLayerReQUNet(quad.a, quad.W, quad.b)
-    np.testing.assert_array_equal(requ_net.value(X), models.requ(quad.preactivations(X)) @ quad.a)
+    np.testing.assert_array_equal(requ_net.value(X), models.requ(pre) @ quad.a)
 
 
 def test_scale_params_homogeneity_single():
@@ -203,3 +205,55 @@ def test_shape_validation():
         DeepConvNet((np.zeros(2), np.zeros(3)), np.zeros(1), np.zeros((1, 4)), np.zeros(1))
     with pytest.raises(ValueError):
         DeepConvNet((np.zeros(9),), np.zeros(1), np.zeros((1, 4)), np.zeros(1))
+
+
+@st.composite
+def any_net(draw):
+    """A network of any of the three kinds with arbitrary finite parameters."""
+    cls = draw(st.sampled_from([SingleLayerReQUNet, QuadraticNet, DeepConvNet]))
+    m, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    num, s = (draw(st.integers(0, 3)), draw(st.integers(1, 3))) if cls is DeepConvNet else (0, 1)
+    size = m * (d + num * (s - 1) + 2) + num * s
+    theta = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=size, max_size=size)))
+    head = np.zeros(m), np.zeros((m, d + num * (s - 1))), np.zeros(m)
+    if cls is DeepConvNet:
+        slope = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        like = DeepConvNet((np.zeros(s),) * num, *head, slope)
+    else:
+        like = cls(*head)
+    return models.net_from_flat(like, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=any_net())
+def test_checkpoint_round_trip_is_the_identity(tmp_path_factory, net):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    models.save_net(net, path)
+    back = models.load_net(path)
+    assert type(back) is type(net) and back.slope == net.slope
+    assert models.net_to_flat(back).tobytes() == models.net_to_flat(net).tobytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=any_net(), pick=st.integers(0, 8), value=JSON_VALUES)
+@example(net=SingleLayerReQUNet(np.ones(1), np.ones((1, 1)), np.ones(1)), pick=2, value=float("inf"))
+def test_any_one_checkpoint_field_replaced_loads_or_is_a_value_error(
+    tmp_path_factory, net, pick, value
+):
+    path = tmp_path_factory.getbasetemp() / "replaced.json"
+    models.save_net(net, path)
+    doc = json.loads(path.read_text())
+    key = sorted(doc)[pick % len(doc)]
+    path.write_text(json.dumps({**doc, key: value}))
+    try:
+        models.load_net(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)

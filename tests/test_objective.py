@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from requland import datasets, models, objective
+from requland import datasets, models, numkit, objective
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet
 
 LN2 = np.log(2.0)
@@ -114,7 +114,7 @@ def kernel_regularizer(net, lam, lam_c=0.0):
     dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
     ds = datasets.Dataset(np.zeros((1, dim)), np.array([1]))
     cfg = objective.ObjectiveConfig(objective.logistic(), lam, lam_c)
-    data = float(np.sum(objective.loss_value(cfg.loss, objective.margins(net, ds))))
+    data = float(np.sum(objective.loss_value(cfg.loss, -ds.y * net.value(ds.X))))
     return objective.FlatObjective(net, ds, cfg).value(models.net_to_flat(net)) - data
 
 
@@ -310,6 +310,32 @@ def _arrays(fwd):
     return [fwd]
 
 
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_hidden_states_equal_the_padded_convolution_sample_by_sample(l):
+    # The oracle runs numpy's convolve one sample at a time, where the pass
+    # multiplies banded matrices; both at one point and at each row of a stack.
+    rng = np.random.default_rng(21)
+    net = make_deep(rng, s=int(rng.integers(2, 4)), l=l)
+    ds = datasets.gen_random(5, net.input_dim, seed=l)
+    cfg = objective.ObjectiveConfig(objective.logistic(), np.full(net.m, 0.1))
+    fob = objective.FlatObjective(net, ds, cfg)
+    theta = models.net_to_flat(net)
+    thetas = theta + rng.standard_normal((3, theta.size))
+    stacked = fob.forward(thetas)
+    cases = [(theta, fob.forward(theta))] + [(p, fob.row(stacked, k)) for k, p in enumerate(thetas)]
+    for point, fwd in cases:
+        states, filts = fwd[2][0], fob.layout.split(point)[3]
+        assert len(states) == l and states[0] is ds.X
+        for i, x in enumerate(ds.X):
+            h = x
+            for v, H in zip(filts, states[1:]):
+                h = numkit.conv_padded(v, h)
+                h = np.where(h >= 0.0, h, net.slope * h)
+                np.testing.assert_allclose(H[i], h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+    kernel_states = fob.forward(theta)[2][0][1:]
+    assert all(np.array_equal(H, G) for H, G in zip(net.hidden_states(ds.X), kernel_states))
+
+
 def test_stacked_filter_anchor_equals_one_filter_at_a_time():
     # A last-bit difference in the anchor is often absorbed by the sum in
     # values, so it is pinned alone: numpy's vectorized square of the same
@@ -328,8 +354,8 @@ def test_stacked_filter_anchor_equals_one_filter_at_a_time():
 def padded_filter_grad_oracle(fob, theta):
     """The gradient as the backprop took it with a fresh np.pad of each conv
     layer's input per call, before grad kept one zero-bordered buffer."""
-    _, (a, W, b, filts), layers, F, act, phi, z, u = fob.forward(theta)
-    lam = fob.lam
+    _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fob.forward(theta)
+    F, lam = states[-1], fob.lam
     g = -objective.loss_deriv(fob.loss, z) * fob.y
     S = g[:, None] * (2.0 * act)
     da = phi.T @ g + lam * np.abs(a) * a
@@ -338,7 +364,7 @@ def padded_filter_grad_oracle(fob, theta):
     dH = (S * a[None, :]) @ W
     dfilts = [None] * len(filts)
     for k in range(len(filts) - 1, -1, -1):
-        v, (H_prev, V, P) = filts[k], layers[k]
+        v, H_prev, (V, P) = filts[k], states[k], convs[k]
         dpre = dH * np.where(P >= 0.0, 1.0, fob.slope)
         s = v.size
         Hp = np.pad(H_prev, ((0, 0), (s - 1, s - 1)))
@@ -445,7 +471,7 @@ def test_epsilon_criterion_on_confident_net():
     )
     cfg = objective.ObjectiveConfig(objective.logistic(), np.full(2, 0.1))
     # Every loss derivative below epsilon forces every margin positive.
-    assert objective.max_loss_deriv(net, ds, cfg) < cfg.loss.epsilon
+    assert np.max(objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))) < cfg.loss.epsilon
     assert objective.training_error(net, ds) == 0.0
 
 

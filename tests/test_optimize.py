@@ -6,8 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from requland import models, objective
 from requland import optimize as opt
 from requland.datasets import gen_random
+from requland.landscape import certify
 from requland.models import DeepConvNet, SingleLayerReQUNet, net_to_flat
 from requland.objective import (
     FlatObjective,
@@ -313,6 +315,38 @@ def test_escape_matches_serial_oracle():
     want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, trainer_rng(5))
     assert got[0] is not None and got[1] < loss
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
+    # The escape move read its head inputs and margins in two more network
+    # passes, and certify made six.  Recorded: each pass's head coefficients,
+    # or None for a stacked pass (the escape grid's trials).
+    heads = []
+    network_pass = models.network_pass
+
+    def counted(X, a, *rest):
+        heads.append(a.tobytes() if a.ndim == 1 else None)
+        return network_pass(X, a, *rest)
+
+    for module in (models, objective):
+        monkeypatch.setattr(module, "network_pass", counted)
+    ds = gen_random(10, 3, seed=1005)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
+    like = opt.init_single(11, 3, seed=5)
+    net, _ = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=999))
+    fob = FlatObjective(like, ds, cfg)
+    theta = net_to_flat(net)
+    loss = fob.value(theta)
+    heads.clear()
+    assert opt._attempt_escape(theta, loss, fob, like, ds, cfg, trainer_rng(5))[0] is not None
+    # Other one-point passes evaluate the interpolator that proposes candidates.
+    assert heads.count(net.a.tobytes()) == 1 and None in heads
+    net, traj = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5))
+    assert traj.status == "converged"
+    heads.clear()
+    assert certify(net, ds, cfg).verdict == "ok"
+    assert heads == [net.a.tobytes()] * 2  # one kernel forward, one network pass
 
 
 def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
