@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import sys
 import traceback
@@ -32,7 +31,7 @@ import numpy as np
 import yaml
 
 from .constructions import build_bad_local_min
-from .datasets import gen_mutually_repelling, gen_quadratically_separable, gen_random, load_csv, save_csv
+from .datasets import gen_mutually_repelling, gen_quadratically_separable, gen_random, load_csv, save_csv, write_csv
 from .landscape import (
     MC_BLOCK,
     CertificateContradiction,
@@ -605,11 +604,7 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
     _write_yaml(cfg, out / "config.yaml")
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "n", "seed", "lambda0", "error", "certified"])
-        for m, n, seed, lambda0, err, certified in rows:
-            writer.writerow([m, n, seed, f"{lambda0:.17g}", f"{err:.17g}", certified])
+    write_csv(out / "sweep.csv", ["m", "n", "seed", "lambda0", "error", "certified"], rows)
     print(f"sweep: wrote {len(rows)} rows to {out / 'sweep.csv'}")
     return 0
 

@@ -17,12 +17,14 @@ from .datasets import Dataset, gen_mutually_repelling, validate_distinct
 from .models import SingleLayerReQUNet
 from .objective import ObjectiveConfig, logistic
 
+DIRECTION_BUDGET = 1024  # random unit candidates find_separating_direction draws
 
-def find_separating_direction(ds: Dataset, seed: int = 0, budget: int = 1024) -> np.ndarray:
+
+def find_separating_direction(ds: Dataset, seed: int = 0) -> np.ndarray:
     """Unit direction maximizing the smallest pairwise projection gap.
 
-    Draws ``budget`` random unit candidates and keeps the best; for d = 1 the
-    only direction is returned immediately.  Distinct data projects to
+    Draws DIRECTION_BUDGET random unit candidates and keeps the best; for
+    d = 1 the only direction is returned immediately.  Distinct data projects to
     distinct values for almost every direction, so the winning gap is
     positive in practice; a zero gap raises.
     """
@@ -36,9 +38,9 @@ def find_separating_direction(ds: Dataset, seed: int = 0, budget: int = 1024) ->
     rng = np.random.default_rng(seed)
     idx_a, idx_b = np.triu_indices(ds.n, k=1)
     diffs = ds.X[idx_a] - ds.X[idx_b]  # (pairs, d)
-    cands = rng.standard_normal((budget, ds.d))
+    cands = rng.standard_normal((DIRECTION_BUDGET, ds.d))
     cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-    gaps = np.min(np.abs(diffs @ cands.T), axis=0)  # (budget,)
+    gaps = np.min(np.abs(diffs @ cands.T), axis=0)  # (DIRECTION_BUDGET,)
     best = int(np.argmax(gaps))
     if gaps[best] <= 0.0:
         raise RuntimeError("no sampled direction separated the projections")

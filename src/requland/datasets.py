@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numkit import row_dots
+
+MARGIN_RTOL = 1e-3  # gen_quadratically_separable's least |q(x)| relative to the largest
+MAX_ROUNDS = 1000  # its resampling rounds before it gives up
+
 
 class InfeasibleGeometryError(ValueError):
     """Requested point configuration cannot exist."""
@@ -54,18 +59,15 @@ class Dataset:
 def validate_distinct(ds: Dataset, tol: float = 1e-12):
     """Check all sample pairs are separated by more than tol.
 
-    Returns (True, None) or (False, (i, j)) with the closest offending pair,
-    0-indexed.
+    Returns (True, None) or (False, (i, j)) with the first offending pair in
+    (i, j) order, 0-indexed.  The distances of all pairs come from one
+    stacked computation (numkit.row_dots, the dot np.linalg.norm takes).
     """
-    X = ds.X
-    bad = None
-    best = np.inf
-    for i in range(ds.n):
-        dist = np.linalg.norm(X[i + 1 :] - X[i], axis=1) if i + 1 < ds.n else np.array([])
-        if dist.size and dist.min() <= tol and dist.min() < best:
-            best = dist.min()
-            bad = (i, i + 1 + int(dist.argmin()))
-    return (bad is None), bad
+    i, j = np.triu_indices(ds.n, k=1)  # every pair, in (i, j) order
+    hits = np.flatnonzero(np.sqrt(row_dots(ds.X[i] - ds.X[j])) <= tol)
+    if hits.size:
+        return False, (int(i[hits[0]]), int(j[hits[0]]))
+    return True, None
 
 
 def _simplex_points(n: int) -> np.ndarray:
@@ -145,16 +147,10 @@ class QuadraticForm:
         return np.einsum("ni,ij,nj->n", X, self.Q, X) + X @ self.p + self.c
 
 
-def gen_quadratically_separable(
-    n: int,
-    d: int,
-    seed: int = 0,
-    margin_rtol: float = 1e-3,
-    max_rounds: int = 1000,
-):
+def gen_quadratically_separable(n: int, d: int, seed: int = 0):
     """Gaussian points labeled by the sign of a random quadratic form.
 
-    Points with |q(x)| below margin_rtol * max_i |q(x_i)| are resampled, so
+    Points with |q(x)| below MARGIN_RTOL * max_i |q(x_i)| are resampled, so
     every label carries a margin bounded away from zero relative to the
     largest one.  Returns (Dataset, QuadraticForm).
     """
@@ -165,9 +161,9 @@ def gen_quadratically_separable(
     form = QuadraticForm(Q=0.5 * (M + M.T), p=rng.standard_normal(d), c=float(rng.standard_normal()))
 
     X = rng.standard_normal((n, d))
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         q = form(X)
-        floor = margin_rtol * np.max(np.abs(q))
+        floor = MARGIN_RTOL * np.max(np.abs(q))
         weak = np.abs(q) <= floor
         if not weak.any():
             break
@@ -194,13 +190,19 @@ def gen_random(n: int, d: int, seed: int = 0) -> Dataset:
     return ds
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write header x1,...,xd,y then one row per sample; floats keep 17 digits."""
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row: every float as .17g, which round-trips
+    it, and every other value as it is.  Each CSV artifact is written here."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{k + 1}" for k in range(ds.d)] + ["y"])
-        for xi, yi in zip(ds.X, ds.y):
-            writer.writerow([f"{v:.17g}" for v in xi] + [int(yi)])
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Write header x1,...,xd,y then one row per sample."""
+    header = [f"x{k + 1}" for k in range(ds.d)] + ["y"]
+    write_csv(path, header, (x + [y] for x, y in zip(ds.X.tolist(), ds.y.tolist())))
 
 
 def load_csv(path) -> Dataset:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, validate_distinct
 from .models import DeepConvNet, net_to_flat
 from .numkit import row_dots, sym_min_singular_values
 from .objective import FlatObjective, ObjectiveConfig, loss_deriv
@@ -357,6 +357,9 @@ def overdetermined_no_solution(A, lam=None, seed: int = 0) -> float:
     return float(np.linalg.norm(A.T @ alpha - lam))
 
 
+CASE_BAND = 1e-4  # filter norms within this of 0 (case 1) or of 1 (case 2)
+
+
 @dataclass
 class DeepBalanceReport:
     """Scaling identities measured at a conv-net terminal point.
@@ -366,7 +369,7 @@ class DeepBalanceReport:
     lam_c (||v_k||^2 - 1) ||v_k||^2 = coupling = 2 sum_j lam_j ||w_j||^2 u_j.
     Residuals are relative: |lhs - rhs| / (1 + max(|lhs|, |rhs|)).
 
-    case (classified from filter norms with a snap band): 1 when some
+    case (classified from filter norms with the band CASE_BAND): 1 when some
     filter is numerically zero, 2 when every filter sits at unit norm (the
     zero-network configuration), 3 otherwise -- the generic minimum, where
     all filter norms exceed 1 and agree with each other.
@@ -389,8 +392,7 @@ class DeepBalanceReport:
         )
 
 
-def deep_balance_check(net: DeepConvNet, cfg: ObjectiveConfig, tol: float = 1e-4,
-                       case_band: float = 1e-4) -> DeepBalanceReport:
+def deep_balance_check(net: DeepConvNet, cfg: ObjectiveConfig, tol: float = 1e-4) -> DeepBalanceReport:
     u = np.sqrt(np.sum(net.W**2, axis=1) + net.b**2)
     head_cubic = float(np.sum(cfg.lam * np.abs(net.a) ** 3))
     weight_cubic = float(np.sum(cfg.lam * u**3))
@@ -401,9 +403,9 @@ def deep_balance_check(net: DeepConvNet, cfg: ObjectiveConfig, tol: float = 1e-4
     def rel(lhs, rhs):
         return abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
-    if norms.size and float(np.min(norms)) <= case_band:
+    if norms.size and float(np.min(norms)) <= CASE_BAND:
         case = 1
-    elif norms.size == 0 or float(np.max(np.abs(norms - 1.0))) <= case_band:
+    elif norms.size == 0 or float(np.max(np.abs(norms - 1.0))) <= CASE_BAND:
         case = 2
     else:
         case = 3
@@ -427,17 +429,11 @@ def hidden_injectivity_check(net: DeepConvNet, ds: Dataset, tol: float = 1e-12):
     matrix) and the strictly increasing activation preserves that, so
     distinct inputs must stay distinct; a collision therefore means either
     duplicated inputs or a degenerate filter.  A filter with norm <= tol
-    violates the precondition outright.  The distances of all pairs come
-    from one stacked computation (numkit.row_dots, the dot np.linalg.norm
-    takes), and the first pair within tol in (i, j) order is returned.
+    violates the precondition outright.  The pair search is
+    datasets.validate_distinct on the hidden states.
     """
     for k, v in enumerate(net.filters):
         nv = float(np.linalg.norm(v))
         if nv <= tol:
             raise ValueError(f"filter {k} has norm {nv:.3e} <= tol {tol:.3e}")
-    H = net.head_inputs(ds.X)
-    i, j = np.triu_indices(ds.n, k=1)  # every pair, in (i, j) order
-    hits = np.flatnonzero(np.sqrt(row_dots(H[i] - H[j])) <= tol)
-    if hits.size:
-        return False, (int(i[hits[0]]), int(j[hits[0]]))
-    return True, None
+    return validate_distinct(Dataset(net.head_inputs(ds.X), ds.y), tol)

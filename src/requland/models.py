@@ -294,8 +294,9 @@ def load_net(path):
         raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: missing checkpoint format marker")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # true and 1.0 equal 1
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         kind, params = doc["kind"], doc["params"]
         if kind not in _KINDS:
@@ -310,7 +311,10 @@ def load_net(path):
             raise ValueError(f"params must be a list of the layout's {size} numbers")
         head = np.zeros(m), np.zeros((m, width)), np.zeros(m)
         if cls is DeepConvNet:
-            like = DeepConvNet((np.zeros(s),) * num, *head, float(doc["slope"]))
+            slope = doc["slope"]
+            if type(slope) not in (int, float):  # a JSON number, not a bool or a string
+                raise ValueError(f"slope must be a number, got {slope!r}")
+            like = DeepConvNet((np.zeros(s),) * num, *head, float(slope))
         else:
             like = cls(*head)
         return net_from_flat(like, np.asarray(params, dtype=float))

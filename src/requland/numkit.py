@@ -11,6 +11,8 @@ import functools
 
 import numpy as np
 
+SYM_TOL = 1e-10  # sym_eigvals' asymmetry tolerance, relative to 1 + ||A||_F
+
 
 def as_matrix(A, stacked: bool = False) -> np.ndarray:
     """Coerce to a 2-D float array (any ndim >= 2 when stacked), rejecting
@@ -29,10 +31,10 @@ def frobenius(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=float)))
 
 
-def sym_eigvals(A, sym_tol: float = 1e-10) -> np.ndarray:
+def sym_eigvals(A) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
-    The input must be square and symmetric up to ``sym_tol * (1 + ||A||_F)``;
+    The input must be square and symmetric up to ``SYM_TOL * (1 + ||A||_F)``;
     the measured asymmetry is reported otherwise.  The symmetrized matrix
     (A + A^T)/2 is what actually gets factored, so tiny representation noise
     cannot push eigenvalues off the real line.
@@ -47,10 +49,10 @@ def sym_eigvals(A, sym_tol: float = 1e-10) -> np.ndarray:
     if n != m:
         raise ValueError(f"sym_eigvals needs a square matrix, got {n}x{m}")
     asym = float(np.max(np.abs(A - A.T)))
-    if asym > sym_tol * (1.0 + frobenius(A)):
+    if asym > SYM_TOL * (1.0 + frobenius(A)):
         raise ValueError(
             f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
-            f"tolerance {sym_tol:.1e} * (1 + ||A||_F)"
+            f"tolerance {SYM_TOL:.1e} * (1 + ||A||_F)"
         )
     S = 0.5 * (A + A.T)
     mag = np.abs(S)

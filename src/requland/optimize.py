@@ -19,6 +19,10 @@ theta unchanged; the flatline watch catches pins where theta still moves.
 The Armijo backtracking ladder runs in blocks of rungs, each block one
 FlatObjective.forward on a stack of trial points, from which the accepted
 rung also takes its gradient; train sizes the blocks from the last iteration.
+train keeps the forward pass of its iterate, and every move reads only
+theta, that pass (or the loss it holds) and the FlatObjective: the data, the
+loss and the neuron blocks all come from it.  Both escapes scan their grid
+of points theta + r u through one search, _search.
 
 TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
 and seed.  Step sizes, cadences and move sizes are the module constants, the
@@ -27,24 +31,15 @@ only values in use; the coercivity check always runs on single-layer nets.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constructions import build_interpolating_requ
-from .datasets import Dataset
+from .datasets import Dataset, write_csv
 from .models import DeepConvNet, SingleLayerReQUNet, net_from_flat, net_to_flat, requ
-from .objective import (
-    FlatObjective,
-    LossKind,
-    ObjectiveConfig,
-    coercivity_lower_bound,
-    loss_deriv,
-    neuron_block_norms,
-    training_error,
-)
+from .objective import FlatObjective, LossKind, ObjectiveConfig, coercivity_lower_bound, loss_deriv
 
 TERMINAL_STATUSES = ("converged", "budget-exhausted", "stalled", "non-finite")
 
@@ -111,11 +106,7 @@ class Trajectory:
         return sum(1 for r in self.rows if r[4] == "escape")
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "loss", "grad_norm", "param_norm", "status"])
-            for it, loss, gn, pn, status in self.rows:
-                writer.writerow([it, f"{loss:.17g}", f"{gn:.17g}", f"{pn:.17g}", status])
+        write_csv(path, ["iter", "loss", "grad_norm", "param_norm", "status"], self.rows)
 
 
 def init_single(m: int, d: int, seed: int = 0, scale: float = 0.1, cls=SingleLayerReQUNet):
@@ -175,8 +166,9 @@ def estimate_lambda0(ds: Dataset, loss: LossKind, seed: int = 0) -> float:
     return loss.epsilon * lam_hat
 
 
-def _try_snaps(theta, loss, fn, blocks):
+def _try_snaps(theta, loss, fob):
     """Zero out small neuron blocks whenever that does not increase the loss."""
+    blocks = fob.layout.blocks()
     norms = np.array([np.linalg.norm(theta[b]) for b in blocks])
     snapped = False
     cutoff = max(1e-6, SNAP_REL * float(np.max(norms)))
@@ -185,7 +177,7 @@ def _try_snaps(theta, loss, fn, blocks):
             continue
         trial = theta.copy()
         trial[blocks[j]] = 0.0
-        trial_loss = fn(trial)
+        trial_loss = fob.value(trial)
         if trial_loss <= loss + 4e-16 * (1.0 + abs(loss)):
             theta, loss, snapped = trial, trial_loss, True
     return theta, loss, snapped
@@ -211,19 +203,31 @@ def _escape_candidates(features, y, misclassified, rng, count):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _last_decrease(vals, best, tiny):
-    """Scan vals in order, moving best to every value below best - tiny, as a
-    point-by-point search would; return (best, position of the last move or
-    None).  best only falls, so a value that misses the first threshold
-    misses every later one and the scan skips it."""
+def _search(fob, theta, U, radii, best, tiny):
+    """Grid search over the points theta + r u, for the rows u of U and the
+    ascending radii r, in that order: directions as given, radii ascending.
+    They go through FlatObjective.values, fob.CHUNK // radii.size directions
+    per pass.  Returns the best value, moved to every value below best -
+    tiny as a point-by-point search would, and the (u, r) of the last such
+    move, or None.  best only falls, so a value that misses the first
+    threshold misses every later one and the scan skips it."""
     last = None
-    for k in np.flatnonzero(vals < best - tiny):
-        if vals[k] < best - tiny:
-            best, last = float(vals[k]), int(k)
-    return best, last
+    per = max(1, fob.CHUNK // radii.size)
+    for c in range(0, len(U), per):
+        dirs = U[c : c + per]
+        # trials stays bound until the next chunk's exist: freed before the
+        # scan, it let malloc trim the heap, and each pass's temporaries
+        # faulted in anew (a c09 stall try took a third longer on a 2-core
+        # host; with glibc's trimming and mmap thresholds raised, no longer).
+        trials = theta + radii[None, :, None] * dirs[:, None, :]
+        vals = fob.values(trials.reshape(-1, theta.size))
+        for k in np.flatnonzero(vals < best - tiny):
+            if vals[k] < best - tiny:
+                best, last = float(vals[k]), c * radii.size + k
+    return best, None if last is None else (U[last // radii.size], radii[last % radii.size])
 
 
-def _attempt_escape(theta, loss, fob, like, ds, cfg, rng):
+def _attempt_escape(theta, fwd, fob, rng):
     """Point an inactive neuron along a sampled direction if that helps.
 
     Candidate blocks are (a, w, b) = (s delta, delta u, delta v) over a
@@ -233,46 +237,38 @@ def _attempt_escape(theta, loss, fob, like, ds, cfg, rng):
     perturbation (the loss change is third order in delta), whereas rewriting
     an active block would be a non-local jump that can tunnel out of true
     local minima the descent method is supposed to terminate at.  Returns
-    (None, loss) when every block is active.  The head inputs and margins
-    come from one FlatObjective.forward at theta.  The (candidate, delta)
-    grid is evaluated through FlatObjective.values a few candidates at a
-    time and scanned in candidate-major order; the last strict improvement
-    wins.
+    (None, loss) when every block is active.  The loss, head inputs and
+    margins are read from fwd = fob.forward(theta), the pass train keeps
+    for its iterate.  The repointed block is the first all-zero one; each
+    candidate is a row of U that is -0.0 outside it (x + -0.0 == x for every
+    x, signed zeros too), and _search scans the (candidate, delta) grid; the
+    last strict improvement wins.
     """
-    net = net_from_flat(like, theta)
-    norms = neuron_block_norms(net)
-    if not np.any(norms == 0.0):
+    loss = float(fwd[0])
+    free = [b for b in fob.layout.blocks() if not theta[b].any()]
+    if not free:
         return None, loss
-    _, _, (states, _, _, _, _, outputs), z, _ = fob.forward(theta)
+    (states, *_, outputs), z = fwd[2], fwd[3]
     features = states[-1]
-    j = int(np.argmin(norms))
-    lp = loss_deriv(cfg.loss, z)
-    misclassified = np.sign(outputs) != ds.y
+    lp = loss_deriv(fob.loss, z)
+    misclassified = np.sign(outputs) != fob.y
 
-    dirs = _escape_candidates(features, ds.y, misclassified, rng, ESCAPE_DIRECTIONS)
+    dirs = _escape_candidates(features, fob.y, misclassified, rng, ESCAPE_DIRECTIONS)
     act = requ(features @ dirs[:, :-1].T + dirs[:, -1])  # (n, cands)
-    drive = (lp * ds.y) @ act
-    signs = np.where(drive >= 0.0, 1.0, -1.0)
-
-    block = fob.layout.blocks()[j]
-    tiny = 1e-14 * (1.0 + abs(loss))
-    best_loss, best_theta = loss, None
-    deltas = ESCAPE_DELTA * 2.0 ** np.arange(-4, 13)
+    drive = (lp * fob.y) @ act
     order = np.argsort(-np.abs(drive))[: max(32, ESCAPE_DIRECTIONS // 4)]
-    per = max(1, fob.CHUNK // deltas.size)
-    for c in range(0, order.size, per):
-        cands = order[c : c + per]
-        trials = np.tile(theta, (cands.size * deltas.size, 1))
-        trials[:, block[0]] = (signs[cands, None] * deltas).ravel()
-        scaled = deltas[None, :, None] * dirs[cands, None, :]  # (cands, deltas, w + 1)
-        trials[:, block[1:]] = scaled.reshape(-1, dirs.shape[1])
-        best_loss, k = _last_decrease(fob.values(trials), best_loss, tiny)
-        if k is not None:
-            best_theta = trials[k].copy()
-    return best_theta, best_loss
+    U = np.full((order.size, theta.size), -0.0)
+    U[:, free[0][0]] = np.where(drive[order] >= 0.0, 1.0, -1.0)
+    U[:, free[0][1:]] = dirs[order]
+    deltas = ESCAPE_DELTA * 2.0 ** np.arange(-4, 13)
+    best_loss, step = _search(fob, theta, U, deltas, loss, 1e-14 * (1.0 + abs(loss)))
+    if step is None:
+        return None, loss
+    u, r = step
+    return theta + r * u, best_loss
 
 
-def _attempt_stall_escape(theta, loss, fob, blocks, rng):
+def _attempt_stall_escape(theta, loss, fob, rng):
     """Random-direction probe for a strict decrease at a nonsmooth pin.
 
     Descent can wedge the iterate onto a leaky-ReLU kink manifold (a hidden
@@ -283,16 +279,14 @@ def _attempt_stall_escape(theta, loss, fob, blocks, rng):
     anyway) finds one whenever the pin is not a genuine local minimum.
 
     The directions come from two stacked draws, which follow the same
-    generator stream as one draw per direction.  Every probe point
-    theta + r u is evaluated through FlatObjective.values, a chunk of
-    directions at a time, and scanned in order (directions as drawn, radii
-    ascending): the last point that beats the running best by more than
-    tiny wins.  The greedy doubling that follows a hit calls value one step
-    at a time.
+    generator stream as one draw per direction.  _search scans the probe
+    points theta + r u (directions as drawn, radii ascending): the last
+    point that beats the running best by more than tiny wins.  The greedy
+    doubling that follows a hit calls FlatObjective.value one step at a time.
     """
     live = np.ones(theta.size, dtype=bool)
     head = np.zeros(theta.size, dtype=bool)
-    for b in blocks:
+    for b in fob.layout.blocks():
         head[b] = True
         if not theta[b].any():
             live[b] = False
@@ -306,17 +300,10 @@ def _attempt_stall_escape(theta, loss, fob, blocks, rng):
         u /= np.linalg.norm(u)
     radii = ESCAPE_DELTA * 2.0 ** np.arange(-6, 9)
     tiny = 1e-15 * (1.0 + abs(loss))
-    best_loss, best_step = loss, None
-    per = max(1, fob.CHUNK // radii.size)
-    for c in range(0, len(U), per):
-        dirs = U[c : c + per]
-        trials = theta + radii[None, :, None] * dirs[:, None, :]
-        best_loss, k = _last_decrease(fob.values(trials.reshape(-1, theta.size)), best_loss, tiny)
-        if k is not None:
-            best_step = (dirs[k // radii.size], radii[k % radii.size])
-    if best_step is None:
+    best_loss, step = _search(fob, theta, U, radii, loss, tiny)
+    if step is None:
         return None, loss
-    u, r = best_step
+    u, r = step
     while True:  # greedy extension: keep doubling while it keeps helping
         trial_loss = fob.value(theta + 2.0 * r * u)
         if trial_loss >= best_loss - tiny:
@@ -341,31 +328,33 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     fell below half an ulp of the loss) is no step: like an exhausted
     ladder it pins the iterate and hands it to the stall probe.  See the
     module docstring for the snap and escape moves.
+
+    fwd is always fob.forward(theta) for the current iterate, set at the
+    start, by refresh and by each accepted rung; the moves and the escape
+    gate read it, so no network is rebuilt or evaluated again at theta.
     """
     opts = opts or TrainOptions()
-    cfg.check_m(net)
-    like = net
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0xE5CA)))
-    fob = FlatObjective(like, ds, cfg)
+    fob = FlatObjective(net, ds, cfg)
 
     is_single = isinstance(net, SingleLayerReQUNet)
     lam_min = float(np.min(cfg.lam))
     theta = net_to_flat(net)
-    blocks = fob.layout.blocks()
     traj = Trajectory()
     eta = STEP0
     rungs = 1  # Armijo trials the last accepted iteration took
     escapes = 0
     stall_escapes = 0
     it = 0
-    loss, g = fob.value_and_grad(theta)
+    fwd = fob.forward(theta)
+    loss, g = float(fwd[0]), fob.grad(fwd)
     prev_theta = prev_g = None
     stall_ref_it, stall_ref_loss = 0, loss
 
-    def refresh(new_theta, new_loss, status):
-        nonlocal theta, loss, g, prev_theta, prev_g, stall_ref_it, stall_ref_loss
-        theta, loss = new_theta, new_loss
-        loss, g = fob.value_and_grad(theta)
+    def refresh(new_theta, status):
+        nonlocal theta, fwd, loss, g, prev_theta, prev_g, stall_ref_it, stall_ref_loss
+        theta, fwd = new_theta, fob.forward(new_theta)
+        loss, g = float(fwd[0]), fob.grad(fwd)
         prev_theta = prev_g = None
         stall_ref_it, stall_ref_loss = it, loss
         traj.record(it, loss, math.sqrt(g @ g), math.sqrt(theta @ theta), status)
@@ -386,7 +375,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             break
 
         if is_single:
-            floor = coercivity_lower_bound(math.sqrt(theta @ theta), lam_min, like.m)
+            floor = coercivity_lower_bound(math.sqrt(theta @ theta), lam_min, fob.layout.m)
             if loss < floor - 1e-9 * (1.0 + abs(loss)):
                 raise CoercivityViolationError(
                     f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
@@ -399,9 +388,9 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         # records use it, and taking the snapped point's would change the
         # trajectories.
         if converged or it % SNAP_EVERY == SNAP_EVERY - 1:
-            theta2, loss2, snapped = _try_snaps(theta, loss, fob.value, blocks)
+            theta2, _, snapped = _try_snaps(theta, loss, fob)
             if snapped:
-                refresh(theta2, loss2, "snap")
+                refresh(theta2, "snap")
                 if converged:
                     continue
 
@@ -411,12 +400,12 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         if (
             (converged or it % ESCAPE_EVERY == ESCAPE_EVERY - 1)
             and escapes < MAX_ESCAPES
-            and training_error(net_from_flat(like, theta), ds) > 0.0
+            and np.any(np.sign(fwd[2][-1]) != fob.y)  # a sample is misclassified
         ):
             escapes += 1
-            esc_theta, esc_loss = _attempt_escape(theta, loss, fob, like, ds, cfg, rng)
+            esc_theta, _ = _attempt_escape(theta, fwd, fob, rng)
             if esc_theta is not None:
-                refresh(esc_theta, esc_loss, "escape")
+                refresh(esc_theta, "escape")
                 eta = STEP0
                 if not converged:
                     it += 1
@@ -453,8 +442,8 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 width = min(width, 120 - tried)
                 if width == 1:
                     trial = theta - step * g
-                    fwd = fob.forward(trial)
-                    trial_loss = float(fwd[0])
+                    trial_fwd = fob.forward(trial)
+                    trial_loss = float(trial_fwd[0])
                     tried += 1
                     accepted = trial_loss <= loss - ARMIJO * step * gn * gn
                     if not accepted:
@@ -469,7 +458,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                         tried += 1
                         accepted = trial_loss <= loss - ARMIJO * step * gn * gn
                         if accepted:
-                            trial, fwd = trials[r], fob.row(stacked, r)
+                            trial, trial_fwd = trials[r], fob.row(stacked, r)
                             break
                     else:
                         step *= SHRINK
@@ -477,8 +466,8 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             # A rung whose step rounds away leaves theta where it is: no step.
             if accepted and not (trial_loss == loss and np.array_equal(trial, theta)):
                 prev_theta, prev_g = theta, g
-                theta = trial
-                loss, g = trial_loss, fob.grad(fwd)  # the accepted rung's own forward pass
+                theta, fwd = trial, trial_fwd  # the accepted rung's own forward pass
+                loss, g = trial_loss, fob.grad(fwd)
                 eta = min(step * GROW, 1e15)
                 rungs = tried
                 it += 1
@@ -492,15 +481,15 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             status = "stalled"
             break
         stall_escapes += 1
-        esc_theta, esc_loss = _attempt_stall_escape(theta, loss, fob, blocks, rng)
+        esc_theta, _ = _attempt_stall_escape(theta, loss, fob, rng)
         if esc_theta is None:
             status = "stalled"
             break
-        refresh(esc_theta, esc_loss, "escape")
+        refresh(esc_theta, "escape")
         eta = STEP0
 
     record(status)
-    return net_from_flat(like, theta), traj
+    return net_from_flat(net, theta), traj
 
 
 def decreasing_path_demo(num_steps: int, lam: float = 0.1):
@@ -526,9 +515,4 @@ def decreasing_path_demo(num_steps: int, lam: float = 0.1):
 
 
 def save_path_csv(table: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        keys = list(table)
-        writer.writerow(keys)
-        for row in zip(*(table[k] for k in keys)):
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    write_csv(path, list(table), zip(*table.values()))

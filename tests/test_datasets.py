@@ -39,6 +39,10 @@ def test_validate_distinct_flags_pair():
     assert not ok and pair == (0, 2)
     ok, pair = datasets.validate_distinct(datasets.gen_random(5, 3, seed=0))
     assert ok and pair is None
+    # The first pair in (i, j) order is named, not the closest: (0, 3)
+    # comes before (1, 2), though (1, 2) is closer.
+    X = np.array([[0.0], [1.0], [1.0], [1e-13]])
+    assert datasets.validate_distinct(Dataset(X, np.ones(4, dtype=int))) == (False, (0, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

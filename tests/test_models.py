@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from requland import models
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet
+from requland.optimize import init_deep
 
 
 def random_single(rng, m=4, d=3, cls=SingleLayerReQUNet):
@@ -257,3 +259,19 @@ def test_any_one_checkpoint_field_replaced_loads_or_is_a_value_error(
         models.load_net(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("version", True, "unsupported checkpoint version True"),
+    ("version", 1.0, "unsupported checkpoint version 1.0"),
+    ("slope", "0.5", "slope must be a number, got '0.5'"),
+])
+def test_checkpoint_fields_that_only_equal_a_valid_value_are_rejected(tmp_path, key, value, message):
+    # true == 1 == 1.0 in Python, and float("0.5") parses a string: each of
+    # these loaded as a valid checkpoint.
+    path = tmp_path / "net.json"
+    models.save_net(init_deep(4, 2, 2, 3), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, key: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
+        models.load_net(path)

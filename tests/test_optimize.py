@@ -295,7 +295,7 @@ def test_stall_escape_matches_serial_oracle():
     # Several draws, as the winning probe of one draw shows little of it;
     # seed 2 is the try the trainer itself would make here.
     for seed in range(8):
-        got = opt._attempt_stall_escape(theta, loss, fob, blocks, trainer_rng(seed))
+        got = opt._attempt_stall_escape(theta, loss, fob, trainer_rng(seed))
         want = serial_stall_escape_oracle(theta, loss, fob, blocks, trainer_rng(seed))
         assert got[0] is not None and got[1] < loss
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
@@ -311,16 +311,16 @@ def test_escape_matches_serial_oracle():
     fob = FlatObjective(like, ds, cfg)
     theta = net_to_flat(net)
     loss = fob.value(theta)
-    got = opt._attempt_escape(theta, loss, fob, like, ds, cfg, trainer_rng(5))
+    got = opt._attempt_escape(theta, fob.forward(theta), fob, trainer_rng(5))
     want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, trainer_rng(5))
     assert got[0] is not None and got[1] < loss
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
-    # The escape move read its head inputs and margins in two more network
-    # passes, and certify made six.  Recorded: each pass's head coefficients,
-    # or None for a stacked pass (the escape grid's trials).
+    # The escape move read its head inputs and margins in network passes of
+    # its own, and certify made six.  Recorded: each pass's head
+    # coefficients, or None for a stacked pass (the escape grid's trials).
     heads = []
     network_pass = models.network_pass
 
@@ -337,11 +337,12 @@ def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
     net, _ = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=999))
     fob = FlatObjective(like, ds, cfg)
     theta = net_to_flat(net)
-    loss = fob.value(theta)
+    fwd = fob.forward(theta)
     heads.clear()
-    assert opt._attempt_escape(theta, loss, fob, like, ds, cfg, trainer_rng(5))[0] is not None
-    # Other one-point passes evaluate the interpolator that proposes candidates.
-    assert heads.count(net.a.tobytes()) == 1 and None in heads
+    assert opt._attempt_escape(theta, fwd, fob, trainer_rng(5))[0] is not None
+    # The move reads the pass it is given; its one-point passes evaluate the
+    # interpolator that proposes candidates.
+    assert net.a.tobytes() not in heads and None in heads
     net, traj = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5))
     assert traj.status == "converged"
     heads.clear()
@@ -435,27 +436,56 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
     def by(name):
         return {caller: k for (fn, caller), k in calls.items() if fn == name}
 
-    # value_and_grad runs once at the start and once per snap or escape.
-    assert by("value_and_grad") == {"train": 1, "refresh": moves["snap"] + moves["escape"]}
-    # The line search is train's only forward; its accepted trials take
-    # their gradient from that forward, and no other gradient is taken.
-    # Rungs are stacked where the last iteration backtracked, so on this
-    # kink run the forward calls are fewer than the trial rows.
-    trials, accepted = rows["train"], by("grad")["train"]
-    assert 0 < accepted <= traj.n_iter < trials
-    assert by("forward")["train"] < trials
-    assert by("grad") == {"train": accepted, "value_and_grad": sum(by("value_and_grad").values())}
-    assert set(by("row")) <= {"train"} and by("row").get("train", 0) <= accepted
+    # train keeps the forward pass of its iterate, so it takes every
+    # gradient from a kept pass and never calls value_and_grad.  Gradients:
+    # 1 at the start, 1 per snap or escape (refresh), 1 per accepted rung;
+    # this run's only escape is a stall escape, which spends no iteration,
+    # so every iteration is an accepted rung.
+    moved = moves["snap"] + moves["escape"]
+    assert by("value_and_grad") == {}
+    assert by("grad") == {"train": 1 + traj.n_iter, "refresh": moved}
+    # train's forward passes are the start and the line search.  Rungs are
+    # stacked where the last iteration backtracked, so on this kink run the
+    # forward calls are fewer than the trial rows.
+    trials = rows["train"] - 1
+    assert 0 < traj.n_iter < trials
+    assert by("forward")["train"] - 1 < trials
+    assert set(by("row")) <= {"train"} and by("row").get("train", 0) <= traj.n_iter
     assert set(by("value")) == {"_try_snaps", "_attempt_stall_escape"}
-    assert set(by("values")) == {"_attempt_stall_escape"}
-    # Every forward pass is a line-search trial, a snap or escape
-    # evaluation, or the start of a value_and_grad.
+    assert set(by("values")) == {"_search"}
+    # Every forward pass is the start, a line-search trial, a refresh, or a
+    # snap, grid or stall evaluation.
     assert by("forward") == {
         "train": by("forward")["train"],
+        "refresh": moved,
         "value": sum(by("value").values()),
         "values": sum(by("values").values()),
-        "value_and_grad": sum(by("value_and_grad").values()),
     }
+
+
+def test_train_reads_the_kept_pass_for_the_escape_gate_and_move(monkeypatch):
+    # The zero network is critical and misclassifies, so the escape gate
+    # fires at iteration 0.  The gate rebuilt the net and ran it, and the
+    # move ran the objective at theta again; both now read the pass train
+    # took at the start, and only the returned net is rebuilt.
+    points, rebuilt = [], []
+    network_pass, net_from_flat = models.network_pass, opt.net_from_flat
+
+    def counted(X, a, W, b, filts, *rest):
+        if a.ndim == 1:
+            points.append(b"".join(p.tobytes() for p in (a, W, b, *filts)))
+        return network_pass(X, a, W, b, filts, *rest)
+
+    for module in (models, objective):
+        monkeypatch.setattr(module, "network_pass", counted)
+    monkeypatch.setattr(opt, "net_from_flat", lambda *args: rebuilt.append(1) or net_from_flat(*args))
+    ds = gen_random(10, 3, seed=0)
+    net0 = opt.init_single(11, 3, seed=0, scale=0.0)
+    _, traj = opt.train(net0, ds, ObjectiveConfig(logistic(), opt.sample_lambda(11, 0.1)))
+    assert traj.rows[1][::4] == (0, "escape") and traj.status == "converged"
+    assert rebuilt == [1]
+    zero = b"".join(p.tobytes() for p in (net0.a, net0.W, net0.b))
+    assert points.count(zero) == 1
 
 
 def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
