@@ -39,7 +39,9 @@ def network_pass(X, a, W, b, filts, slope, squared):
     for v in filts:
         V = conv_fill(v, H.shape[-1])
         P = H @ V.swapaxes(-1, -2)
-        H = np.where(P >= 0.0, P, slope * P)
+        # The leaky ReLU: for 0 < slope < 1 this is P where P >= 0 (-0.0
+        # included) and slope * P below, in two ufuncs instead of three.
+        H = np.maximum(P, slope * P)
         states.append(H)
         convs.append((V, P))
     pre = H @ W.swapaxes(-1, -2) + b[..., None, :]

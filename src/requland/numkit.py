@@ -107,34 +107,34 @@ def conv_padded(alpha, beta) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def conv_band(d_v: int, d_z: int):
-    """Index arrays (rows, cols, taps) of the banded conv matrix.
+def conv_band(d_v: int, d_z: int) -> np.ndarray:
+    """Gather index of the banded conv matrix, (d_v + d_z - 1, d_z).
 
-    The matrix V with V @ z == conv_padded(v, z) has V[rows, cols] = v[taps]
-    and zeros elsewhere: row j, column c holds v[c + d_v - 1 - j] whenever
-    that tap exists.  Every conv layer of every network evaluation reads
-    them, so they are kept per (d_v, d_z), read-only.
+    The matrix V with V @ z == conv_padded(v, z) is vz[band], where vz is v
+    followed by one zero: row j, column c holds v[c + d_v - 1 - j] whenever
+    that tap exists, and vz[d_v] = 0 elsewhere.  Every conv layer of every
+    network evaluation reads it, so it is kept per (d_v, d_z), read-only.
     """
-    taps, cols = np.divmod(np.arange(d_v * d_z), d_z)
-    band = cols + d_v - 1 - taps, cols, taps
-    for idx in band:
-        idx.flags.writeable = False
+    rows, cols = np.indices((d_v + d_z - 1, d_z))
+    taps = cols + d_v - 1 - rows
+    band = np.where((taps >= 0) & (taps < d_v), taps, d_v)
+    band.flags.writeable = False
     return band
 
 
 def conv_fill(v, d_z: int) -> np.ndarray:
     """conv_matrix(v, d_z) without its checks, for a filter v or for each
-    row of a (..., d_v) stack of them: the network pass's conv layers."""
-    rows, cols, taps = conv_band(v.shape[-1], d_z)
-    V = np.zeros(v.shape[:-1] + (v.shape[-1] + d_z - 1, d_z))
-    V.T[cols, rows] = v.T[taps]  # indexes the band axes first, stacked or not
-    return V
+    row of a (..., d_v) stack of them: the network pass's conv layers.
+    take, unlike vz[..., band], keeps a stack's matrices C-contiguous."""
+    vz = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    vz[..., :-1] = v
+    return vz.take(conv_band(v.shape[-1], d_z), axis=-1)
 
 
 def conv_matrix(v, d_z: int) -> np.ndarray:
     """Banded matrix V with V @ z == conv_padded(v, z) for every z of length d_z.
 
-    V has shape (d_v + d_z - 1, d_z).  Filled from conv_band's index pattern,
+    V has shape (d_v + d_z - 1, d_z).  Gathered through conv_band's index,
     deliberately not via numpy's convolve, so the matrix route and the direct
     route stay independent checks of each other.
     """

@@ -145,8 +145,16 @@ class FlatObjective:
     what point-by-point loops would, and take the same gradient at what they
     select.  The tests pin the gradient to central differences, each hidden
     state to numkit.conv_padded, the regularizer to closed forms, and
-    values to value.  grad pads conv inputs in buffers that the instance
-    keeps, so no instance may be shared between threads.
+    values to value.
+
+    The pass is lean in numpy calls, not in arithmetic: every element takes
+    the same ufuncs, operand order and BLAS call shapes as the plain
+    formulas that the tests keep as plain_forward_oracle and
+    plain_grad_oracle, and equals them bit for bit; a reordered product or
+    reduction fails those tests.  The data are read at construction, the
+    first conv layer's tap windows included.  grad pads deeper conv inputs
+    in buffers that the instance keeps, so no instance may be shared
+    between threads.
     """
 
     CHUNK = 480  # rows per stacked forward pass; bounds its temporaries
@@ -154,15 +162,33 @@ class FlatObjective:
     def __init__(self, like, ds, cfg: ObjectiveConfig):
         cfg.check_m(like)
         self.X, self.y = ds.X, ds.y
-        self.neg_y = (-ds.y).tolist()  # dz_i/df_i, as Python floats for _logistic_deriv
+        self.neg_y = -np.asarray(ds.y, dtype=float)  # dz_i/df_i
+        self.neg_y_list = self.neg_y.tolist()  # the same, as Python floats for _logistic_deriv
         self.lam, self.lam_c, self.loss = cfg.lam, cfg.lam_c, cfg.loss
+        self.logistic = cfg.loss.name == "logistic"
+        self.lam2 = 2.0 * cfg.lam  # the cubic term's 2 lam_j, as grad's dW and db take it
+        self.anchor_c = 0.25 * cfg.lam_c  # the filter anchor's lam_c / 4
         self.layout = FlatLayout.of(like)
         self.squared, self.slope = like.squared, like.slope
-        self.pads = []  # per conv layer: a zero-bordered copy of its input, for grad
+        # Per conv layer, a zero-bordered copy of its input (n, dim + 2(s-1))
+        # and the gather index that _windows reads it through.
+        self.pads, self.taps = [], []
         dim = ds.d
         for s in self.layout.filter_sizes:
             self.pads.append(np.zeros((ds.n, dim + 2 * (s - 1))))
+            rows, cols = np.indices((ds.n, dim + s - 1))
+            self.taps.append((rows * (dim + 2 * (s - 1)) + cols).ravel() + np.arange(s)[:, None])
             dim += s - 1
+        if self.pads:
+            self.x_windows = self._windows(0, ds.X)  # the first layer's input is X
+
+    def _windows(self, k, H):
+        """Conv layer k's s tap windows of its input H, as (s, n * w) rows:
+        row i holds columns i .. i + w - 1 of H's zero-bordered copy, w the
+        layer's output length, one sample after another."""
+        pad, s = self.pads[k], self.layout.filter_sizes[k]
+        pad[:, s - 1 : s - 1 + H.shape[1]] = H  # borders stay zero
+        return pad.take(self.taps[k])
 
     def _anchor(self, v):
         """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack
@@ -170,24 +196,24 @@ class FlatObjective:
         the 1-D v @ v), then squares in per-point Python-float arithmetic:
         numpy's vectorized square differs from it in the last bit."""
         if v.ndim > 1:
-            return np.array([0.25 * self.lam_c * (x - 1.0) ** 2 for x in row_dots(v).tolist()])
-        return 0.25 * self.lam_c * (float(v @ v) - 1.0) ** 2
+            return np.array([self.anchor_c * (x - 1.0) ** 2 for x in row_dots(v).tolist()])
+        return self.anchor_c * (float(v @ v) - 1.0) ** 2
 
     def forward(self, theta):
         """Evaluate at theta, or at each row of a (K, size) stack: the
         objective value first, then what grad and the certificates read --
         (a, W, b, filters), the network_pass result, the margins z and the
         joint weight-bias norms u_j, each with the stack's leading axis."""
-        params = self.layout.split(theta)
-        a, W, b, filts = params
+        params = a, W, b, filts = self.layout.split(theta)
         out = network_pass(self.X, a, W, b, filts, self.slope, self.squared)
-        z = -self.y * out[-1]
-        u = np.sqrt((W * W).sum(axis=-1) + b * b)
-        reg = (self.lam * (np.abs(a) ** 3 + 2.0 * u**3)).sum(axis=-1) / 3.0
+        z = self.neg_y * out[-1]
+        u = np.sqrt(np.add.reduce(W * W, axis=-1) + b * b)
+        reg = np.add.reduce(self.lam * (np.abs(a) ** 3 + 2.0 * u**3), axis=-1) / 3.0
         for v in filts:
             reg = reg + self._anchor(v)
-        value = loss_value(self.loss, z).sum(axis=-1) + reg
-        return value, params, out, z, u
+        # The hot logistic case inlines loss_value, skipping its conversion and dispatch.
+        data = np.logaddexp(0.0, z) / _LN2 if self.logistic else loss_value(self.loss, z)
+        return np.add.reduce(data, axis=-1) + reg, params, out, z, u
 
     def row(self, fwd, k):
         """forward(thetas[k]) cut out of fwd = forward(thetas): row k of
@@ -218,27 +244,27 @@ class FlatObjective:
         """The gradient at a 1-D theta, from its forward(theta) result fwd
         or from row(forward(thetas), k) for the row thetas[k] == theta."""
         _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fwd
-        F, lam = states[-1], self.lam
-        if self.loss.name == "logistic":  # d(data term)/d f_i, in one pass over the samples
-            g = np.array(_logistic_deriv(z.tolist(), self.neg_y))
+        if self.logistic:  # d(data term)/d f_i, in one pass over the samples
+            g = np.array(_logistic_deriv(z.tolist(), self.neg_y_list))
         else:
             g = -loss_deriv(self.loss, z) * self.y
         S = g[:, None] * (2.0 * act)
-        da = phi.T @ g + lam * np.abs(a) * a
-        dW = (S.T @ F) * a[:, None] + 2.0 * lam[:, None] * u[:, None] * W
-        db = S.sum(axis=0) * a + 2.0 * lam * u * b
+        c = self.lam2 * u  # 2 lam_j u_j, shared by dW and db
+        da = phi.T @ g + self.lam * np.abs(a) * a
+        dW = (S.T @ states[-1]) * a[:, None] + c[:, None] * W
+        db = np.add.reduce(S, axis=0) * a + c * b
         if not filts:
             return np.concatenate([da, dW.ravel(), db])
 
-        dH = (S * a[None, :]) @ W
+        dH = (S * a) @ W
         dfilts = [None] * len(filts)
         for k in range(len(filts) - 1, -1, -1):
-            v, H_prev, (V, P) = filts[k], states[k], convs[k]
+            v, (V, P) = filts[k], convs[k]
             dpre = dH * np.where(P >= 0.0, 1.0, self.slope)
-            s = v.size
-            Hp = self.pads[k]  # borders stay zero; only the interior is written
-            Hp[:, s - 1 : s - 1 + H_prev.shape[1]] = H_prev
-            dv = np.array([(dpre * Hp[:, i : i + dpre.shape[1]]).sum() for i in range(s)])
+            windows = self.x_windows if k == 0 else self._windows(k, states[k])
+            # Tap i sums dpre * (window i) over all n * w products, in the
+            # order and with the pairwise reduction of a contiguous (n, w) sum.
+            dv = np.add.reduce(dpre.reshape(-1) * windows, axis=-1)
             dv += self.lam_c * (float(v @ v) - 1.0) * v
             dfilts[k] = dv
             if k > 0:

@@ -39,6 +39,7 @@ import numpy as np
 from .constructions import build_interpolating_requ
 from .datasets import Dataset, write_csv
 from .models import DeepConvNet, SingleLayerReQUNet, net_from_flat, net_to_flat, requ
+from .numkit import row_dots
 from .objective import FlatObjective, LossKind, ObjectiveConfig, coercivity_lower_bound, loss_deriv
 
 TERMINAL_STATUSES = ("converged", "budget-exhausted", "stalled", "non-finite")
@@ -169,7 +170,7 @@ def estimate_lambda0(ds: Dataset, loss: LossKind, seed: int = 0) -> float:
 def _try_snaps(theta, loss, fob):
     """Zero out small neuron blocks whenever that does not increase the loss."""
     blocks = fob.layout.blocks()
-    norms = np.array([np.linalg.norm(theta[b]) for b in blocks])
+    norms = np.sqrt(row_dots(theta[blocks]))  # == np.linalg.norm of each block
     snapped = False
     cutoff = max(1e-6, SNAP_REL * float(np.max(norms)))
     for j in np.argsort(norms):
@@ -296,8 +297,7 @@ def _attempt_stall_escape(theta, loss, fob, rng):
     U = np.zeros((STALL_PROBES + (0 if n_filt == 0 else 64), theta.size))
     U[:STALL_PROBES, live] = rng.standard_normal((STALL_PROBES, int(live.sum())))
     U[STALL_PROBES:, ~head] = rng.standard_normal((len(U) - STALL_PROBES, n_filt))
-    for u in U:
-        u /= np.linalg.norm(u)
+    U /= np.sqrt(row_dots(U))[:, None]  # == u /= np.linalg.norm(u), row by row
     radii = ESCAPE_DELTA * 2.0 ** np.arange(-6, 9)
     tiny = 1e-15 * (1.0 + abs(loss))
     best_loss, step = _search(fob, theta, U, radii, loss, tiny)
@@ -452,7 +452,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                     steps = [step]
                     for _ in range(width - 1):
                         steps.append(steps[-1] * SHRINK)
-                    trials = theta - np.array(steps)[:, None] * g
+                    trials = theta - np.multiply.outer(steps, g)
                     stacked = fob.forward(trials)
                     for r, (step, trial_loss) in enumerate(zip(steps, stacked[0].tolist())):
                         tried += 1

@@ -251,15 +251,17 @@ def test_value_gradient_and_generic_paths_are_one_function(family):
         np.testing.assert_array_equal(fob.grad(fwd), grad)
 
 
+def random_net(rng, family):
+    """A random net of the family and a filter-anchor weight for it."""
+    if family.startswith("deep"):
+        return make_deep(rng, s=int(rng.integers(2, 4)), l=int(family[-1])), float(rng.uniform(0.5, 2.0))
+    return make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet), 0.0
+
+
 def stacked_case(rng, family, t, K, loss):
     """A random net of the family, its FlatObjective on gen_random(6, ., t)
     with the given loss, and K points scattered around its parameters."""
-    if family.startswith("deep"):
-        net = make_deep(rng, s=int(rng.integers(2, 4)), l=int(family[-1]))
-        lam_c = float(rng.uniform(0.5, 2.0))
-    else:
-        net = make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet)
-        lam_c = 0.0
+    net, lam_c = random_net(rng, family)
     dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
     ds = datasets.gen_random(6, dim, seed=t)
     cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
@@ -296,10 +298,7 @@ def test_row_of_a_stacked_forward_equals_the_forward_of_that_row(family):
         stacked = fob.forward(thetas)
         for k in range(K):
             got, want = fob.row(stacked, k), fob.forward(thetas[k])
-            got_arrays, want_arrays = _arrays(got), _arrays(want)
-            assert len(got_arrays) == len(want_arrays)
-            for x, y in zip(got_arrays, want_arrays):
-                assert np.shape(x) == np.shape(y) and np.array_equal(x, y)
+            assert_same_forward(got, want)
             assert np.array_equal(fob.grad(got), fob.grad(want))
 
 
@@ -308,6 +307,14 @@ def _arrays(fwd):
     if isinstance(fwd, (tuple, list)):
         return [x for part in fwd for x in _arrays(part)]
     return [fwd]
+
+
+def assert_same_forward(got, want):
+    """Every array of two forward results equal, shapes and bits."""
+    got_arrays, want_arrays = _arrays(got), _arrays(want)
+    assert len(got_arrays) == len(want_arrays)
+    for x, y in zip(got_arrays, want_arrays):
+        assert np.shape(x) == np.shape(y) and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -351,16 +358,57 @@ def test_stacked_filter_anchor_equals_one_filter_at_a_time():
     assert all(got[i] == fob._anchor(V[i]) for i in range(len(V)))
 
 
-def padded_filter_grad_oracle(fob, theta):
-    """The gradient as the backprop took it with a fresh np.pad of each conv
-    layer's input per call, before grad kept one zero-bordered buffer."""
-    _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fob.forward(theta)
+def plain_conv_matrix(v, d_z):
+    """The banded conv matrix as the pass filled it before its gather index:
+    zeros, then each band entry assigned, for a filter or a stack of them."""
+    taps, cols = np.divmod(np.arange(v.shape[-1] * d_z), d_z)
+    rows = cols + v.shape[-1] - 1 - taps
+    V = np.zeros(v.shape[:-1] + (v.shape[-1] + d_z - 1, d_z))
+    V.T[cols, rows] = v.T[taps]
+    return V
+
+
+def plain_forward_oracle(fob, theta):
+    """FlatObjective.forward as plain formulas, network pass included: .sum,
+    -y per call, loss_value, np.where's leaky ReLU, the assigned conv matrix."""
+    params = fob.layout.split(theta)
+    a, W, b, filts = params
+    H, states, convs = fob.X, [fob.X], []
+    for v in filts:
+        V = plain_conv_matrix(v, H.shape[-1])
+        P = H @ V.swapaxes(-1, -2)
+        H = np.where(P >= 0.0, P, fob.slope * P)
+        states.append(H)
+        convs.append((V, P))
+    pre = H @ W.swapaxes(-1, -2) + b[..., None, :]
+    act = pre if fob.squared else np.maximum(pre, 0.0)
+    phi = act * act
+    out = states, convs, pre, act, phi, (phi @ a[..., None])[..., 0]
+    z = -fob.y * out[-1]
+    u = np.sqrt((W * W).sum(axis=-1) + b * b)
+    reg = (fob.lam * (np.abs(a) ** 3 + 2.0 * u**3)).sum(axis=-1) / 3.0
+    for v in filts:
+        if v.ndim > 1:
+            reg = reg + np.array([0.25 * fob.lam_c * (x - 1.0) ** 2 for x in numkit.row_dots(v).tolist()])
+        else:
+            reg = reg + 0.25 * fob.lam_c * (float(v @ v) - 1.0) ** 2
+    value = objective.loss_value(fob.loss, z).sum(axis=-1) + reg
+    return value, params, out, z, u
+
+
+def plain_grad_oracle(fob, fwd):
+    """FlatObjective.grad as plain formulas, from a 1-D forward result: 2 lam
+    formed per use, .sum, and each filter tap a product and a sum over a
+    window of a fresh np.pad of the layer's input."""
+    _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fwd
     F, lam = states[-1], fob.lam
     g = -objective.loss_deriv(fob.loss, z) * fob.y
     S = g[:, None] * (2.0 * act)
     da = phi.T @ g + lam * np.abs(a) * a
     dW = (S.T @ F) * a[:, None] + 2.0 * lam[:, None] * u[:, None] * W
     db = S.sum(axis=0) * a + 2.0 * lam * u * b
+    if not filts:
+        return np.concatenate([da, dW.ravel(), db])
     dH = (S * a[None, :]) @ W
     dfilts = [None] * len(filts)
     for k in range(len(filts) - 1, -1, -1):
@@ -376,6 +424,57 @@ def padded_filter_grad_oracle(fob, theta):
     return np.concatenate([da, dW.ravel(), db, *dfilts])
 
 
+def edge_points(fob, theta, rng):
+    """theta, theta with one neuron block all zero, and for conv nets that
+    point with a first filter (1, -1, 0, ...), which cancels to +0.0 on a
+    constant row, (-1e-200, ...), whose products underflow to -0.0, and
+    (-5e-324, ...), whose pre-activations times the slope round to -0.0.
+    A pre-activation of -0.0 itself does not occur: the BLAS sums start
+    from +0.0, so -0.0 products still sum to +0.0."""
+    zero_block = theta.copy()
+    zero_block[fob.layout.blocks()[int(rng.integers(fob.layout.m))]] = 0.0
+    points = [theta, zero_block]
+    if fob.layout.filter_sizes:
+        lo, s = fob.layout.size - sum(fob.layout.filter_sizes), fob.layout.filter_sizes[0]
+        cancel = np.zeros(s)
+        cancel[:2] = 1.0, -1.0
+        for first in (cancel, np.full(s, -1e-200), np.full(s, -5e-324)):
+            p = zero_block.copy()
+            p[lo : lo + s] = first
+            points.append(p)
+    return points
+
+
+@pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"])
+@pytest.mark.parametrize("loss", [objective.logistic(), objective.smooth_hinge(3)], ids=["logistic", "hinge"])
+def test_lean_pass_equals_the_plain_formulas(family, loss):
+    # Exact equality on every array: the pass makes fewer numpy calls but
+    # the same arithmetic, so trajectories and artifacts stay byte-identical.
+    # The data rows are a constant integer, +0.0, -0.0 and 1e-200-scale, so
+    # kinks, signed zeros and underflow reach every layer.
+    rng = np.random.default_rng(23)
+    net, lam_c = random_net(rng, family)
+    dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+    X = datasets.gen_random(6, dim, seed=1).X
+    X[0], X[1], X[2], X[3] = 2.0, 0.0, -0.0, 1e-200 * (1.0 + np.abs(X[3]))
+    ds = datasets.Dataset(X, np.array([1, -1, 1, -1, 1, -1]))
+    cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
+    fob = objective.FlatObjective(net, ds, cfg)
+    points = edge_points(fob, models.net_to_flat(net), rng)
+    for theta in points:
+        fwd = fob.forward(theta)
+        assert_same_forward(fwd, plain_forward_oracle(fob, theta))
+        assert np.array_equal(fob.grad(fwd), plain_grad_oracle(fob, fwd))
+    scattered = points[0] + rng.standard_normal((480, points[0].size)) * 10.0 ** rng.uniform(-4, 0, (480, 1))
+    for K in (1, 2, 8, 480):
+        stack = np.vstack([points, scattered])[:K]
+        stacked = fob.forward(stack)
+        assert_same_forward(stacked, plain_forward_oracle(fob, stack))
+        for k in range(min(K, len(points) + 1)):
+            assert np.array_equal(fob.grad(fob.row(stacked, k)),
+                                  plain_grad_oracle(fob, plain_forward_oracle(fob, stack[k])))
+
+
 def deep_objective(rng, s, l, n=6):
     net = make_deep(rng, s=s, l=l)
     ds = datasets.gen_random(n, net.input_dim, seed=int(rng.integers(1 << 30)))
@@ -387,25 +486,25 @@ def deep_objective(rng, s, l, n=6):
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_grad_equals_padded_filter_oracle(l):
-    # Exact equality: the buffer holds the same zero-bordered values as
-    # np.pad made, in the same layout, so every tap sums the same products.
+    # Exact equality: the gathered windows hold the values of slices of a
+    # fresh np.pad, so every tap sums the same products in the same order.
     rng = np.random.default_rng(19)
     for s in (2, 3):
         fob, theta = deep_objective(rng, s, l)
         for _ in range(100):
             point = theta + rng.standard_normal(theta.size) * 10.0 ** rng.uniform(-3, 0)
             np.testing.assert_array_equal(
-                fob.grad(fob.forward(point)), padded_filter_grad_oracle(fob, point)
+                fob.grad(fob.forward(point)), plain_grad_oracle(fob, plain_forward_oracle(fob, point))
             )
 
 
 def test_grad_buffer_carries_nothing_between_calls():
-    # grad rewrites the kept buffer's interior on every call; alternating
+    # grad rewrites the kept buffers' interiors on every call; alternating
     # two points, and forwards taken before either gradient, changes nothing.
     rng = np.random.default_rng(20)
     fob, theta = deep_objective(rng, 3, 3)
     first, second = theta, theta + rng.standard_normal(theta.size)
-    want = [padded_filter_grad_oracle(fob, p) for p in (first, second)]
+    want = [plain_grad_oracle(fob, plain_forward_oracle(fob, p)) for p in (first, second)]
     fwds = [fob.forward(p) for p in (first, second)]
     for _ in range(3):
         for k in (1, 0):
