@@ -194,6 +194,8 @@ def _load_config_file(path) -> dict:
         raise UsageError(f"cannot read config: {exc}") from None
     except yaml.YAMLError as exc:
         raise UsageError(f"{path}: invalid YAML: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config is not text: {exc}") from None
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -389,7 +391,9 @@ def _probe_coercivity(cfg: dict) -> dict:
     radii's exponents from uniform(-2, log10(norm_max), MC_BLOCK).  The block
     size thus fixes the report, and fewer trials give a prefix of more.
     Each block is evaluated as one stack at radius * u / ||u||; the floor,
-    the worst margin and the violations are taken in trial order.
+    the worst margin and the violations are taken in trial order.  A trial
+    whose margin is NaN (objective and floor both overflowed to inf) proves
+    nothing, so it is counted as non_finite_trials and fails the probe.
     """
     seed, m, trials, slack = cfg["seed"], cfg["m"], cfg["trials"], cfg["slack"]
     if not (np.isfinite(cfg["norm_max"]) and cfg["norm_max"] > 1e-2):
@@ -404,7 +408,7 @@ def _probe_coercivity(cfg: dict) -> dict:
     size = fob.layout.size
     lam_min = float(np.min(lam))
     worst = np.inf
-    violations = 0
+    violations = non_finite = 0
     for b, start in enumerate(range(0, trials, MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
         U = rng.standard_normal((MC_BLOCK, size))[: trials - start]
@@ -413,10 +417,16 @@ def _probe_coercivity(cfg: dict) -> dict:
         thetas = np.array(radii)[:, None] * U / np.sqrt(row_dots(U))[:, None]
         for radius, value in zip(radii, fob.values(thetas)):
             floor = coercivity_lower_bound(radius, lam_min, m)
-            worst = min(worst, value - floor)
+            margin = value - floor
+            worst = min(worst, margin)  # a NaN margin leaves worst as it was
+            non_finite += bool(np.isnan(margin))
             if value < floor - slack * (1.0 + abs(floor)):
                 violations += 1
-    return {"violations": violations, "worst_margin": float(worst), "pass": violations == 0}
+    result = {"violations": violations, "worst_margin": float(worst),
+              "pass": violations == 0 and non_finite == 0}
+    if non_finite:  # absent when 0, so finite reports keep their bytes
+        result["non_finite_trials"] = non_finite
+    return result
 
 
 def _probe_lemma2(cfg: dict) -> dict:

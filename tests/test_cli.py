@@ -160,6 +160,18 @@ def test_train_rejects_unknown_config_key(tmp_path):
     assert run("train", "--out", tmp_path / "x", "--config", cfgfile) == 1
 
 
+def test_config_that_is_not_text_is_a_usage_error(tmp_path, capsys):
+    # Only OSError and YAMLError were caught: the decode error of the
+    # text-mode read ended the CLI with a traceback and exit 3.
+    cfgfile = tmp_path / "bytes.yaml"
+    cfgfile.write_bytes(b"\xff\xfe: 1\n")
+    out = tmp_path / "o"
+    assert run("train", "--config", cfgfile, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("requland: error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_rejects_non_mapping_config(tmp_path):
     cfgfile = tmp_path / "list.yaml"
     cfgfile.write_text("- 1\n- 2\n")
@@ -265,17 +277,24 @@ def serial_coercivity_oracle(cfg):
                         ObjectiveConfig(loss=_make_loss(cfg), lam=lam))
     lam_min, slack = float(np.min(lam)), float(cfg["slack"])
     block, log_max = MC_BLOCK, np.log10(float(cfg["norm_max"]))
-    worst, violations, values = np.inf, 0, []
+    worst, violations, non_finite, values = np.inf, 0, 0, []
     for t in range(int(cfg["trials"])):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t // block)))
         u = rng.standard_normal((block, fob.layout.size))[t % block]
         radius = 10.0 ** rng.uniform(-2.0, log_max, block)[t % block]
         values.append(fob.value(radius * u / np.linalg.norm(u)))
         floor = coercivity_lower_bound(radius, lam_min, m)
-        worst = min(worst, values[-1] - floor)
+        margin = values[-1] - floor
+        if np.isnan(margin):
+            non_finite += 1
+        else:
+            worst = min(worst, margin)
         if values[-1] < floor - slack * (1.0 + abs(floor)):
             violations += 1
-    report = {"violations": violations, "worst_margin": float(worst), "pass": violations == 0}
+    report = {"violations": violations, "worst_margin": float(worst),
+              "pass": violations == 0 and non_finite == 0}
+    if non_finite:
+        report["non_finite_trials"] = non_finite
     return report, np.array(values)
 
 
@@ -303,6 +322,21 @@ def test_probe_coercivity_matches_serial_oracle(loss, monkeypatch):
             assert np.array_equal(per_trial, want_per_trial)  # every trial, in order
             assert got == want
             assert (0 < got["violations"] < trials) == (slack < 0)
+
+
+def test_probe_coercivity_fails_on_overflowed_trials(monkeypatch):
+    # At norm_max 1e150, 636 trials have a non-finite objective (629 NaN,
+    # 7 inf).  632 margins are NaN: the NaN values and 3 inf values above
+    # an inf floor.  min() skipped them and the probe passed with
+    # worst_margin 7.603; an inf value above a finite floor is a true pass.
+    cfg = {**PROBE_DEFAULTS["coercivity"], "norm_max": 1e150, "trials": 2000, "seed": 0}
+    with np.errstate(all="ignore"):
+        got, per_trial = coercivity_trials(monkeypatch, cfg)
+        want, want_per_trial = serial_coercivity_oracle(cfg)
+    assert np.array_equal(per_trial, want_per_trial, equal_nan=True)
+    assert got == want
+    assert got["non_finite_trials"] == 632 and got["pass"] is False
+    assert np.sum(~np.isfinite(per_trial)) == 636
 
 
 def test_probe_coercivity_trials_are_a_prefix_of_a_longer_run(monkeypatch):

@@ -1,9 +1,12 @@
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from requland import landscape, objective, optimize
 from requland.constructions import build_bad_local_min
@@ -486,20 +489,47 @@ def serial_monte_carlo_oracle(ds, m, lam, trials, seed):
     return np.array([sym_min_singular_values(Ms).max() for Ms in mats])
 
 
-def monte_carlo_trials(monkeypatch, ds, m, lam, trials, seed):
-    """certificate_matrix_monte_carlo's return and each trial's max_j
-    sigma_min, in trial order, read from the stacks it factors."""
-    stacks = []
+def monte_carlo_factored(monkeypatch, ds, m, lam, trials, seed):
+    """certificate_matrix_monte_carlo's return and every matrix it factors,
+    each with its sigma_min, read from the stacks it hands the kernel."""
+    factored = []
 
     def recording(stack):
-        stacks.append(sym_min_singular_values(stack))
-        return stacks[-1]
+        sigma = sym_min_singular_values(stack)
+        factored.extend(zip(stack.reshape(-1, *stack.shape[-2:]), sigma.reshape(-1)))
+        return sigma
 
     with monkeypatch.context() as mp, warnings.catch_warnings():
         mp.setattr(landscape, "sym_min_singular_values", recording)
         warnings.simplefilter("ignore")  # m = n warns
         got = landscape.certificate_matrix_monte_carlo(ds, m, lam, trials, seed=seed)
-    return got, np.concatenate(stacks).max(axis=1)
+    return got, factored
+
+
+def assert_prunes_exactly(factored, mats):
+    """Every factored matrix is an oracle M_tj with the oracle's sigma_min,
+    none is factored more often than it is drawn, and every trial whose max
+    is below the minimum of all earlier trials is factored in all m columns.
+    Matrices are matched by content (+ 0.0 makes -0.0 entries +0.0), and an
+    all-zero column of A draws the same lam_j I in many trials."""
+    sigma = [sym_min_singular_values(Ms) for Ms in mats]
+    want = np.array([s.max() for s in sigma])
+    drawn, oracle_sigma = Counter(), {}
+    for Ms, s in zip(mats, sigma):
+        for M, s_j in zip(Ms, s):
+            key = (M + 0.0).tobytes()
+            drawn[key] += 1
+            oracle_sigma[key] = s_j
+    seen = Counter()
+    for M, s_j in factored:
+        key = (M + 0.0).tobytes()
+        assert key in oracle_sigma and s_j == oracle_sigma[key]
+        seen[key] += 1
+    assert all(seen[key] <= drawn[key] for key in seen)
+    earlier = np.minimum.accumulate(np.concatenate([[np.inf], want[:-1]]))
+    needed = Counter((M + 0.0).tobytes() for t in np.flatnonzero(want < earlier)
+                     for M in mats[t])
+    assert all(seen[key] >= count for key, count in needed.items())
 
 
 @pytest.mark.parametrize("n,m", [(5, 6), (8, 8), (8, 9)])
@@ -508,9 +538,11 @@ def test_monte_carlo_matches_serial_oracle(n, m, monkeypatch):
     lam = optimize.sample_lambda(m, 1e-2, seed=m)
     block = landscape.MC_BLOCK
     for trials in (block - 1, block, block + 1):
-        got, per_trial = monte_carlo_trials(monkeypatch, ds, m, lam, trials, seed=1)
+        got, factored = monte_carlo_factored(monkeypatch, ds, m, lam, trials, seed=1)
+        mats = serial_monte_carlo_matrices(ds, m, lam, trials, seed=1)
         want = serial_monte_carlo_oracle(ds, m, lam, trials, seed=1)
-        assert np.array_equal(per_trial, want)  # every trial, once, in order
+        assert_prunes_exactly(factored, mats)
+        assert len(factored) < trials * m  # pruning skips matrices
         assert got == want.min()
 
 
@@ -531,11 +563,58 @@ def test_monte_carlo_trials_are_a_prefix_of_a_longer_run(monkeypatch):
     # Trial t depends only on (seed, t): every block is drawn whole.
     ds = gen_random(5, 3, seed=5)
     lam = optimize.sample_lambda(6, 1e-2, seed=6)
-    got, short = monte_carlo_trials(monkeypatch, ds, 6, lam, 300, seed=3)
-    _, long = monte_carlo_trials(monkeypatch, ds, 6, lam, 4000, seed=3)
-    assert len(short) == 300 and len(long) == 4000
-    assert np.array_equal(short, long[:300])
-    assert got == short.min()
+    mats = serial_monte_carlo_matrices(ds, 6, lam, 4000, seed=3)
+    want = serial_monte_carlo_oracle(ds, 6, lam, 4000, seed=3)
+    for trials in (300, 4000):
+        got, factored = monte_carlo_factored(monkeypatch, ds, 6, lam, trials, seed=3)
+        assert_prunes_exactly(factored, mats[:trials])
+        assert got == want[:trials].min()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       trials=st.integers(1, 3 * landscape.MC_BLOCK + 1),
+       size=st.sampled_from([(5, 6), (8, 8), (8, 9), (3, 3), (4, 9)]))
+def test_monte_carlo_equals_the_unpruned_min_max(seed, trials, size):
+    n, m = size
+    ds = gen_random(n, 3, seed=n)
+    lam = optimize.sample_lambda(m, 1e-2, seed=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m <= n warns
+        got = landscape.certificate_matrix_monte_carlo(ds, m, lam, trials, seed=seed)
+    assert got == serial_monte_carlo_oracle(ds, m, lam, trials, seed).min()
+
+
+def test_monte_carlo_rejects_a_non_finite_matrix_it_never_factors(monkeypatch):
+    # Pruning factors a few of a block's matrices, but every drawn matrix is
+    # still checked: a NaN in one that is never factored raises, as before.
+    ds = gen_random(5, 3, seed=5)
+    lam = optimize.sample_lambda(6, 1e-2, seed=6)
+    _, factored = monte_carlo_factored(monkeypatch, ds, 6, lam, 300, seed=3)
+    mats = serial_monte_carlo_matrices(ds, 6, lam, 300, seed=3)
+    seen = {(M + 0.0).tobytes() for M, _ in factored}
+    t = next(t for t in range(200, landscape.MC_BLOCK)  # in the first block
+             if (mats[t][-1] + 0.0).tobytes() not in seen)
+    build = landscape._certificate_sum
+
+    def poisoned(lifted, weights, lam):
+        M = build(lifted, weights, lam)
+        if len(M) > t:  # the block holding trial t; poison its column m - 1
+            M[t, -1, 0, 0] = np.nan
+        return M
+
+    monkeypatch.setattr(landscape, "_certificate_sum", poisoned)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        landscape.certificate_matrix_monte_carlo(ds, 6, lam, 300, seed=3)
+
+
+def test_monte_carlo_rejects_an_overflowing_dataset():
+    ds = gen_random(5, 3, seed=5)
+    X = ds.X.copy()
+    X[0, 0] = 1e200  # its lifted outer product overflows to inf
+    lam = optimize.sample_lambda(6, 1e-2, seed=6)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        landscape.certificate_matrix_monte_carlo(Dataset(X, ds.y), 6, lam, 300, seed=3)
 
 
 def test_square_case_warns_and_adversarial_kills_every_matrix():
