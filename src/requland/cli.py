@@ -415,13 +415,15 @@ def _probe_coercivity(cfg: dict) -> dict:
         # Python-float powers: numpy's vectorized power differs in the last bit.
         radii = [10.0 ** x for x in rng.uniform(-2.0, log_max, MC_BLOCK)[: len(U)].tolist()]
         thetas = np.array(radii)[:, None] * U / np.sqrt(row_dots(U))[:, None]
-        for radius, value in zip(radii, fob.values(thetas)):
-            floor = coercivity_lower_bound(radius, lam_min, m)
-            margin = value - floor
-            worst = min(worst, margin)  # a NaN margin leaves worst as it was
-            non_finite += bool(np.isnan(margin))
-            if value < floor - slack * (1.0 + abs(floor)):
-                violations += 1
+        # Overflowed trials are counted below, so numpy need not warn of them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for radius, value in zip(radii, fob.values(thetas)):
+                floor = coercivity_lower_bound(radius, lam_min, m)
+                margin = value - floor
+                worst = min(worst, margin)  # a NaN margin leaves worst as it was
+                non_finite += bool(np.isnan(margin))
+                if value < floor - slack * (1.0 + abs(floor)):
+                    violations += 1
     result = {"violations": violations, "worst_margin": float(worst),
               "pass": violations == 0 and non_finite == 0}
     if non_finite:  # absent when 0, so finite reports keep their bytes
@@ -464,8 +466,8 @@ def _probe_lidskii(cfg: dict) -> dict:
 
 def _probe_overdetermined(cfg: dict) -> dict:
     n, m = cfg["n"], cfg["m"]
-    if m < n + 1:
-        raise UsageError(f"overdetermined probe needs m >= n+1, got n={n} m={m}")
+    if n < 1 or m < n + 1:
+        raise UsageError(f"overdetermined probe needs n >= 1 and m >= n+1, got n={n} m={m}")
     with _user_input():
         rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf

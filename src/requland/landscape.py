@@ -18,20 +18,21 @@ overdetermined_no_solution quantifies); at m = n the explicit adversarial
 configuration from certificate_matrix_adversarial does make every matrix
 singular, showing the overparameterization hypothesis is load-bearing.
 
-_certificate_sum builds the certificate matrices of one network, one (z, A)
-draw or a whole stack of draws, and numkit.sym_min_singular_values takes a
-stack's sigma_min = min |eig| in one batched symmetric eigensolve.  Stacking
-is exact: each matrix and each sigma_min equals (==) the one built and
-factored alone.  The Monte-Carlo min-max builds a block of draws as one
-stack and factors it column by column over the trials that can still lower
-the minimum, so its return equals (==) the unpruned min-max.
+_certificate_sum builds the certificate matrices of one network (from the
+kernel pass certify reads), one (z, A) draw or a whole stack of draws, and
+numkit.sym_min_singular_values takes a stack's sigma_min = min |eig| in one
+batched symmetric eigensolve.  Stacking is exact: each matrix and each
+sigma_min equals (==) the one built and factored alone.  The Monte-Carlo
+min-max builds a block of draws as one stack and factors it column by
+column over the trials that can still lower the minimum, so its return
+equals (==) the unpruned min-max.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,8 +67,9 @@ def _certificate_sum(lifted, weights, lam) -> np.ndarray:
     return -(weighted.swapaxes(-1, -2) @ lifted) + shift
 
 
-def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
-    """Certificate matrices M_j, one per head block, shape (m, p+1, p+1).
+def build_M_matrices(fob: FlatObjective, fwd, lp) -> np.ndarray:
+    """Certificate matrices M_j, one per head block, shape (m, p+1, p+1), at
+    the point of fwd = fob.forward(theta), with lp = loss'(z) at its margins.
 
     The per-block weights are sgn(a_j) l'_i y_i 1{pre_ij >= 0}.  The
     quadratic head has no indicator (its activation is smooth), so the same
@@ -75,11 +77,10 @@ def build_M_matrices(net, ds: Dataset, cfg: ObjectiveConfig) -> np.ndarray:
     sign of a_j and the lam_j shift.  For a conv stack the lifted features
     are the last hidden states rather than the raw inputs.
     """
-    states, _, pre, _, _, f = net.forward(ds.X)
-    lifted = np.hstack([states[-1], np.ones((ds.n, 1))])
-    coef = loss_deriv(cfg.loss, -ds.y * f) * ds.y
-    active = net.squared | (pre >= 0.0)  # not act > 0, which would drop pre == 0
-    return _certificate_sum(lifted, coef[:, None] * active * np.sign(net.a), cfg.lam)
+    _, (a, _, _, _), (states, _, pre, _, _, _), _, _ = fwd
+    lifted = np.hstack([states[-1], np.ones((len(pre), 1))])
+    active = fob.squared | (pre >= 0.0)  # not act > 0, which would drop pre == 0
+    return _certificate_sum(lifted, (lp * fob.y)[:, None] * active * np.sign(a), fob.lam)
 
 
 def write_json(doc: dict, path) -> None:
@@ -91,6 +92,15 @@ def write_json(doc: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+# Per annotation of a CertificateReport field: (to JSON, from JSON).
+_JSON_CODECS = {
+    "np.ndarray": (lambda v: [float(x) for x in v], lambda v: np.asarray(v, dtype=float)),
+    "list": (lambda v: [int(j) for j in v],) * 2,
+    "float": (float, float),
+    "str": (str, str),
+}
 
 
 @dataclass
@@ -120,18 +130,7 @@ class CertificateReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "balance_residuals": [float(v) for v in self.balance_residuals],
-            "inactive": [int(j) for j in self.inactive],
-            "m_sigma_min": [float(v) for v in self.m_sigma_min],
-            "margin": float(self.margin),
-            "training_error": float(self.training_error),
-            "max_loss_deriv": float(self.max_loss_deriv),
-            "epsilon": float(self.epsilon),
-            "grad_norm": float(self.grad_norm),
-            "tol": float(self.tol),
-            "verdict": self.verdict,
-        }
+        return {f.name: _JSON_CODECS[f.type][0](getattr(self, f.name)) for f in fields(self)}
 
     def save(self, path) -> None:
         write_json(self.to_dict(), path)
@@ -141,18 +140,7 @@ class CertificateReport:
         with open(path) as fh:
             raw = json.load(fh)
         raw.update((k, float(v)) for k, v in raw.pop("non_finite", {}).items())
-        return cls(
-            balance_residuals=np.asarray(raw["balance_residuals"], dtype=float),
-            inactive=[int(j) for j in raw["inactive"]],
-            m_sigma_min=np.asarray(raw["m_sigma_min"], dtype=float),
-            margin=float(raw["margin"]),
-            training_error=float(raw["training_error"]),
-            max_loss_deriv=float(raw["max_loss_deriv"]),
-            epsilon=float(raw["epsilon"]),
-            grad_norm=float(raw["grad_norm"]),
-            tol=float(raw["tol"]),
-            verdict=str(raw["verdict"]),
-        )
+        return cls(**{f.name: _JSON_CODECS[f.type][1](raw[f.name]) for f in fields(cls)})
 
     def one_line(self) -> str:
         return (
@@ -171,8 +159,9 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
     NotCriticalError.  tol defaults to 0.1 * min(lam): inactive blocks show
     sigma_min(M_j) = lam_j, so the threshold must sit below min(lam) yet
     far above the numerical noise floor of a converged run.  The loss,
-    gradient, margins and training error come from one FlatObjective.forward,
-    the certificate matrices from one network pass.
+    gradient, margins, training error and certificate matrices all come
+    from one FlatObjective.forward, and the loss derivatives from one
+    loss_deriv call that the matrices and max_loss_deriv share.
 
     Raises CertificateContradiction if some certificate matrix is
     nonsingular yet no block is inactive, or if the criterion threshold is
@@ -192,16 +181,13 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
     w_norms = np.linalg.norm(net.W, axis=1)
     abs_b = np.abs(net.b)
     residuals = abs_a - np.sqrt(w_norms**2 + abs_b**2)
-    inactive = [
-        int(j)
-        for j in range(net.m)
-        if abs_a[j] < tol and w_norms[j] < tol and abs_b[j] < tol
-    ]
-    sigma = sym_min_singular_values(build_M_matrices(net, ds, cfg))
+    inactive = np.flatnonzero((abs_a < tol) & (w_norms < tol) & (abs_b < tol)).tolist()
     f, z = fwd[2][-1], fwd[3]  # the outputs and margins of the kernel's pass
+    lp = loss_deriv(cfg.loss, z)
+    sigma = sym_min_singular_values(build_M_matrices(fob, fwd, lp))
     marg = float(np.min(ds.y * f))
     err = float(np.mean(np.sign(f) != ds.y))
-    worst = float(np.max(loss_deriv(cfg.loss, z)))
+    worst = float(np.max(lp))
     eps = cfg.loss.epsilon
 
     if bool(np.all(sigma <= tol)):

@@ -308,8 +308,12 @@ def load_net(path):
         num, s = 0, 1
         if cls is DeepConvNet:
             num, s = _shape_field(doc, "num_filters", 0), _shape_field(doc, "filter_size")
-        size = m * (width + 2) + num * s
-        if not isinstance(params, list) or len(params) != size:
+        # Each filter holds s >= 1 numbers, so a fitting list bounds num before
+        # the layout's (s,) * num is built.
+        if not isinstance(params, list) or num > len(params):
+            raise ValueError(f"params must be a list of at least num_filters={num} numbers")
+        size = FlatLayout(m, width, (s,) * num).size
+        if len(params) != size:
             raise ValueError(f"params must be a list of the layout's {size} numbers")
         head = np.zeros(m), np.zeros((m, width)), np.zeros(m)
         if cls is DeepConvNet:

@@ -121,6 +121,8 @@ def init_deep(
     d: int, s: int, l: int, m: int, seed: int = 0, slope: float = 0.1, scale: float = 0.1
 ) -> DeepConvNet:
     """Unit-norm random filters plus a Gaussian head on the grown signal."""
+    if l < 1:
+        raise ValueError(f"l must be >= 1 (the head alone), got {l}")
     rng = np.random.default_rng(seed)
     filts = []
     for _ in range(l - 1):
@@ -139,6 +141,8 @@ def init_deep(
 
 def sample_lambda(m: int, lambda0: float, seed: int = 0) -> np.ndarray:
     """Pairwise distinct weights drawn uniformly from (lambda0/2, lambda0)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if not np.isfinite(lambda0) or lambda0 <= 0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,20 @@ def test_probe_coercivity_fails_on_overflowed_trials(monkeypatch):
     assert np.sum(~np.isfinite(per_trial)) == 636
 
 
+def test_probe_coercivity_overflowed_trials_raise_no_warnings(tmp_path, capsys):
+    # The same run through the CLI printed nine numpy RuntimeWarnings; its
+    # overflowed trials are counted in the report instead.
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text("norm_max: 1.0e+150\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("probe", "coercivity", "--config", cfgfile, "--trials", "2000",
+                   "--seed", "0", "--out", tmp_path / "p") == 2
+    assert capsys.readouterr().err == ""
+    report = strict_json(tmp_path / "p" / "report.json")
+    assert report["non_finite_trials"] == 632 and report["pass"] is False
+
+
 def test_probe_coercivity_trials_are_a_prefix_of_a_longer_run(monkeypatch):
     # Trial t depends only on (seed, t): every block is drawn whole.
     cfg = {**PROBE_DEFAULTS["coercivity"], "seed": 3}
@@ -527,6 +542,12 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("sweep", "d: 0", "d >= 1"),
     ("sweep", "lambda0: -1", "lambda0 must be positive"),
     ("counterexample", "lam: [5.0e-324, 0.1]", "underflows to 0"),
+    ("probe lemma2", "m: 0", "m must be >= 1, got 0"),
+    ("probe injectivity", "l: 0", "l must be >= 1"),
+    ("train", "arch: deep\nl: 0", "l must be >= 1"),
+    ("probe overdetermined", "n: -1", "needs n >= 1"),
+    ("probe overdetermined", "n: 0", "needs n >= 1"),
+    ("sweep", "n_values: [1]", "m must be >= 1, got -1"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
@@ -540,6 +561,11 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # and sample_lambda per cell after creating --out, so d: 0 and
     # lambda0: -1 left it behind.  A subnormal lam made counterexample claim
     # lam_j / s^2 was too large where lam_j ln 2 / s^2 had underflowed.
+    # lemma2 at m: 0 and injectivity at l: 0 failed inside the library
+    # (exit 3), and deep train at l: 0 blamed the input length;
+    # overdetermined at n: -1 exited 3, and at n: 0 passed over no equations.
+    # sweep's default grid at n = 1 starts at m = -1, which sample_lambda
+    # handed to numpy: "negative dimensions are not allowed".
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -18,6 +18,13 @@ from requland.objective import ObjectiveConfig, logistic, smooth_hinge
 
 def lifted(X):
     return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def m_matrices(net, ds, cfg):
+    """build_M_matrices at net, from the kernel pass and derivatives certify hands it."""
+    fob = objective.FlatObjective(net, ds, cfg)
+    fwd = fob.forward(net_to_flat(net))
+    return landscape.build_M_matrices(fob, fwd, objective.loss_deriv(cfg.loss, fwd[3]))
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +84,7 @@ def test_m_matrices_zero_net_are_lambda_shifts():
     m = 4
     net = SingleLayerReQUNet(np.zeros(m), np.zeros((m, 3)), np.zeros(m))
     cfg = ObjectiveConfig(loss=logistic(), lam=np.array([0.1, 0.2, 0.3, 0.4]))
-    for j, M in enumerate(landscape.build_M_matrices(net, ds, cfg)):
+    for j, M in enumerate(m_matrices(net, ds, cfg)):
         # sgn(0) = 0 kills the data term entirely.
         assert np.allclose(M, cfg.lam[j] * np.eye(4))
         assert min_singular_value(M) == pytest.approx(cfg.lam[j])
@@ -88,7 +95,7 @@ def test_m_matrix_single_sample_rank_one_spectrum():
     ds = Dataset(X, np.array([1]))
     net = SingleLayerReQUNet(np.array([0.5]), np.array([[1.0, 0.0]]), np.array([0.2]))
     cfg = ObjectiveConfig(loss=logistic(), lam=np.array([0.3]))
-    (M,) = landscape.build_M_matrices(net, ds, cfg)
+    (M,) = m_matrices(net, ds, cfg)
     z = -ds.y[0] * net.value(X)[0]
     lp = objective.loss_deriv(cfg.loss, z)
     # Rank-one update of lam*I: eigenvalues lam (multiplicity d) and
@@ -107,12 +114,12 @@ def test_m_matrix_indicator_counts_a_preactivation_of_exactly_zero():
     lp = objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))
     Z = lifted(ds.X)
     want = -sum(lp[i] * ds.y[i] * np.outer(Z[i], Z[i]) for i in range(2)) + 0.3 * np.eye(2)
-    np.testing.assert_allclose(landscape.build_M_matrices(net, ds, cfg)[0], want, rtol=1e-14)
+    np.testing.assert_allclose(m_matrices(net, ds, cfg)[0], want, rtol=1e-14)
 
 
 def test_m_matrices_annihilate_active_blocks_at_criticality(single_run):
     net, ds, cfg = single_run
-    Ms = landscape.build_M_matrices(net, ds, cfg)
+    Ms = m_matrices(net, ds, cfg)
     for j in range(net.m):
         wb = np.r_[net.W[j], net.b[j]]
         nb = np.linalg.norm(wb)
@@ -209,6 +216,43 @@ def test_certificate_report_json_roundtrip(tmp_path, single_run):
     assert np.allclose(back.balance_residuals, rep.balance_residuals)
     assert "verdict=ok" in back.one_line()
     assert "non_finite" not in json.loads(path.read_text())
+
+
+def test_certificate_report_load_inverts_save_field_for_field(tmp_path, single_run):
+    rep = landscape.certify(*single_run)
+    rep.margin, rep.grad_norm = float("nan"), float("inf")
+    path = tmp_path / "report.json"
+    rep.save(path)
+    back = landscape.CertificateReport.load(path)
+    for field in fields(landscape.CertificateReport):
+        want, got = getattr(rep, field.name), getattr(back, field.name)
+        assert type(got) is type(want) and repr(got) == repr(want), field.name
+        np.testing.assert_array_equal(got, want, err_msg=field.name)  # NaN matches NaN
+
+
+def net_pass_m_matrices_oracle(net, ds, cfg):
+    """The certificate matrices from the network's own pass and a loss_deriv
+    of their own, as certify built them before it read the kernel's pass."""
+    states, _, pre, _, _, f = net.forward(ds.X)
+    coef = objective.loss_deriv(cfg.loss, -ds.y * f) * ds.y
+    active = net.squared | (pre >= 0.0)
+    return landscape._certificate_sum(lifted(states[-1]), coef[:, None] * active * np.sign(net.a),
+                                      cfg.lam)
+
+
+@pytest.mark.parametrize("loss", [logistic(), smooth_hinge(3)], ids=["logistic", "hinge"])
+def test_m_matrices_from_the_kernel_pass_equal_the_network_pass_oracle(loss):
+    rng = np.random.default_rng(6)
+    m = 7
+    ds = gen_random(9, 3, seed=6)
+    cfg = ObjectiveConfig(loss=loss, lam=optimize.sample_lambda(m, 0.1, seed=6))
+    for net in (
+        SingleLayerReQUNet(rng.standard_normal(m), rng.standard_normal((m, 3)), rng.standard_normal(m)),
+        QuadraticNet(rng.standard_normal(m), rng.standard_normal((m, 3)), rng.standard_normal(m)),
+        optimize.init_deep(3, 2, 3, m, seed=6, scale=3.0),
+    ):
+        got, want = m_matrices(net, ds, cfg), net_pass_m_matrices_oracle(net, ds, cfg)
+        assert got.shape == want.shape and np.all(got == want)
 
 
 def test_certificate_report_with_a_nan_margin_is_strict_json(tmp_path, single_run):
@@ -448,7 +492,7 @@ def test_certificate_sum_matches_serial_oracle(monkeypatch):
                           optimize.sample_lambda(n + 1, 0.1, seed=n)))
 
     def build():
-        return ([landscape.build_M_matrices(net, ds, cfg) for net in nets]
+        return ([m_matrices(net, ds, cfg) for net in nets]
                 + [landscape.certificate_matrices_zA(*d) for d in draws])
 
     got = build()
@@ -671,7 +715,7 @@ def test_quadratic_certificate_singular_count_is_bounded():
     a = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 1.5, m)
     net = QuadraticNet(a, rng.standard_normal((m, d)), rng.standard_normal(m))
     probe_cfg = ObjectiveConfig(loss=logistic(), lam=np.full(m, 0.5))
-    (M0,) = landscape.build_M_matrices(net, ds, probe_cfg)[:1]
+    (M0,) = m_matrices(net, ds, probe_cfg)[:1]
     shared = -(M0 - 0.5 * np.eye(d + 1)) * np.sign(a[0])  # recover sum_i l'_i y_i X_i
     eigs = np.linalg.eigvalsh(shared)
     lam = []
@@ -683,7 +727,7 @@ def test_quadratic_certificate_singular_count_is_bounded():
     assert np.unique(lam).size == m
     cfg = ObjectiveConfig(loss=logistic(), lam=lam)
     sig = np.array(
-        [min_singular_value(M) for M in landscape.build_M_matrices(net, ds, cfg)]
+        [min_singular_value(M) for M in m_matrices(net, ds, cfg)]
     )
     scale = 1.0 + np.abs(eigs).max()
     assert np.sum(sig < 1e-10 * scale) <= 2 * (d + 1)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from requland import models, objective
+from requland import landscape, models, objective
 from requland import optimize as opt
 from requland.datasets import gen_random
 from requland.landscape import certify
@@ -48,6 +48,10 @@ def test_init_shapes_and_determinism():
     assert len(deep.filters) == 2
     for v in deep.filters:
         assert np.linalg.norm(v) == pytest.approx(1.0)
+    assert opt.init_deep(d=4, s=2, l=1, m=6).filters == ()
+    # l = 0 built a head of width d - (s - 1) with no filters to grow it.
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        opt.init_deep(d=4, s=2, l=0, m=6)
 
 
 def test_sample_lambda_distinct_in_range():
@@ -59,6 +63,9 @@ def test_sample_lambda_distinct_in_range():
         opt.sample_lambda(3, 0.0)
     with pytest.raises(ValueError, match="positive"):
         opt.sample_lambda(3, float("nan"))
+    for m in (0, -1):  # numpy drew no weights at 0, and refused a negative size
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            opt.sample_lambda(m, 0.3)
 
 
 def test_estimate_lambda0_positive_and_underflow_free():
@@ -319,8 +326,9 @@ def test_escape_matches_serial_oracle():
 
 def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
     # The escape move read its head inputs and margins in network passes of
-    # its own, and certify made six.  Recorded: each pass's head
-    # coefficients, or None for a stacked pass (the escape grid's trials).
+    # its own; certify made six, then two (the certificate matrices took a
+    # pass of their own).  Recorded: each pass's head coefficients, or None
+    # for a stacked pass (the escape grid's trials).
     heads = []
     network_pass = models.network_pass
 
@@ -346,8 +354,12 @@ def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
     net, traj = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5))
     assert traj.status == "converged"
     heads.clear()
+    derivs = []
+    loss_deriv = landscape.loss_deriv
+    monkeypatch.setattr(landscape, "loss_deriv", lambda *a: derivs.append(a) or loss_deriv(*a))
     assert certify(net, ds, cfg).verdict == "ok"
-    assert heads == [net.a.tobytes()] * 2  # one kernel forward, one network pass
+    assert heads == [net.a.tobytes()] * 1  # the kernel forward, read by everything
+    assert len(derivs) == 1  # shared by the certificate matrices and max_loss_deriv
 
 
 def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
