@@ -175,7 +175,7 @@ DEMO_PATH_DEFAULTS = {"num_steps": 10_000, "lam": 0.1}
 
 SWEEP_DEFAULTS = {
     "n_values": [10],
-    "m_values": None,  # default grid per n: m in {n-2, ..., n+3}
+    "m_values": None,  # default grid per n: m in {max(1, n-2), ..., n+3}
     "seeds": [0],
     "d": 3,
     "loss": "logistic",
@@ -445,7 +445,15 @@ def _probe_lemma2(cfg: dict) -> dict:
     return result
 
 
+def _require_positive(cfg: dict, *keys) -> None:
+    """A size bound below 1 is a usage error naming its key, not numpy's."""
+    for key in keys:
+        if cfg[key] < 1:
+            raise UsageError(f"config key {key}: expected at least 1, got {cfg[key]}")
+
+
 def _probe_lidskii(cfg: dict) -> dict:
+    _require_positive(cfg, "d_max")
     with _user_input():
         rng = np.random.default_rng(cfg["seed"])
     worst = -np.inf
@@ -480,6 +488,7 @@ def _probe_overdetermined(cfg: dict) -> dict:
 
 
 def _probe_conv_rank(cfg: dict) -> dict:
+    _require_positive(cfg, "s_max", "dz_max")
     with _user_input():
         rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf
@@ -493,6 +502,7 @@ def _probe_conv_rank(cfg: dict) -> dict:
 
 
 def _probe_injectivity(cfg: dict) -> dict:
+    _require_positive(cfg, "s")
     failures = 0
     for t in range(cfg["trials"]):
         with _user_input():  # each trial builds its net and data from the config
@@ -611,7 +621,7 @@ def cmd_sweep(args) -> int:
     cells = [
         (n, m, seed)
         for n in cfg["n_values"]
-        for m in (range(n - 2, n + 4) if cfg["m_values"] is None else cfg["m_values"])
+        for m in (range(max(1, n - 2), n + 4) if cfg["m_values"] is None else cfg["m_values"])
         for seed in cfg["seeds"]
     ]
     with _user_input():

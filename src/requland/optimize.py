@@ -18,7 +18,8 @@ theta unchanged; the flatline watch catches pins where theta still moves.
 
 The Armijo backtracking ladder runs in blocks of rungs, each block one
 FlatObjective.forward on a stack of trial points, from which the accepted
-rung also takes its gradient; train sizes the blocks from the last iteration.
+rung also takes its gradient; a ladder opens wide only where the proposed
+step overshoots the last accepted one by 2**LADDER_MAX or more.
 train keeps the forward pass of its iterate, and every move reads only
 theta, that pass (or the loss it holds) and the FlatObjective: the data, the
 loss and the neuron blocks all come from it.  Both escapes scan their grid
@@ -316,6 +317,17 @@ def _attempt_stall_escape(theta, loss, fob, rng):
     return theta + r * u, best_loss
 
 
+def _opening_width(step, last_step):
+    """Rungs in the first block of an Armijo ladder: one, unless step is at
+    least 2**LADDER_MAX times last_step; then k + 1 for the overshoot
+    2**k <= step / last_step < 2**(k + 1), so the block reaches from step
+    down to last_step.  k comes from the two exponents, so a quotient that
+    overflows to inf still has one."""
+    (m, e), (m_last, e_last) = math.frexp(step), math.frexp(last_step)
+    k = e - e_last - (m < m_last)
+    return k + 1 if k >= LADDER_MAX else 1
+
+
 def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = None):
     """Minimize the objective from the given starting network.
 
@@ -324,14 +336,15 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     last grown step otherwise, then enforces the Armijo condition by
     backtracking along step, step*SHRINK, ... (at most 120 rungs), so the
     accepted sequence is strictly monotone.  A block of rungs is one stacked
-    FlatObjective.forward: one rung after an iteration that took its first
-    trial, else as many as that iteration took, capped at LADDER_MAX, which
-    later blocks use.  The first passing rung wins and takes its gradient
-    from its block's pass, so the widths change only the cost.  An
-    accepted rung whose trial equals theta (the decrease ARMIJO*step*gn^2
-    fell below half an ulp of the loss) is no step: like an exhausted
-    ladder it pins the iterate and hands it to the stall probe.  See the
-    module docstring for the snap and escape moves.
+    FlatObjective.forward.  The first block is one rung or, where the trial
+    step overshoots the last accepted one by 2**LADDER_MAX or more, reaches
+    down to it (_opening_width): a kink's long backtrack ends near there.
+    Later blocks are LADDER_MAX wide.  The first passing rung wins and
+    takes its gradient from its block's pass, so the widths change only the
+    cost.  An accepted rung whose trial equals theta (the decrease
+    ARMIJO*step*gn^2 fell below half an ulp of the loss) is no step: like
+    an exhausted ladder it pins the iterate and hands it to the stall probe.
+    See the module docstring for the snap and escape moves.
 
     fwd is always fob.forward(theta) for the current iterate, set at the
     start, by refresh and by each accepted rung; the moves and the escape
@@ -346,7 +359,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     theta = net_to_flat(net)
     traj = Trajectory()
     eta = STEP0
-    rungs = 1  # Armijo trials the last accepted iteration took
+    last_step = STEP0  # the last accepted Armijo step, STEP0 before the first
     escapes = 0
     stall_escapes = 0
     it = 0
@@ -441,7 +454,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                     step = min(max(float(dtheta @ dtheta) / curv, 1e-12), 1e15)
             # A lone rung stays a 1-D forward: the common case must cost
             # what one trial costs.  step ends on the accepted rung.
-            tried, width, accepted = 0, min(rungs, LADDER_MAX), False
+            tried, width, accepted = 0, _opening_width(step, last_step), False
             while tried < 120 and not accepted:
                 width = min(width, 120 - tried)
                 if width == 1:
@@ -473,7 +486,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 theta, fwd = trial, trial_fwd  # the accepted rung's own forward pass
                 loss, g = trial_loss, fob.grad(fwd)
                 eta = min(step * GROW, 1e15)
-                rungs = tried
+                last_step = step
                 it += 1
             else:
                 pinned = True  # no representable step decreases the loss or moves theta

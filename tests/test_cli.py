@@ -391,6 +391,17 @@ def test_sweep_transition_and_determinism(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_sweep_default_grid_starts_at_m_1(n, tmp_path):
+    # The grid m in {n-2, ..., n+3} held m = -1 or 0 here, and the sweep
+    # stopped on it before any cell ran.
+    out = tmp_path / "sw"
+    assert run("sweep", "--out", out, "--n", str(n)) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["m"]), int(r["n"])) for r in rows] == [(m, n) for m in range(1, n + 4)]
+
+
 def test_sweep_empty_grid_writes_header_only(tmp_path):
     out = tmp_path / "sw0"
     assert run("sweep", "--out", out, "--n", "6", "--m-values", "", "--seeds", "0") == 0
@@ -547,7 +558,11 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("train", "arch: deep\nl: 0", "l must be >= 1"),
     ("probe overdetermined", "n: -1", "needs n >= 1"),
     ("probe overdetermined", "n: 0", "needs n >= 1"),
-    ("sweep", "n_values: [1]", "m must be >= 1, got -1"),
+    ("sweep", "m_values: [0]", "m must be >= 1, got 0"),
+    ("probe lidskii", "d_max: 0", "config key d_max: expected at least 1"),
+    ("probe conv-rank", "s_max: 0", "config key s_max: expected at least 1"),
+    ("probe conv-rank", "dz_max: 0", "config key dz_max: expected at least 1"),
+    ("probe injectivity", "s: 0", "config key s: expected at least 1"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
@@ -564,8 +579,11 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # lemma2 at m: 0 and injectivity at l: 0 failed inside the library
     # (exit 3), and deep train at l: 0 blamed the input length;
     # overdetermined at n: -1 exited 3, and at n: 0 passed over no equations.
-    # sweep's default grid at n = 1 starts at m = -1, which sample_lambda
-    # handed to numpy: "negative dimensions are not allowed".
+    # sweep's default grid at n = 1 started at m = -1, which sample_lambda
+    # handed to numpy: "negative dimensions are not allowed"; an explicit
+    # m below 1 is still refused.  lidskii at d_max: 0 and conv-rank at
+    # s_max: 0 or dz_max: 0 printed numpy's "low >= high", and injectivity
+    # at s: 0 blamed the filter shapes.
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"

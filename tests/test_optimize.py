@@ -2,6 +2,7 @@ import csv
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,16 +395,21 @@ def test_train_raises_when_the_loss_falls_below_the_cubic_floor(monkeypatch):
     assert traj.status == "budget-exhausted"
 
 
+def c09_run(seed, **opts):
+    """The c09 configuration at one seed, with the given TrainOptions."""
+    ds = gen_random(3, 4, seed=2000 + seed)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=seed)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=seed), lam_c=1.0)
+    opts = opt.TrainOptions(grad_tol=1e-8, seed=seed, **opts)
+    return opt.init_deep(d=4, s=2, l=2, m=25, seed=seed), ds, cfg, opts
+
+
 def c09_seed2_one_stall_try():
     """c09 seed 2 with one stall try: a snap at iteration 49, a stall escape
     at 283 and a "stalled" end at 416, on a leaky-ReLU kink where the
     spectral step overshoots and the Armijo steps shrink until they round
     away."""
-    ds = gen_random(3, 4, seed=2002)
-    lam0 = opt.estimate_lambda0(ds, logistic(), seed=2)
-    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=2), lam_c=1.0)
-    opts = opt.TrainOptions(grad_tol=1e-8, seed=2, max_stall_escapes=1)
-    return opt.init_deep(d=4, s=2, l=2, m=25, seed=2), ds, cfg, opts
+    return c09_run(2, max_stall_escapes=1)
 
 
 def c01_seed5():
@@ -414,15 +420,79 @@ def c01_seed5():
     return opt.init_single(11, 3, seed=5), ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5)
 
 
-@pytest.mark.parametrize("run", [c09_seed2_one_stall_try, c01_seed5])
+def c09_seed0():
+    """c09 seed 0: converges without a pin."""
+    return c09_run(0)
+
+
+def train_forward_rows(monkeypatch):
+    """The trial rows of each FlatObjective.forward that train calls itself,
+    one entry per pass, filled as train runs."""
+    rows = []
+    forward = FlatObjective.forward
+
+    def counted(self, theta):
+        if sys._getframe(1).f_code.co_name == "train":
+            rows.append(1 if theta.ndim == 1 else len(theta))
+        return forward(self, theta)
+
+    monkeypatch.setattr(FlatObjective, "forward", counted)
+    return rows
+
+
+@pytest.mark.parametrize("run", [c09_seed2_one_stall_try, c01_seed5, c09_seed0])
 def test_stacked_ladder_matches_the_serial_ladder(run, monkeypatch):
-    # A width cap of 1 evaluates every Armijo rung alone, as one forward per
-    # trial did; the stacked blocks may change only the cost.
+    # One-rung blocks evaluate every Armijo rung alone, as one forward per
+    # trial did; the stacked blocks may change only the cost.  Both the
+    # opening width and the later cap must be 1, or the run still stacks.
     net, traj = opt.train(*run())
     monkeypatch.setattr(opt, "LADDER_MAX", 1)
+    monkeypatch.setattr(opt, "_opening_width", lambda step, last_step: 1)
+    rows = train_forward_rows(monkeypatch)
     serial_net, serial_traj = opt.train(*run())
+    assert len(rows) > 1 and set(rows) == {1}
     assert repr(traj.rows) == repr(serial_traj.rows)
     assert net_to_flat(net).tobytes() == net_to_flat(serial_net).tobytes()
+
+
+def test_opening_width_spans_the_overshoot_down_to_the_last_step():
+    # Width k + 1 for 2**k <= step / last_step < 2**(k + 1) once k reaches
+    # LADDER_MAX, else 1; the exact quotient is the oracle, so neither
+    # rounding nor a float quotient's overflow to inf may move k.
+    def oracle(step, last_step):
+        ratio = Fraction(step) / Fraction(last_step)
+        k = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+        k -= Fraction(2) ** k > ratio
+        return k + 1 if k >= opt.LADDER_MAX else 1
+
+    cap = 2.0**opt.LADDER_MAX
+    cases = [(1.0, 1.0), (cap, 1.0), (math.nextafter(cap, 0.0), 1.0),
+             (cap, math.nextafter(1.0, 2.0)), (1e15, 1e-12), (1e-12, 1e15), (3.0 * cap, 3.0),
+             (1e15, 5e-324), (5e-324, 5e-324), (sys.float_info.max, sys.float_info.min),
+             (sys.float_info.max, 5e-324)]
+    rng = np.random.default_rng(0)
+    cases += [tuple(10.0 ** rng.uniform(-320, 308, 2)) for _ in range(2000)]
+    cases += [(x, x * 2.0 ** -rng.integers(0, 20)) for x in 10.0 ** rng.uniform(-20, 20, 500)]
+    for step, last_step in cases:
+        assert opt._opening_width(step, last_step) == oracle(step, last_step), (step, last_step)
+    assert opt._opening_width(cap, 1.0) == opt.LADDER_MAX + 1
+    assert opt._opening_width(math.nextafter(cap, 0.0), 1.0) == 1
+    assert 1e15 / 5e-324 == math.inf and opt._opening_width(1e15, 5e-324) == 1074 + 50
+    assert opt._opening_width(sys.float_info.max, 5e-324) == 2098
+
+
+def test_kink_ladders_take_one_forward_per_overshoot(monkeypatch):
+    # c09 seeds 2 and 5 with four stall tries: the spectral step overshoots
+    # the last accepted step by 2**10 to 2**54 before long backtracks.  A
+    # block as wide as the overshoot reaches the passing rung in one pass,
+    # where blocks as wide as the last ladder, capped at LADDER_MAX, took
+    # 4,682 passes over 27,163 rows; the trajectories are the same.
+    rows = train_forward_rows(monkeypatch)
+    for seed in (2, 5):
+        _, traj = opt.train(*c09_run(seed, max_stall_escapes=4))
+        assert traj.status == "stalled"
+    assert len(rows) == 3180
+    assert sum(rows) <= 27_163
 
 
 def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
@@ -456,8 +526,9 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
     moved = moves["snap"] + moves["escape"]
     assert by("value_and_grad") == {}
     assert by("grad") == {"train": 1 + traj.n_iter, "refresh": moved}
-    # train's forward passes are the start and the line search.  Rungs are
-    # stacked where the last iteration backtracked, so on this kink run the
+    # train's forward passes are the start and the line search.  A ladder
+    # opens with a wide block where the spectral step overshoots the last
+    # accepted step by 2**LADDER_MAX or more, so on this kink run the
     # forward calls are fewer than the trial rows.
     trials = rows["train"] - 1
     assert 0 < traj.n_iter < trials
@@ -518,14 +589,6 @@ def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
     assert traj.status == "stalled" and traj.escapes == 1
     assert len(points) > 2
     assert all(p != q for p, q in zip(points, points[1:]))
-
-
-def c09_seed0():
-    """c09 seed 0: converges without a pin."""
-    ds = gen_random(3, 4, seed=2000)
-    lam0 = opt.estimate_lambda0(ds, logistic(), seed=0)
-    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=0), lam_c=1.0)
-    return opt.init_deep(d=4, s=2, l=2, m=25, seed=0), ds, cfg, opt.TrainOptions(grad_tol=1e-8, seed=0)
 
 
 @pytest.mark.parametrize("run", [c01_seed5, c09_seed0])
