@@ -1,11 +1,14 @@
 """Experiment harness: every operation as a reproducible command.
 
-Commands: train, certify, probe, counterexample, demo-path, sweep.  Each
-takes an optional YAML config (nested key-value); a command-line flag
-overrides the config key named by its dest.  A value takes the type of its
-key's default (a generator's keys, of their kind's defaults), and null is
-allowed only where the default is null; a value that does not convert is a
-usage error naming its key, raised before any artifact directory exists.
+Commands: train, certify, probe, counterexample, demo-path, sweep, each
+built from one entry of COMMANDS.  Each takes an optional YAML config
+(nested key-value); a command-line flag overrides the config key named by
+its dest, and its text is converted by that key's type, like a config
+entry.  A value takes the type of its key's default (a generator's keys,
+of their kind's defaults), and null is allowed only where the default is
+null; RANGES holds every bound on a key's value.  A value that does not
+convert or is out of range is a usage error naming its key, raised before
+any artifact directory exists.
 Every artifact directory receives the exact resolved config next to the
 outputs, and nothing written depends on wall time, so re-running a config
 reproduces its artifacts bit for bit.
@@ -217,11 +220,25 @@ UNTYPED = {  # the keys whose default (None or "auto") does not give their type
     "lambda0": lambda value: value if value == "auto" else _float(value),
 }
 
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_POSITIVE = (lambda v: 0.0 < v < np.inf, "a positive finite number")
+RANGES = {  # key: (test, what it asks for); every given value of the key must pass
+    "seed": (lambda v: v >= 0, "at least 0"),
+    "seeds": (lambda v: min(v, default=0) >= 0, "seeds of at least 0"),
+    "s": _AT_LEAST_1, "d_max": _AT_LEAST_1, "s_max": _AT_LEAST_1, "dz_max": _AT_LEAST_1,
+    "radius": _POSITIVE, "certify_tol": _POSITIVE, "certify_grad_tol": _POSITIVE,
+    "norm_max": (lambda v: 1e-2 < v < np.inf, "a finite norm above 1e-2, the smallest sampled one"),
+    "arch": (lambda v: v in ("single", "deep"), "single or deep"),
+    "loss": (lambda v: v in ("logistic", "hinge"), "logistic or hinge"),
+    "mode": (lambda v: v in ("auto", "exact", "generalized"), "auto, exact or generalized"),
+}
+
 
 def _typed(defaults: dict, doc: dict, prefix: str = "") -> dict:
     """defaults overridden by doc, each given value converted by the type of
-    its default; null is kept only where the default is null.  An unknown
-    key or a value that does not convert is a UsageError naming the key."""
+    its default and checked against its RANGES entry; null is kept only
+    where the default is null.  An unknown key, or a value that does not
+    convert or is out of range, is a UsageError naming the key."""
     cfg = dict(defaults)
     for key, value in doc.items():
         if key not in defaults:
@@ -232,6 +249,8 @@ def _typed(defaults: dict, doc: dict, prefix: str = "") -> dict:
         try:
             convert = UNTYPED[key] if default in (None, "auto") else BY_DEFAULT_TYPE[type(default)]
             cfg[key] = convert(value)
+            if key in RANGES and not RANGES[key][0](cfg[key]):
+                raise ValueError(f"expected {RANGES[key][1]}, got {cfg[key]}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"config key {prefix}{key}: {exc}") from None
     return cfg
@@ -240,7 +259,8 @@ def _typed(defaults: dict, doc: dict, prefix: str = "") -> dict:
 def _merge_config(defaults: dict, args) -> dict:
     """defaults <- config file <- explicitly given flags, typed by _typed
     before any command creates its artifact directory.  A flag whose dest is
-    a config key overrides that key."""
+    a config key overrides that key; its text is converted like a config
+    entry of the key."""
     doc = _load_config_file(args.config) if args.config else {}
     doc.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
     cfg = _typed(defaults, doc)
@@ -264,11 +284,7 @@ def _write_yaml(doc: dict, path) -> None:
 
 
 def _make_loss(cfg: dict):
-    if cfg["loss"] == "logistic":
-        return logistic()
-    if cfg["loss"] == "hinge":
-        return smooth_hinge(cfg["hinge_p"])
-    raise UsageError(f"unknown loss {cfg['loss']!r} (expected logistic or hinge)")
+    return logistic() if cfg["loss"] == "logistic" else smooth_hinge(cfg["hinge_p"])
 
 
 def _build_dataset(cfg: dict):
@@ -347,10 +363,8 @@ def cmd_train(args) -> int:
             net0 = load_net(cfg["init_checkpoint"])
         elif cfg["arch"] == "single":
             net0 = init_single(m, ds.d, seed=seed)
-        elif cfg["arch"] == "deep":
-            net0 = init_deep(ds.d, cfg["s"], cfg["l"], m, seed=seed, slope=cfg["slope"])
         else:
-            raise UsageError(f"unknown arch {cfg['arch']!r} (expected single or deep)")
+            net0 = init_deep(ds.d, cfg["s"], cfg["l"], m, seed=seed, slope=cfg["slope"])
 
         ocfg.check_m(net0)
         _check_input_dim(net0, ds)
@@ -396,9 +410,6 @@ def _probe_coercivity(cfg: dict) -> dict:
     nothing, so it is counted as non_finite_trials and fails the probe.
     """
     seed, m, trials, slack = cfg["seed"], cfg["m"], cfg["trials"], cfg["slack"]
-    if not (np.isfinite(cfg["norm_max"]) and cfg["norm_max"] > 1e-2):
-        raise UsageError(f"config key norm_max: expected a finite norm above 1e-2, "
-                         f"the smallest sampled one, got {cfg['norm_max']}")
     with _user_input():
         ds = gen_random(cfg["n"], cfg["d"], seed=seed)
         lam = sample_lambda(m, cfg["lambda0"], seed=seed)
@@ -445,17 +456,8 @@ def _probe_lemma2(cfg: dict) -> dict:
     return result
 
 
-def _require_positive(cfg: dict, *keys) -> None:
-    """A size bound below 1 is a usage error naming its key, not numpy's."""
-    for key in keys:
-        if cfg[key] < 1:
-            raise UsageError(f"config key {key}: expected at least 1, got {cfg[key]}")
-
-
 def _probe_lidskii(cfg: dict) -> dict:
-    _require_positive(cfg, "d_max")
-    with _user_input():
-        rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"])
     worst = -np.inf
     violations = 0
     for _ in range(cfg["trials"]):
@@ -476,8 +478,7 @@ def _probe_overdetermined(cfg: dict) -> dict:
     n, m = cfg["n"], cfg["m"]
     if n < 1 or m < n + 1:
         raise UsageError(f"overdetermined probe needs n >= 1 and m >= n+1, got n={n} m={m}")
-    with _user_input():
-        rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf
     for _ in range(cfg["trials"]):
         A = rng.standard_normal((n, m))
@@ -488,9 +489,7 @@ def _probe_overdetermined(cfg: dict) -> dict:
 
 
 def _probe_conv_rank(cfg: dict) -> dict:
-    _require_positive(cfg, "s_max", "dz_max")
-    with _user_input():
-        rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf
     for _ in range(cfg["trials"]):
         with _user_input():  # the size bounds come from the config
@@ -502,7 +501,6 @@ def _probe_conv_rank(cfg: dict) -> dict:
 
 
 def _probe_injectivity(cfg: dict) -> dict:
-    _require_positive(cfg, "s")
     failures = 0
     for t in range(cfg["trials"]):
         with _user_input():  # each trial builds its net and data from the config
@@ -654,78 +652,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_OUT = ("--out", {"required": True, "help": "artifact directory"})
+_COEFFICIENTS = {"seed": None, "loss": "logistic | hinge",
+                 "lambda0": 'coefficient scale, or "auto"', "lam_c": None}
+
+# name: (function, help line, the command's own arguments, and the config
+# keys it takes as flags with their help).  A key's flag (--lam-c for lam_c)
+# is plain text: _merge_config hands it to _typed, which converts and bounds
+# it as it would a config entry of that key.
+COMMANDS = {
+    "train": (cmd_train, "train a network and certify the terminal point", [_OUT], {
+        "dataset": "dataset CSV (default: generator from config)", "arch": "single | deep",
+        "m": None, **_COEFFICIENTS, "grad_tol": None, "max_iter": None,
+        "init_checkpoint": "warm-start network"}),
+    "certify": (cmd_certify, "audit a checkpoint against a dataset", [
+        ("--checkpoint", {"required": True}), ("--out", {"help": "optional artifact directory"})],
+        {"dataset": None, **_COEFFICIENTS, "certify_tol": None, "certify_grad_tol": None}),
+    "probe": (cmd_probe, "aggregate randomized checks of one landscape property", [
+        ("kind", {"choices": sorted(PROBE_RUNNERS)}), ("--out", {})],
+        {"trials": None, "seed": None}),
+    "counterexample": (cmd_counterexample, "build and verify a bad local minimum", [_OUT], {
+        "n": None, "m": None, "seed": None, "mode": "auto | exact | generalized",
+        "trials": None, "radius": None}),
+    "demo-path": (cmd_demo_path, "tabulate the decreasing path to infinity", [_OUT],
+                  {"num_steps": None, "lam": None}),
+    "sweep": (cmd_sweep, "phase diagram over (m, n, seed) cells", [
+        _OUT, ("--n", {"type": int, "help": "single dataset size (overrides n_values)"}),
+        ("--m-values", {"type": _parse_int_list, "help": "comma-separated widths"}),
+        ("--seeds", {"type": _parse_int_list, "help": "comma-separated seeds"})],
+        {"d": None, "grad_tol": None, "max_iter": None}),
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The one parser of the process: parse_args keeps no state between calls."""
     parser = _Parser(prog="requland", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a network and certify the terminal point")
-    p.add_argument("--config", help="YAML config; flags override its values")
-    p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument("--dataset", help="dataset CSV (default: generator from config)")
-    p.add_argument("--arch", choices=["single", "deep"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--loss", choices=["logistic", "hinge"])
-    p.add_argument("--lambda0", help='coefficient scale, or "auto"')
-    p.add_argument("--lam-c", type=float, dest="lam_c")
-    p.add_argument("--grad-tol", type=float, dest="grad_tol")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--init-checkpoint", dest="init_checkpoint", help="warm-start network")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("certify", help="audit a checkpoint against a dataset")
-    p.add_argument("--config")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--out", help="optional artifact directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--loss", choices=["logistic", "hinge"])
-    p.add_argument("--lambda0")
-    p.add_argument("--lam-c", type=float, dest="lam_c")
-    p.add_argument("--certify-tol", type=float, dest="certify_tol")
-    p.add_argument("--certify-grad-tol", type=float, dest="certify_grad_tol")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("probe", help="aggregate randomized checks of one landscape property")
-    p.add_argument("kind", choices=sorted(PROBE_RUNNERS))
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("counterexample", help="build and verify a bad local minimum")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=["auto", "exact", "generalized"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--radius", type=float)
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("demo-path", help="tabulate the decreasing path to infinity")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--num-steps", type=int, dest="num_steps")
-    p.add_argument("--lam", type=float)
-    p.set_defaults(func=cmd_demo_path)
-
-    p = sub.add_parser("sweep", help="phase diagram over (m, n, seed) cells")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, help="single dataset size (overrides n_values)")
-    p.add_argument("--m-values", dest="m_values", type=_parse_int_list,
-                   help="comma-separated widths")
-    p.add_argument("--seeds", type=_parse_int_list, help="comma-separated seeds")
-    p.add_argument("--d", type=int)
-    p.add_argument("--grad-tol", type=float, dest="grad_tol")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (func, help_line, arguments, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--config", help="YAML config; flags override its values")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        for key, help_text in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 

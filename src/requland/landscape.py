@@ -165,10 +165,13 @@ def certify(net, ds: Dataset, cfg: ObjectiveConfig, tol: float | None = None,
 
     Raises CertificateContradiction if some certificate matrix is
     nonsingular yet no block is inactive, or if the criterion threshold is
-    met with an inactive block present yet the training error is nonzero.
+    met with an inactive block present yet the training error is nonzero;
+    ValueError if tol or grad_tol is not positive and finite.
     """
     if tol is None:
         tol = 0.1 * float(np.min(cfg.lam))
+    if not (0.0 < tol < np.inf and 0.0 < grad_tol < np.inf):
+        raise ValueError(f"tol and grad_tol must be positive and finite, got {tol} and {grad_tol}")
     fob = FlatObjective(net, ds, cfg)
     fwd = fob.forward(net_to_flat(net))
     loss, gn = float(fwd[0]), float(np.linalg.norm(fob.grad(fwd)))
@@ -237,6 +240,8 @@ def perturbation_stability(net, ds: Dataset, cfg: ObjectiveConfig,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     fob = FlatObjective(net, ds, cfg)
     theta = net_to_flat(net)
     base = fob.value(theta)

@@ -563,6 +563,16 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("probe conv-rank", "s_max: 0", "config key s_max: expected at least 1"),
     ("probe conv-rank", "dz_max: 0", "config key dz_max: expected at least 1"),
     ("probe injectivity", "s: 0", "config key s: expected at least 1"),
+    ("train", "s: 0", "config key s: expected at least 1"),
+    ("train", "seed: -1", "config key seed: expected at least 0"),
+    ("train", "generator: {kind: random, seed: -1}", "config key generator.seed:"),
+    ("sweep", "seeds: [0, -1]", "config key seeds: expected seeds of at least 0"),
+    ("train", "certify_tol: 0", "config key certify_tol:"),
+    ("train", "certify_grad_tol: .inf", "config key certify_grad_tol:"),
+    ("train", "arch: bogus", "config key arch: expected single or deep"),
+    ("counterexample", "mode: bogus", "config key mode:"),
+    ("counterexample", "radius: .nan", "config key radius:"),
+    ("probe coercivity", "loss: bogus", "config key loss:"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
@@ -583,7 +593,10 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # handed to numpy: "negative dimensions are not allowed"; an explicit
     # m below 1 is still refused.  lidskii at d_max: 0 and conv-rank at
     # s_max: 0 or dz_max: 0 printed numpy's "low >= high", and injectivity
-    # at s: 0 blamed the filter shapes.
+    # at s: 0 blamed the filter shapes.  train at certify_tol: 0 trained,
+    # then reported a contradiction; a negative seed was numpy's unnamed
+    # "expected non-negative integer"; an unknown mode blamed no key, and
+    # an unknown arch or loss was only caught where the run first read it.
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"
@@ -606,13 +619,8 @@ def test_failed_certify_writes_the_resolved_coefficients(train_run, tmp_path):
 
 
 def _flag_dests(command):
-    """The dests of a command's flags that name config keys."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    defaults = {"train": cli.TRAIN_DEFAULTS, "certify": cli.TRAIN_DEFAULTS,
-                "probe": PROBE_DEFAULTS["lidskii"], "counterexample": cli.COUNTEREXAMPLE_DEFAULTS,
-                "demo-path": cli.DEMO_PATH_DEFAULTS, "sweep": cli.SWEEP_DEFAULTS}[command]
-    return {a.dest for a in sub.choices[command]._actions if a.dest in defaults}
+    """The config keys a command takes as flags."""
+    return set(cli.COMMANDS[command][3])
 
 
 def test_every_flag_lands_in_the_written_config_under_its_dest(train_run, tmp_path):
@@ -709,3 +717,97 @@ def test_config_value_takes_its_defaults_type_or_is_a_usage_error_naming_its_key
         return
     assert value is not None or CONFIG_TABLES[table][key] is None  # null only where the default is
     assert_typed(key, cfg[key], CONFIG_TABLES[table][key])
+
+
+@pytest.mark.parametrize("case", ["counterexample", "warm-start train"])
+def test_negative_seed_is_a_usage_error_before_out_exists(case, train_run, tmp_path, capsys):
+    # With lam given and no fresh initialization, nothing read the seed
+    # before --out existed: perturbation_stability and train's SeedSequence
+    # then raised numpy's "expected non-negative integer" (exit 3).
+    _, run_dir, _ = train_run  # a 7-neuron net
+    lam = yaml.safe_load((run_dir / "config.yaml").read_text())["lam"]
+    cfgfile = tmp_path / "lam.yaml"
+    out = tmp_path / "out"
+    if case == "counterexample":
+        cfgfile.write_text("lam: [0.2, 0.3]\n")
+        argv = ["counterexample", "--n", "4", "--m", "2"]
+    else:
+        cfgfile.write_text(yaml.safe_dump({"lam": lam}))
+        argv = ["train", "--dataset", run_dir / "dataset.csv", "--m", "7",
+                "--init-checkpoint", run_dir / "checkpoint.json"]
+    assert len(lam) == 7
+    assert run(*argv, "--seed", "-1", "--config", cfgfile, "--out", out) == 1
+    assert "config key seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--certify-tol", "0"), ("--certify-tol", "-1"), ("--certify-tol", "nan"),
+    ("--certify-tol", "inf"), ("--certify-grad-tol", "inf"),
+])
+def test_certificate_tolerance_out_of_range_is_a_usage_error(flag, text, train_run, tmp_path,
+                                                             capsys):
+    # On a certified point, certify_tol at 0, -1 or nan reported a
+    # contradiction, the verdict reserved for defects, and at inf
+    # bad-lambda-suspect; certify_grad_tol at inf took a budget-exhausted
+    # point for a critical one.
+    _, run_dir, cfgfile = train_run
+    rep = tmp_path / "rep"
+    assert run("certify", "--checkpoint", run_dir / "checkpoint.json", "--config", cfgfile,
+               "--seed", "1", flag, text, "--out", rep) == 1
+    assert f"config key {flag[2:].replace('-', '_')}:" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_counterexample_at_radius_zero_is_a_usage_error(tmp_path, capsys):
+    # Every probe point was the base point: min_loss_delta=0, PASS, exit 0.
+    out = tmp_path / "out"
+    assert run("counterexample", "--n", "4", "--m", "2", "--radius", "0", "--out", out) == 1
+    assert "config key radius:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_exits_0_for_every_command(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: requland {command}")
+    named = {"train": ["single | deep", "logistic | hinge", '"auto"'],
+             "certify": ["logistic | hinge", '"auto"'],
+             "counterexample": ["auto | exact | generalized"]}
+    for choice in named.get(command, []):
+        assert choice in text
+
+
+COMMAND_DEFAULTS = {"train": cli.TRAIN_DEFAULTS, "certify": cli.TRAIN_DEFAULTS,
+                    "counterexample": cli.COUNTEREXAMPLE_DEFAULTS,
+                    "demo-path": cli.DEMO_PATH_DEFAULTS, "sweep": cli.SWEEP_DEFAULTS,
+                    **{f"probe {kind}": table for kind, table in PROBE_DEFAULTS.items()}}
+FLAG_CASES = [(f"probe {kind}" if command == "probe" else command, key)
+              for command, entry in cli.COMMANDS.items()
+              for kind in (sorted(PROBE_DEFAULTS) if command == "probe" else [None])
+              for key in entry[3]]
+FLAG_TEXTS = ["7", "2.5", "-1", "0", "nan", "inf", "1e400", "1e-3", "auto", "deep", "hinge",
+              "exact", ""]
+
+
+def _resolved(defaults, args, key):
+    """_merge_config's config, or its UsageError's text, which names key."""
+    try:
+        return repr(_merge_config(defaults, args))  # repr: nan equals nan
+    except UsageError as exc:
+        assert key in str(exc)
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FLAG_CASES), text=st.sampled_from(FLAG_TEXTS))
+def test_a_flag_resolves_like_a_config_entry_holding_its_text(tmp_path_factory, case, text):
+    command, key = case
+    required = ["--checkpoint", "c"] if command == "certify" else []
+    argv = [*command.split(), *required, "--out", "o", "--" + key.replace("_", "-"), text]
+    defaults = COMMAND_DEFAULTS[command]
+    path = tmp_path_factory.getbasetemp() / "flag.yaml"
+    path.write_text(yaml.safe_dump({key: text}))
+    from_flag = _resolved(defaults, cli.build_parser().parse_args(argv), key)
+    assert from_flag == _resolved(defaults, argparse.Namespace(config=str(path)), key)

@@ -181,6 +181,17 @@ def test_certify_rejects_noncritical_point():
         landscape.certify(net, ds, cfg)
 
 
+@pytest.mark.parametrize("tols", [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf},
+                                  {"grad_tol": 0.0}, {"grad_tol": np.nan}, {"grad_tol": np.inf}])
+def test_certify_rejects_a_tolerance_that_is_not_positive_and_finite(single_run, tols):
+    # tol at 0, -1 or nan reported a contradiction, the verdict reserved for
+    # defects, and tol at inf bad-lambda-suspect, on a certified point;
+    # grad_tol at inf took any point for a critical one.
+    net, ds, cfg = single_run
+    with pytest.raises(ValueError, match="positive and finite"):
+        landscape.certify(net, ds, cfg, **tols)
+
+
 def test_certify_bad_local_min_all_active():
     ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
     rep = landscape.certify(net, ds, cfg, grad_tol=1e-5)
@@ -458,6 +469,15 @@ def test_monte_carlo_and_perturbation_stability_need_a_trial():
             landscape.certificate_matrix_monte_carlo(ds, 4, lam, trials=trials)
         with pytest.raises(ValueError, match="trials"):
             landscape.perturbation_stability(net, ds, cfg, trials=trials)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1e-3, np.nan, np.inf])
+def test_perturbation_stability_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    # At radius 0 every probe point was the base point itself: a minimum
+    # loss change of 0, which reads as a stable local minimum.
+    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
+    with pytest.raises(ValueError, match="radius"):
+        landscape.perturbation_stability(net, ds, cfg, radius=radius, trials=10)
 
 
 def serial_certificate_sum_oracle(lifted, weights, lam):
