@@ -1,12 +1,12 @@
 """Regularized ReQU network landscapes: training, certificates, constructions.
 
-Submodules group the work: `datasets` (generators and CSV I/O), `models`
-(the one network pass, the network classes, parameter flattening and
-checkpoints), `objective` (losses, regularizers, gradients, all read from
-that pass), `optimize` (training loop and the decreasing-path table),
-`landscape` (criticality certificates and randomized checks),
-`constructions` (interpolators and engineered bad minima), `numkit` (the
-small dense-linear-algebra layer), and `cli` (the command-line harness).
+Submodules group the work: `datasets` (generators and CSV I/O), `models` (the
+one network pass, the one network class with its single-layer cases, parameter
+flattening and checkpoints), `objective` (losses, regularizers, gradients, all
+read from that pass), `optimize` (training loop and the decreasing-path table),
+`landscape` (criticality certificates and randomized checks), `constructions`
+(interpolators and engineered bad minima), `numkit` (the small
+dense-linear-algebra layer), and `cli` (the command-line harness).
 The names below cover the common workflow: generate data, train, certify.
 """
 

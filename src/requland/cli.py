@@ -221,11 +221,13 @@ UNTYPED = {  # the keys whose default (None or "auto") does not give their type
 }
 
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+# A (d, d) lidskii or (d_z + s - 1, d_z) conv-rank matrix at 4096 is 128 or 256 MiB.
+_SIZE = (lambda v: 1 <= v <= 4096, "at least 1 and at most 4096")
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "a positive finite number")
 RANGES = {  # key: (test, what it asks for); every given value of the key must pass
     "seed": (lambda v: v >= 0, "at least 0"),
     "seeds": (lambda v: min(v, default=0) >= 0, "seeds of at least 0"),
-    "s": _AT_LEAST_1, "d_max": _AT_LEAST_1, "s_max": _AT_LEAST_1, "dz_max": _AT_LEAST_1,
+    "s": _AT_LEAST_1, "d_max": _SIZE, "s_max": _SIZE, "dz_max": _SIZE,
     "radius": _POSITIVE, "certify_tol": _POSITIVE, "certify_grad_tol": _POSITIVE,
     "norm_max": (lambda v: 1e-2 < v < np.inf, "a finite norm above 1e-2, the smallest sampled one"),
     "arch": (lambda v: v in ("single", "deep"), "single or deep"),
@@ -461,8 +463,7 @@ def _probe_lidskii(cfg: dict) -> dict:
     worst = -np.inf
     violations = 0
     for _ in range(cfg["trials"]):
-        with _user_input():  # the size bound comes from the config
-            d = int(rng.integers(1, cfg["d_max"] + 1))
+        d = int(rng.integers(1, cfg["d_max"] + 1))
         A = rng.standard_normal((d, d))
         B = rng.standard_normal((d, d))
         A = 0.5 * (A + A.T)
@@ -492,9 +493,8 @@ def _probe_conv_rank(cfg: dict) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     smallest = np.inf
     for _ in range(cfg["trials"]):
-        with _user_input():  # the size bounds come from the config
-            s = int(rng.integers(1, cfg["s_max"] + 1))
-            d_z = int(rng.integers(1, cfg["dz_max"] + 1))
+        s = int(rng.integers(1, cfg["s_max"] + 1))
+        d_z = int(rng.integers(1, cfg["dz_max"] + 1))
         v = rng.standard_normal(s)
         smallest = min(smallest, min_singular_value(conv_matrix(v, d_z)))
     return {"min_sigma": float(smallest), "pass": smallest > 0.0}
@@ -548,7 +548,7 @@ def cmd_counterexample(args) -> int:
             lam = np.asarray(cfg["lam"], dtype=float)
         else:
             lam = np.random.default_rng(seed).uniform(0.05, 0.45, size=m)
-        ds, net, ocfg = build_bad_local_min(n, m, lam, seed=seed, mode=cfg["mode"], d=cfg["d"])
+        ds, net, ocfg = build_bad_local_min(n, m, lam, mode=cfg["mode"], d=cfg["d"])
     out = _prepare_outdir(args.out)
 
     err = training_error(net, ds)

@@ -125,7 +125,6 @@ def build_bad_local_min(
     n: int,
     m: int,
     lam,
-    seed: int = 0,
     mode: str = "auto",
     d: int | None = None,
 ):
@@ -147,7 +146,7 @@ def build_bad_local_min(
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
 
-    ds = gen_mutually_repelling(n, num_positive=m, seed=seed, mode=mode, d=d)
+    ds = gen_mutually_repelling(n, num_positive=m, mode=mode, d=d)
     Z = ds.lifted()
     a = np.zeros(m)
     W = np.zeros((m, ds.d))

@@ -81,7 +81,6 @@ def _simplex_points(n: int) -> np.ndarray:
 def gen_mutually_repelling(
     n: int,
     num_positive: int,
-    seed: int = 0,
     mode: str = "auto",
     d: int | None = None,
 ) -> Dataset:
@@ -94,10 +93,9 @@ def gen_mutually_repelling(
     c = (d+3)/2, giving lifted inner products exactly -2 off the diagonal.
 
     Labels are +1 for the first num_positive samples and -1 for the rest.
-    The seed only fixes the API shape shared by the generators; the
-    construction itself is deterministic.
+    The construction is deterministic, so unlike the other generators it
+    takes no seed.
     """
-    del seed
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 1 <= num_positive <= n:

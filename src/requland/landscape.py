@@ -344,21 +344,18 @@ def certificate_matrix_adversarial(ds: Dataset, lam):
     return z, A
 
 
-def overdetermined_no_solution(A, lam=None, seed: int = 0) -> float:
+def overdetermined_no_solution(A, lam) -> float:
     """Least-squares distance from lam to the row space of A (n x m, m >= n+1).
 
     Simultaneous singularity of every certificate matrix would force
     lam_j = sum_i A_ij alpha_i for some alpha, i.e. lam in the row space of
     A -- at most n dimensions inside R^m, so randomly drawn lam misses it
-    with probability 1 and the residual is positive.  lam=None draws a
-    standard normal lam with the given seed.
+    with probability 1 and the residual is positive.
     """
     A = np.asarray(A, dtype=float)
     n, m = A.shape
     if m < n + 1:
         raise ValueError(f"need m >= n+1 columns, got shape {A.shape}")
-    if lam is None:
-        lam = np.random.default_rng(seed).standard_normal(m)
     lam = np.asarray(lam, dtype=float)
     alpha, *_ = np.linalg.lstsq(A.T, lam, rcond=None)
     return float(np.linalg.norm(A.T @ alpha - lam))

@@ -1,9 +1,9 @@
-"""Network families: single-layer ReQU, single-layer quadratic, deep conv ReQU.
+"""Networks: DeepConvNet, with the single-layer nets as its filterless cases.
 
-All heads share the layout f(x) = sum_j a_j phi(w_j . x + b_j) with phi either
-ReQU(z) = max(z, 0)^2 or the plain square.  The deep family first pushes x
-through l-1 single-channel padded convolutions with leaky-ReLU activations;
-each convolution grows the signal length by s - 1.
+f(x) = sum_j a_j phi(w_j . h + b_j) with phi(z) = ReQU(z) = max(z, 0)^2, where
+h is x pushed through l-1 single-channel padded leaky-ReLU convolutions, each
+growing the signal length by s - 1.  SingleLayerReQUNet is the l = 1 case
+(h = x), and QuadraticNet that case with phi the plain square.
 
 Flat parameter order (used by optimizers, gradients, and checkpoints):
 head coefficients a, then W row-major (one row per neuron), then biases b,
@@ -50,29 +50,53 @@ def network_pass(X, a, W, b, filts, slope, squared):
     return states, convs, pre, act, phi, (phi @ a[..., None])[..., 0]
 
 
-def _check_head(a, W, b):
-    a = np.asarray(a, dtype=float)
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if W.ndim != 2:
-        raise ValueError("W must be 2-D with one row per neuron")
-    m = W.shape[0]
-    if a.shape != (m,) or b.shape != (m,):
-        raise ValueError(f"head shapes disagree: a {a.shape}, W {W.shape}, b {b.shape}")
-    if m < 1 or W.shape[1] < 1:
-        raise ValueError("need at least one neuron and one input coordinate")
-    for name, arr in (("a", a), ("W", W), ("b", b)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} has non-finite entries")
-    return a, W, b
+@dataclass
+class DeepConvNet:
+    """ReQU head on top of l-1 padded single-channel convolutions.
 
+    h^(0) = x; h^(k) = leaky_slope(v_k * h^(k-1)); f = sum_j a_j requ(w_j . h^(l-1) + b_j),
+    where leaky_slope(t) is t for t >= 0 and slope * t below.  The head
+    therefore sees vectors of length d + (l-1)(s-1); with no filters (l = 1)
+    it sees the inputs themselves.  squared picks the head activation.
+    """
 
-class _Net:
-    """What every network family shares: shapes, and network_pass on validated
-    inputs.  squared picks the head activation and slope the conv layers'."""
+    filters: tuple  # l-1 arrays of shape (s,)
+    a: np.ndarray  # (m,)
+    W: np.ndarray  # (m, head_dim), one row per neuron
+    b: np.ndarray  # (m,)
+    slope: float = 0.1
 
-    slope = None
-    squared = False
+    squared = False  # not a field: the square head is QuadraticNet's
+
+    def __post_init__(self):
+        a = self.a = np.asarray(self.a, dtype=float)
+        W = self.W = np.asarray(self.W, dtype=float)
+        b = self.b = np.asarray(self.b, dtype=float)
+        if W.ndim != 2:
+            raise ValueError("W must be 2-D with one row per neuron")
+        m = W.shape[0]
+        if a.shape != (m,) or b.shape != (m,):
+            raise ValueError(f"head shapes disagree: a {a.shape}, W {W.shape}, b {b.shape}")
+        if m < 1 or W.shape[1] < 1:
+            raise ValueError("need at least one neuron and one input coordinate")
+        for name, arr in (("a", a), ("W", W), ("b", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
+        filts = tuple(np.asarray(v, dtype=float) for v in self.filters)
+        if filts:
+            s = filts[0].size
+            if s < 1 or any(v.ndim != 1 or v.size != s for v in filts):
+                raise ValueError("all filters must be 1-D with a common size")
+            if any(not np.all(np.isfinite(v)) for v in filts):
+                raise ValueError("filters have non-finite entries")
+        self.filters = filts
+        if not 0.0 < self.slope < 1.0:
+            raise ValueError(f"leaky slope must lie in (0, 1), got {self.slope}")
+        if self.input_dim < 1:
+            raise ValueError(
+                f"head width {self.head_dim} is too small for {self.l - 1} "
+                f"convolutions of size {self.s}"
+            )
 
     @property
     def m(self) -> int:
@@ -98,7 +122,7 @@ class _Net:
 
     def with_params(self, a, W, b, filts):
         """A network of this kind, slope included, with the given parameters."""
-        return type(self)(a, W, b)
+        return DeepConvNet(tuple(filts), a, W, b, self.slope)
 
     def forward(self, X):
         """network_pass at this network on the rows of X, a (n, input_dim)
@@ -119,61 +143,20 @@ class _Net:
         return self.forward(X)[-1]
 
 
-@dataclass
-class SingleLayerReQUNet(_Net):
-    """f(x) = sum_j a_j * requ(w_j . x + b_j)."""
+class SingleLayerReQUNet(DeepConvNet):
+    """f(x) = sum_j a_j * requ(w_j . x + b_j): the net with no convolutions."""
 
-    a: np.ndarray  # (m,)
-    W: np.ndarray  # (m, d)
-    b: np.ndarray  # (m,)
+    def __init__(self, a, W, b):
+        super().__init__((), a, W, b)
 
-    filters = ()  # no convolutions: the head sees the inputs themselves
-
-    def __post_init__(self):
-        self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
+    def with_params(self, a, W, b, filts):
+        return type(self)(a, W, b)
 
 
 class QuadraticNet(SingleLayerReQUNet):
     """f(x) = sum_j a_j * (w_j . x + b_j)^2; every neuron is everywhere active."""
 
     squared = True
-
-
-@dataclass
-class DeepConvNet(_Net):
-    """ReQU head on top of l-1 padded single-channel convolutions.
-
-    h^(0) = x; h^(k) = leaky_slope(v_k * h^(k-1)); f = sum_j a_j requ(w_j . h^(l-1) + b_j),
-    where leaky_slope(t) is t for t >= 0 and slope * t below.  The head
-    therefore sees vectors of length d + (l-1)(s-1).
-    """
-
-    filters: tuple  # l-1 arrays of shape (s,)
-    a: np.ndarray  # (m,)
-    W: np.ndarray  # (m, head_dim), one row per neuron
-    b: np.ndarray  # (m,)
-    slope: float = 0.1
-
-    def __post_init__(self):
-        self.a, self.W, self.b = _check_head(self.a, self.W, self.b)
-        filts = tuple(np.asarray(v, dtype=float) for v in self.filters)
-        if filts:
-            s = filts[0].size
-            if s < 1 or any(v.ndim != 1 or v.size != s for v in filts):
-                raise ValueError("all filters must be 1-D with a common size")
-            if any(not np.all(np.isfinite(v)) for v in filts):
-                raise ValueError("filters have non-finite entries")
-        self.filters = filts
-        if not 0.0 < self.slope < 1.0:
-            raise ValueError(f"leaky slope must lie in (0, 1), got {self.slope}")
-        if self.input_dim < 1:
-            raise ValueError(
-                f"head width {self.head_dim} is too small for {self.l - 1} "
-                f"convolutions of size {self.s}"
-            )
-
-    def with_params(self, a, W, b, filts):
-        return DeepConvNet(tuple(filts), a, W, b, self.slope)
 
 
 @dataclass(frozen=True)
@@ -268,7 +251,7 @@ def save_net(net, path) -> None:
         "width": int(net.W.shape[1]),
         "params": net_to_flat(net).tolist(),
     }
-    if isinstance(net, DeepConvNet):
+    if type(net) is DeepConvNet:  # not its single-layer cases; a deep l = 1 net stays deep_conv
         doc["num_filters"] = len(net.filters)
         doc["filter_size"] = int(net.s)
         doc["slope"] = float(net.slope)

@@ -301,14 +301,14 @@ def finite_diff_check(net, ds, cfg: ObjectiveConfig, step: float = 1e-6) -> floa
 
 
 def coercivity_lower_bound(theta_norm: float, lam_min: float, m: int) -> float:
-    """Cubic floor lam_min / (3 sqrt(2 m)) * ||theta||^3 for single-layer nets.
+    """Cubic floor lam_min / (3 sqrt(2 m)) * ||theta||^3, theta the head (a, W, b).
 
-    Follows from the power-mean inequality applied to the 2m squared block
-    norms; the data term only adds on top.  Where ||theta||^3 alone
-    overflows, the floor is multiplied out factor by factor instead, which
-    reaches inf only when the floor itself does.
+    Follows from the power-mean inequality applied to the head's 2m squared
+    block norms; the data term and the filter anchor are >= 0.  Where
+    ||theta||^3 alone overflows, the floor is multiplied out factor by factor
+    instead, which reaches inf only when the floor itself does.
     """
-    c = lam_min / (3.0 * np.sqrt(2.0 * m))
+    c = lam_min / (3.0 * math.sqrt(2.0 * m))  # math, not np: a Python float, cheap in train's loop
     t = float(theta_norm)
     try:
         return c * t**3

@@ -27,7 +27,7 @@ of points theta + r u through one search, _search.
 
 TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
 and seed.  Step sizes, cadences and move sizes are the module constants, the
-only values in use; the coercivity check always runs on single-layer nets.
+only values in use; the coercivity check runs on every network, at its head.
 """
 
 from __future__ import annotations
@@ -111,11 +111,10 @@ class Trajectory:
         write_csv(path, ["iter", "loss", "grad_norm", "param_norm", "status"], self.rows)
 
 
-def init_single(m: int, d: int, seed: int = 0, scale: float = 0.1, cls=SingleLayerReQUNet):
-    """Gaussian head init with per-entry deviation scale/sqrt(d)."""
-    rng = np.random.default_rng(seed)
-    sd = scale / np.sqrt(d)
-    return cls(sd * rng.standard_normal(m), sd * rng.standard_normal((m, d)), sd * rng.standard_normal(m))
+def init_single(m: int, d: int, seed: int = 0, scale: float = 0.1) -> SingleLayerReQUNet:
+    """init_deep's l = 1 net as a SingleLayerReQUNet: Gaussian, deviation scale/sqrt(d)."""
+    net = init_deep(d, 1, 1, m, seed, scale=scale)
+    return SingleLayerReQUNet(net.a, net.W, net.b)
 
 
 def init_deep(
@@ -354,9 +353,9 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0xE5CA)))
     fob = FlatObjective(net, ds, cfg)
 
-    is_single = isinstance(net, SingleLayerReQUNet)
     lam_min = float(np.min(cfg.lam))
     theta = net_to_flat(net)
+    n_head = fob.layout.size - sum(fob.layout.filter_sizes)  # the head (a, W, b) leads theta
     traj = Trajectory()
     eta = STEP0
     last_step = STEP0  # the last accepted Armijo step, STEP0 before the first
@@ -391,12 +390,12 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             status = "non-finite"
             break
 
-        if is_single:
-            floor = coercivity_lower_bound(math.sqrt(theta @ theta), lam_min, fob.layout.m)
-            if loss < floor - 1e-9 * (1.0 + abs(loss)):
-                raise CoercivityViolationError(
-                    f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
-                )
+        head = theta[:n_head]
+        floor = coercivity_lower_bound(math.sqrt(head @ head), lam_min, fob.layout.m)
+        if loss < floor - 1e-9 * (1.0 + abs(loss)):
+            raise CoercivityViolationError(
+                f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
+            )
 
         converged = gn < opts.grad_tol * (1.0 + abs(loss))
         # Prune at the stopping point, and periodically so that dying blocks

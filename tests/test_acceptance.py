@@ -77,7 +77,7 @@ def test_c03_bad_local_minimum_constructions_hold():
     ok = True
     for n, m, mode, want in ((4, 2, "exact", 0.5), (10, 3, "generalized", 0.7)):
         lam = np.linspace(0.1, 0.3, m)
-        ds, net, cfg = build_bad_local_min(n, m, lam, seed=0, mode=mode)
+        ds, net, cfg = build_bad_local_min(n, m, lam, mode=mode)
         gn = float(np.linalg.norm(objective.gradient(net, ds, cfg)))
         err = objective.training_error(net, ds)
         delta = landscape.perturbation_stability(net, ds, cfg, radius=1e-3, trials=1000, seed=0)

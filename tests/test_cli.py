@@ -562,6 +562,10 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("probe lidskii", "d_max: 0", "config key d_max: expected at least 1"),
     ("probe conv-rank", "s_max: 0", "config key s_max: expected at least 1"),
     ("probe conv-rank", "dz_max: 0", "config key dz_max: expected at least 1"),
+    ("probe lidskii", "trials: 1\nd_max: 4097", "d_max: expected at least 1 and at most 4096"),
+    ("probe lidskii", "d_max: 100000000000000000000", "config key d_max: expected at least 1 and"),
+    ("probe conv-rank", "trials: 1\ns_max: 4097", "s_max: expected at least 1 and at most 4096"),
+    ("probe conv-rank", "trials: 1\ndz_max: 4097", "dz_max: expected at least 1 and at most 4096"),
     ("probe injectivity", "s: 0", "config key s: expected at least 1"),
     ("train", "s: 0", "config key s: expected at least 1"),
     ("train", "seed: -1", "config key seed: expected at least 0"),
@@ -592,7 +596,10 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # sweep's default grid at n = 1 started at m = -1, which sample_lambda
     # handed to numpy: "negative dimensions are not allowed"; an explicit
     # m below 1 is still refused.  lidskii at d_max: 0 and conv-rank at
-    # s_max: 0 or dz_max: 0 printed numpy's "low >= high", and injectivity
+    # s_max: 0 or dz_max: 0 printed numpy's "low >= high"; lidskii at
+    # d_max: 1e20 printed "high is out of bounds for int64", which names no
+    # key, and a d_max, s_max or dz_max above 4096 that fits in int64 asked
+    # numpy for matrices of that size.  injectivity
     # at s: 0 blamed the filter shapes.  train at certify_tol: 0 trained,
     # then reported a contradiction; a negative seed was numpy's unnamed
     # "expected non-negative integer"; an unknown mode blamed no key, and

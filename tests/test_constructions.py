@@ -231,7 +231,7 @@ def test_subnormal_lam_names_the_underflow():
 
 
 def test_bad_local_min_exact_case():
-    ds, net, cfg = cons.build_bad_local_min(4, 2, np.array([0.1, 0.3]), seed=0)
+    ds, net, cfg = cons.build_bad_local_min(4, 2, np.array([0.1, 0.3]))
     assert training_error(net, ds) == pytest.approx(1.0 - 2.0 / 4.0)
     gn = np.linalg.norm(gradient(net, ds, cfg))
     assert gn < 1e-6
@@ -242,13 +242,13 @@ def test_bad_local_min_exact_case():
 
 def test_bad_local_min_generalized_case():
     lam = np.full(3, 0.1)
-    ds, net, cfg = cons.build_bad_local_min(10, 3, lam, seed=1)
+    ds, net, cfg = cons.build_bad_local_min(10, 3, lam)
     assert training_error(net, ds) == pytest.approx(1.0 - 3.0 / 10.0)
     assert np.linalg.norm(gradient(net, ds, cfg)) < 1e-6
 
 
 def test_bad_local_min_no_sampled_descent():
-    ds, net, cfg = cons.build_bad_local_min(4, 2, np.full(2, 0.2), seed=2)
+    ds, net, cfg = cons.build_bad_local_min(4, 2, np.full(2, 0.2))
     fob = FlatObjective(net, ds, cfg)
     from requland.models import net_to_flat
 

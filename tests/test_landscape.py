@@ -193,7 +193,7 @@ def test_certify_rejects_a_tolerance_that_is_not_positive_and_finite(single_run,
 
 
 def test_certify_bad_local_min_all_active():
-    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
+    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1))
     rep = landscape.certify(net, ds, cfg, grad_tol=1e-5)
     assert rep.inactive == []
     assert rep.training_error >= 1.0 - 2.0 / 4.0
@@ -475,7 +475,7 @@ def test_monte_carlo_and_perturbation_stability_need_a_trial():
 def test_perturbation_stability_rejects_a_radius_that_is_not_positive_and_finite(radius):
     # At radius 0 every probe point was the base point itself: a minimum
     # loss change of 0, which reads as a stable local minimum.
-    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
+    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1))
     with pytest.raises(ValueError, match="radius"):
         landscape.perturbation_stability(net, ds, cfg, radius=radius, trials=10)
 
@@ -715,13 +715,14 @@ def test_overdetermined_random_lam_misses_row_space():
     rng = np.random.default_rng(99)
     for trial in range(200):
         A = rng.integers(-1, 2, size=(3, 5)).astype(float)
-        res = landscape.overdetermined_no_solution(A, seed=trial)
+        lam = np.random.default_rng(trial).standard_normal(5)
+        res = landscape.overdetermined_no_solution(A, lam)
         assert res > 1e-10
 
 
 def test_overdetermined_shape_check():
     with pytest.raises(ValueError, match="m >= n\\+1"):
-        landscape.overdetermined_no_solution(np.ones((3, 3)))
+        landscape.overdetermined_no_solution(np.ones((3, 3)), np.ones(3))
 
 
 def test_quadratic_certificate_singular_count_is_bounded():
@@ -854,7 +855,7 @@ def test_hidden_injectivity_trivial_and_failure_modes():
 
 
 def test_perturbation_stability_at_bad_min():
-    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1), seed=0)
+    ds, net, cfg = build_bad_local_min(4, 2, np.full(2, 0.1))
     worst = landscape.perturbation_stability(net, ds, cfg, radius=1e-3, trials=200, seed=0)
     assert worst >= 0.0
 
@@ -877,7 +878,7 @@ def test_perturbation_stability_matches_serial_oracle():
     # 1100 trials cross two chunk borders; the bad minimum repels every
     # probe, the random net does not, so both signs of the minimum are hit.
     lam = np.random.default_rng(0).uniform(0.05, 0.45, size=3)
-    ds, net, cfg = build_bad_local_min(10, 3, lam, seed=0, mode="generalized")
+    ds, net, cfg = build_bad_local_min(10, 3, lam, mode="generalized")
     rng = np.random.default_rng(3)
     other = SingleLayerReQUNet(rng.standard_normal(3), rng.standard_normal((3, ds.d)),
                                rng.standard_normal(3))

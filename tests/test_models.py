@@ -139,6 +139,21 @@ def test_quadratic_net_is_a_single_layer_net_with_the_square():
     np.testing.assert_array_equal(requ_net.value(X), models.requ(pre) @ quad.a)
 
 
+def test_single_layer_nets_are_deep_conv_nets_without_filters():
+    rng = np.random.default_rng(11)
+    for cls in (SingleLayerReQUNet, QuadraticNet):
+        net = random_single(rng, cls=cls)
+        assert isinstance(net, DeepConvNet)
+        assert net.filters == () and net.l == 1 and net.s == 1 and net.d == net.head_dim
+        assert type(net.with_params(net.a, net.W, net.b, [])) is cls
+        assert type(models.net_from_flat(net, models.net_to_flat(net))) is cls
+    net = random_single(rng)
+    twin = DeepConvNet((), net.a, net.W, net.b)
+    X = rng.standard_normal((6, net.d))
+    assert net.value(X).tobytes() == twin.value(X).tobytes()
+    assert type(twin.with_params(twin.a, twin.W, twin.b, [])) is DeepConvNet
+
+
 def test_scale_params_homogeneity_single():
     rng = np.random.default_rng(5)
     net = random_single(rng)
@@ -180,8 +195,37 @@ def test_checkpoint_round_trip(tmp_path):
         back = models.load_net(path)
         assert type(back) is type(net)
         np.testing.assert_array_equal(models.net_to_flat(back), models.net_to_flat(net))
-        if isinstance(net, DeepConvNet):
-            assert back.slope == net.slope
+        assert back.slope == net.slope
+
+
+A, W2, B = np.array([0.5, -1.25]), np.array([[1.0, -2.0], [0.25, 3.0]]), np.array([0.125, -0.5])
+W3 = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
+HEAD = '"format": "requland-checkpoint", "version": 1'
+
+
+@pytest.mark.parametrize("net,text", [
+    (SingleLayerReQUNet(A, W2, B),
+     '{%s, "kind": "single_requ", "m": 2, "width": 2, '
+     '"params": [0.5, -1.25, 1.0, -2.0, 0.25, 3.0, 0.125, -0.5]}\n' % HEAD),
+    (QuadraticNet(A, W2, B),
+     '{%s, "kind": "quadratic", "m": 2, "width": 2, '
+     '"params": [0.5, -1.25, 1.0, -2.0, 0.25, 3.0, 0.125, -0.5]}\n' % HEAD),
+    (DeepConvNet((np.array([0.6, 0.8]),), A, W3, B, 0.2),
+     '{%s, "kind": "deep_conv", "m": 2, "width": 3, '
+     '"params": [0.5, -1.25, 1.0, -2.0, 0.5, 0.25, 3.0, -1.0, 0.125, -0.5, 0.6, 0.8], '
+     '"num_filters": 1, "filter_size": 2, "slope": 0.2}\n' % HEAD),
+    (DeepConvNet((), A, W2, B),  # l = 1, yet deep: not a single_requ checkpoint
+     '{%s, "kind": "deep_conv", "m": 2, "width": 2, '
+     '"params": [0.5, -1.25, 1.0, -2.0, 0.25, 3.0, 0.125, -0.5], '
+     '"num_filters": 0, "filter_size": 1, "slope": 0.1}\n' % HEAD),
+], ids=["single", "quadratic", "deep", "deep-l1"])
+def test_checkpoint_text_of_each_kind(tmp_path, net, text):
+    # A single-layer net is a DeepConvNet too; its checkpoint must keep its
+    # own kind and no deep keys, and a deep l = 1 net must stay deep_conv.
+    path = tmp_path / "net.json"
+    models.save_net(net, path)
+    assert path.read_text() == text
+    assert type(models.load_net(path)) is type(net)
 
 
 def test_checkpoint_corruption(tmp_path):

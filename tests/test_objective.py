@@ -111,7 +111,7 @@ def test_losses_stable_in_far_tails():
 
 def kernel_regularizer(net, lam, lam_c=0.0):
     """The kernel's objective less its data term, on one sample."""
-    dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+    dim = net.input_dim
     ds = datasets.Dataset(np.zeros((1, dim)), np.array([1]))
     cfg = objective.ObjectiveConfig(objective.logistic(), lam, lam_c)
     data = float(np.sum(objective.loss_value(cfg.loss, -ds.y * net.value(ds.X))))
@@ -234,7 +234,7 @@ def test_value_gradient_and_generic_paths_are_one_function(family):
         else:
             net = make_single(rng, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet)
             lam_c = 0.0
-        dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+        dim = net.input_dim
         ds = datasets.gen_random(6, dim, seed=t)
         loss = objective.logistic() if t % 2 else objective.smooth_hinge(3)
         cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
@@ -262,7 +262,7 @@ def stacked_case(rng, family, t, K, loss):
     """A random net of the family, its FlatObjective on gen_random(6, ., t)
     with the given loss, and K points scattered around its parameters."""
     net, lam_c = random_net(rng, family)
-    dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+    dim = net.input_dim
     ds = datasets.gen_random(6, dim, seed=t)
     cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m), lam_c)
     theta = models.net_to_flat(net)
@@ -454,7 +454,7 @@ def test_lean_pass_equals_the_plain_formulas(family, loss):
     # kinks, signed zeros and underflow reach every layer.
     rng = np.random.default_rng(23)
     net, lam_c = random_net(rng, family)
-    dim = net.input_dim if isinstance(net, DeepConvNet) else net.d
+    dim = net.input_dim
     X = datasets.gen_random(6, dim, seed=1).X
     X[0], X[1], X[2], X[3] = 2.0, 0.0, -0.0, 1e-200 * (1.0 + np.abs(X[3]))
     ds = datasets.Dataset(X, np.array([1, -1, 1, -1, 1, -1]))
@@ -547,6 +547,36 @@ def test_coercivity_bound_holds_at_scale():
         gap = coercivity_gap_oracle(net, ds, cfg)
         loss = objective.empirical_loss(net, ds, cfg)
         assert gap >= -1e-9 * (1.0 + loss)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    l=st.sampled_from([2, 3]),
+    lam_c=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-2.0, 40.0),
+    log_t=st.floats(-6.0, 6.0),
+)
+def test_coercivity_floor_bounds_deep_nets_at_their_head_norm(l, lam_c, seed, log_scale, log_t):
+    # The cubic term covers exactly the head coordinates (a, W, b), and the
+    # data term and the filter anchor are >= 0, so the floor at the head's
+    # norm bounds a deep net's objective too.  Scaling the first filter by t
+    # and W by 1/t keeps every output: with lam_c = 0 the objective can then
+    # fall while ||theta|| grows without bound, yet never below the floor.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    net = make_deep(rng, d=3, s=2, l=l, m=m)
+    scale, t = 10.0**log_scale, 10.0**log_t
+    filts = (t * net.filters[0],) + net.filters[1:]
+    net = DeepConvNet(filts, scale * net.a, scale * net.W / t, scale * net.b, net.slope)
+    ds = datasets.gen_random(5, 3, seed=seed % 1000)
+    lam = rng.uniform(0.01, 1.0, m)
+    fob = objective.FlatObjective(net, ds, objective.ObjectiveConfig(objective.logistic(), lam, lam_c))
+    value = fob.value(models.net_to_flat(net))
+    head = np.concatenate([net.a, net.W.ravel(), net.b])
+    floor = objective.coercivity_lower_bound(np.linalg.norm(head), float(np.min(lam)), m)
+    assert np.isfinite(value)
+    assert value >= floor - 1e-9 * (1.0 + value)
 
 
 def test_coercivity_bound_past_float_overflow():

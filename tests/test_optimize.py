@@ -367,32 +367,63 @@ def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
     # ||theta||^3 overflows a float here, and the coercivity check at
     # iteration 0 must not raise from it; the objective itself is NaN.  The
     # run ends "non-finite" at once instead of spending stall tries on a NaN
-    # loss and reporting a kink stall.
+    # loss and reporting a kink stall.  Deep nets take the same check, at
+    # the norm of their head.
     ds = gen_random(10, 3, seed=0)
     cfg = quick_cfg(11, lam0=0.1)
     stall_tries = []
     monkeypatch.setattr(opt, "_attempt_stall_escape",
                         lambda *args: stall_tries.append(args) or (None, np.nan))
     for scale in (1e110, 1e103):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, traj = opt.train(opt.init_single(11, 3, seed=0, scale=scale), ds, cfg)
-        assert np.isnan(traj.rows[-1][1])
-        assert traj.status == "non-finite" and traj.n_iter == 0
-        assert traj.status in opt.TERMINAL_STATUSES
+        for net in (opt.init_single(11, 3, seed=0, scale=scale),
+                    opt.init_deep(3, 2, 2, 11, seed=0, scale=scale)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, traj = opt.train(net, ds, cfg)
+            assert np.isnan(traj.rows[-1][1])
+            assert traj.status == "non-finite" and traj.n_iter == 0
+            assert traj.status in opt.TERMINAL_STATUSES
     assert stall_tries == []
 
 
 def test_train_raises_when_the_loss_falls_below_the_cubic_floor(monkeypatch):
-    # The floor is a theorem for single-layer nets, so a loss below it can
-    # only be a numerical defect; forge one and the run must stop on it.
-    # Deep nets are outside the bound and never checked.
-    monkeypatch.setattr(opt, "coercivity_lower_bound", lambda norm, lam_min, m: 1e9)
+    # The floor at the norm of the head (a, W, b) is a theorem for every
+    # net: the cubic term covers exactly the head, and the data term and the
+    # filter anchor are >= 0.  A loss below it can only be a numerical
+    # defect; forge one and the run must stop on it, deep nets included
+    # (they used to go unchecked and ran out their budget).
     ds = gen_random(8, 3, seed=77)
+    deep = opt.init_deep(d=3, s=2, l=2, m=5, seed=0)
+    norms = []
+    monkeypatch.setattr(opt, "coercivity_lower_bound",
+                        lambda norm, lam_min, m: norms.append(norm) or 0.0)
+    opt.train(deep, ds, quick_cfg(5), opt.TrainOptions(max_iter=1))
+    head = np.concatenate([deep.a, deep.W.ravel(), deep.b])
+    assert norms[0] == math.sqrt(head @ head) < math.sqrt(net_to_flat(deep) @ net_to_flat(deep))
+    monkeypatch.setattr(opt, "coercivity_lower_bound", lambda norm, lam_min, m: 1e9)
     with pytest.raises(opt.CoercivityViolationError, match="cubic floor"):
         opt.train(opt.init_single(9, 3, seed=7), ds, quick_cfg(9, seed=7))
-    _, traj = opt.train(opt.init_deep(d=3, s=2, l=2, m=5, seed=0), ds, quick_cfg(5),
-                        opt.TrainOptions(max_iter=10))
-    assert traj.status == "budget-exhausted"
+    with pytest.raises(opt.CoercivityViolationError, match="cubic floor"):
+        opt.train(deep, ds, quick_cfg(5), opt.TrainOptions(max_iter=10))
+
+
+@pytest.mark.parametrize("m,d,seed,scale", [(5, 3, 11, 0.1), (11, 3, 0, 2.5), (1, 1, 7, 0.1)])
+def test_init_single_is_the_head_of_the_one_layer_init_deep(m, d, seed, scale):
+    single = opt.init_single(m, d, seed, scale)
+    deep = opt.init_deep(d, 1, 1, m, seed, scale=scale)
+    assert type(single) is SingleLayerReQUNet and deep.filters == ()
+    assert net_to_flat(single).tobytes() == net_to_flat(deep).tobytes()
+
+
+def test_train_from_init_single_and_its_deep_twin_records_the_same_rows():
+    # The single-layer net is the deep net's l = 1 case, and train takes
+    # them through one path: the same rows, the same theta, its own kind.
+    ds = gen_random(10, 3, seed=1005)
+    cfg, opts = quick_cfg(11, seed=5), opt.TrainOptions(max_iter=600, seed=5)
+    single, traj_single = opt.train(opt.init_single(11, 3, seed=5), ds, cfg, opts)
+    deep, traj_deep = opt.train(opt.init_deep(3, 1, 1, 11, seed=5), ds, cfg, opts)
+    assert len(traj_single.rows) > 2 and traj_single.rows == traj_deep.rows
+    assert type(single) is SingleLayerReQUNet and type(deep) is DeepConvNet
+    assert net_to_flat(single).tobytes() == net_to_flat(deep).tobytes()
 
 
 def c09_run(seed, **opts):
