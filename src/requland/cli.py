@@ -48,13 +48,12 @@ from .landscape import (
     perturbation_stability,
     write_json,
 )
-from .models import load_net, save_net
+from .models import load_net, net_to_flat, save_net
 from .numkit import conv_matrix, frobenius, min_singular_value, row_dots, sym_eigvals, sym_min_singular_values
 from .objective import (
     FlatObjective,
     ObjectiveConfig,
-    coercivity_lower_bound,
-    gradient,
+    coercivity_lower_bounds,
     logistic,
     smooth_hinge,
     training_error,
@@ -406,10 +405,12 @@ def _probe_coercivity(cfg: dict) -> dict:
     whole: directions u from standard_normal((MC_BLOCK, size)), then the
     radii's exponents from uniform(-2, log10(norm_max), MC_BLOCK).  The block
     size thus fixes the report, and fewer trials give a prefix of more.
-    Each block is evaluated as one stack at radius * u / ||u||; the floor,
-    the worst margin and the violations are taken in trial order.  A trial
-    whose margin is NaN (objective and floor both overflowed to inf) proves
-    nothing, so it is counted as non_finite_trials and fails the probe.
+    Each block is evaluated as one stack at radius * u / ||u|| and scored
+    as arrays: one floor per trial, its margin and the violations, with the
+    worst margin the first least one, as a trial-by-trial loop finds it.  A
+    trial whose margin is NaN (objective and floor both overflowed to inf)
+    proves nothing, so it is counted as non_finite_trials and fails the
+    probe.
     """
     seed, m, trials, slack = cfg["seed"], cfg["m"], cfg["trials"], cfg["slack"]
     with _user_input():
@@ -428,15 +429,17 @@ def _probe_coercivity(cfg: dict) -> dict:
         # Python-float powers: numpy's vectorized power differs in the last bit.
         radii = [10.0 ** x for x in rng.uniform(-2.0, log_max, MC_BLOCK)[: len(U)].tolist()]
         thetas = np.array(radii)[:, None] * U / np.sqrt(row_dots(U))[:, None]
+        floors = np.array(coercivity_lower_bounds(radii, lam_min, m))  # Python powers too
         # Overflowed trials are counted below, so numpy need not warn of them.
         with np.errstate(over="ignore", invalid="ignore"):
-            for radius, value in zip(radii, fob.values(thetas)):
-                floor = coercivity_lower_bound(radius, lam_min, m)
-                margin = value - floor
-                worst = min(worst, margin)  # a NaN margin leaves worst as it was
-                non_finite += bool(np.isnan(margin))
-                if value < floor - slack * (1.0 + abs(floor)):
-                    violations += 1
+            values = fob.values(thetas)
+            margins = values - floors
+            nan = np.isnan(margins)
+            non_finite += int(np.count_nonzero(nan))
+            finite = margins[~nan]
+            if finite.size:  # argmin takes the first least: of 0.0 and -0.0, the earlier
+                worst = min(worst, finite[finite.argmin()])
+            violations += int(np.count_nonzero(values < floors - slack * (1.0 + np.abs(floors))))
     result = {"violations": violations, "worst_margin": float(worst),
               "pass": violations == 0 and non_finite == 0}
     if non_finite:  # absent when 0, so finite reports keep their bytes
@@ -553,7 +556,8 @@ def cmd_counterexample(args) -> int:
 
     err = training_error(net, ds)
     expected = 1.0 - m / n
-    gn = float(np.linalg.norm(gradient(net, ds, ocfg)))
+    fob = FlatObjective(net, ds, ocfg)
+    gn = float(np.linalg.norm(fob.grad(fob.forward(net_to_flat(net)))))
     min_delta = perturbation_stability(net, ds, ocfg, radius=radius, trials=trials, seed=seed)
     ok = gn < 1e-6 and abs(err - expected) < 1e-12 and min_delta >= 0.0
 

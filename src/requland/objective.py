@@ -73,6 +73,16 @@ def _exp_or_inf(t: float) -> float:
         return math.inf
 
 
+def _scaled_square(c: float, t: float) -> float:
+    """c * t ** 2 in Python floats, for c >= 0.  Where t ** 2 overflows
+    (a Python-float power raises OverflowError there, where numpy returns
+    inf) it is inf, or 0.0 for c = 0, whose term is absent."""
+    try:
+        return c * t**2
+    except OverflowError:
+        return math.inf if c else 0.0
+
+
 def _logistic_deriv(z: list, w, exp=math.exp) -> list:
     """expit(x) / ln 2 * c for each x of z and c of w, in Python floats.
 
@@ -194,10 +204,20 @@ class FlatObjective:
         """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack
         of them.  A stack takes every v.v from row_dots (the same BLAS dot as
         the 1-D v @ v), then squares in per-point Python-float arithmetic:
-        numpy's vectorized square differs from it in the last bit."""
+        numpy's vectorized square differs from it in the last bit.  Where
+        the square overflows, the term is inf, or 0.0 at lam_c = 0 (see
+        _scaled_square)."""
+        c = self.anchor_c
         if v.ndim > 1:
-            return np.array([self.anchor_c * (x - 1.0) ** 2 for x in row_dots(v).tolist()])
-        return self.anchor_c * (float(v @ v) - 1.0) ** 2
+            dots = row_dots(v).tolist()
+            try:
+                return np.array([c * (x - 1.0) ** 2 for x in dots])
+            except OverflowError:  # rare; the list above is the fast path
+                return np.array([_scaled_square(c, x - 1.0) for x in dots])
+        try:  # _scaled_square, inlined: a 1-D point is the trainer's hot path
+            return c * (float(v @ v) - 1.0) ** 2
+        except OverflowError:
+            return math.inf if c else 0.0
 
     def forward(self, theta):
         """Evaluate at theta, or at each row of a (K, size) stack: the
@@ -314,3 +334,13 @@ def coercivity_lower_bound(theta_norm: float, lam_min: float, m: int) -> float:
         return c * t**3
     except OverflowError:
         return float(c) * t * t * t
+
+
+def coercivity_lower_bounds(norms: list, lam_min: float, m: int) -> list:
+    """coercivity_lower_bound at each of a list of Python-float norms, bit
+    for bit, with its factor formed once."""
+    c = lam_min / (3.0 * math.sqrt(2.0 * m))
+    try:
+        return [c * t**3 for t in norms]
+    except OverflowError:  # rare: one norm at a time, through the overflow fallback
+        return [coercivity_lower_bound(t, lam_min, m) for t in norms]

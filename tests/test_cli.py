@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -323,6 +324,34 @@ def test_probe_coercivity_matches_serial_oracle(loss, monkeypatch):
             assert np.array_equal(per_trial, want_per_trial)  # every trial, in order
             assert got == want
             assert (0 < got["violations"] < trials) == (slack < 0)
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_probe_coercivity_scores_a_block_as_a_trial_loop_would(zeros, monkeypatch):
+    # Forged values over a zero floor: worst_margin is the first least
+    # margin, so of two zeros the earlier one's sign wins, within a block
+    # and against a later block; NaN margins are skipped and counted, and a
+    # block of NaN alone leaves worst_margin as it was.  A slack of -1.5
+    # makes every value below 1.5 a violation.
+    first, second = zeros
+    blocks = [np.r_[5.0, first, second, np.nan, np.full(MC_BLOCK - 4, 2.0)],
+              np.r_[second, np.nan, 1.0, np.full(MC_BLOCK - 3, 7.0)],
+              np.full(3, np.nan)]
+    feed = iter(blocks)
+    monkeypatch.setattr(cli, "coercivity_lower_bounds", lambda radii, lam_min, m: [0.0] * len(radii))
+    monkeypatch.setattr(FlatObjective, "values", lambda self, thetas: next(feed))
+    cfg = {**PROBE_DEFAULTS["coercivity"], "trials": 2 * MC_BLOCK + 3, "slack": -1.5}
+    got = _probe_coercivity(cfg)
+    worst, violations, non_finite = np.inf, 0, 0
+    for value in np.concatenate(blocks):  # the trial loop it replaced
+        margin = value - 0.0
+        worst = min(worst, margin)  # a NaN margin leaves worst as it was
+        non_finite += bool(np.isnan(margin))
+        violations += bool(value < 0.0 - cfg["slack"] * (1.0 + abs(0.0)))
+    assert (violations, non_finite) == (4, 5)
+    assert got == {"violations": violations, "worst_margin": worst, "pass": False,
+                   "non_finite_trials": non_finite}
+    assert math.copysign(1.0, got["worst_margin"]) == math.copysign(1.0, first)
 
 
 def test_probe_coercivity_fails_on_overflowed_trials(monkeypatch):

@@ -358,6 +358,58 @@ def test_stacked_filter_anchor_equals_one_filter_at_a_time():
     assert all(got[i] == fob._anchor(V[i]) for i in range(len(V)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"]),
+    n=st.integers(1, 40),
+    d=st.integers(1, 36),
+    m=st.integers(1, 12),
+    K=st.integers(1, 2 * objective.FlatObjective.CHUNK + 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_row_of_a_stack_equals_its_point(family, n, d, m, K, seed):
+    # Exact equality over stack heights, data sizes, widths and depths, one
+    # output column (m = 1) included; values also crosses CHUNK.
+    rng = np.random.default_rng(seed)
+    if family.startswith("deep"):
+        net, lam_c = make_deep(rng, d=d, s=int(rng.integers(2, 4)), l=int(family[-1]), m=m), 1.0
+    else:
+        net, lam_c = make_single(rng, m=m, d=d, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet), 0.0
+    ds = datasets.gen_random(n, d, seed=seed % 1000)
+    loss = objective.logistic() if seed % 2 else objective.smooth_hinge(3)
+    fob = objective.FlatObjective(net, ds, objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, m), lam_c))
+    theta = models.net_to_flat(net)
+    thetas = theta + rng.standard_normal((K, theta.size)) * 10.0 ** rng.uniform(-4, 0, (K, 1))
+    vals = fob.values(thetas)
+    assert all(vals[k] == fob.value(thetas[k]) for k in range(K))
+    stacked = fob.forward(thetas)
+    for k in range(K):
+        assert np.array_equal(fob.grad(fob.row(stacked, k)), fob.grad(fob.forward(thetas[k])))
+
+
+@pytest.mark.parametrize("lam_c", [1.0, 0.0])
+def test_overflowing_filter_anchor_is_inf_at_a_point_and_in_a_stack(lam_c):
+    # (||v||^2 - 1)^2 overflows a float at ||v||^2 = 1e160; the Python-float
+    # power raised OverflowError there.  The anchor is then inf, or 0.0 at
+    # lam_c = 0, where the term is absent (not 0 * inf = NaN).  Every other
+    # term stays finite.
+    rng = np.random.default_rng(20)
+    net = make_deep(rng, s=2, l=2)
+    ds = datasets.gen_random(6, net.input_dim, seed=0)
+    fob = objective.FlatObjective(net, ds, objective.ObjectiveConfig(objective.logistic(), np.full(net.m, 0.1), lam_c))
+    theta = models.net_to_flat(net)
+    big = theta.copy()
+    big[-2:] = 1e80 / np.sqrt(2.0)
+    anchor = np.inf if lam_c else 0.0
+    assert fob._anchor(big[-2:]) == anchor
+    assert fob._anchor(np.vstack([big[-2:], theta[-2:]]))[0] == anchor
+    assert (fob.value(big) == np.inf) == bool(lam_c) and not np.isnan(fob.value(big))
+    stack = np.vstack([theta, big])
+    vals = fob.values(stack)
+    assert vals[0] == fob.value(theta) and vals[1] == fob.value(big)
+    assert fob.forward(stack)[0][1] == fob.value(big)
+
+
 def plain_conv_matrix(v, d_z):
     """The banded conv matrix as the pass filled it before its gather index:
     zeros, then each band entry assigned, for a filter or a stack of them."""
@@ -465,8 +517,10 @@ def test_lean_pass_equals_the_plain_formulas(family, loss):
         fwd = fob.forward(theta)
         assert_same_forward(fwd, plain_forward_oracle(fob, theta))
         assert np.array_equal(fob.grad(fwd), plain_grad_oracle(fob, fwd))
+    # Stack heights from 1 to CHUNK, around 256 among them, where BLAS may
+    # pick another kernel for a product over the whole stack.
     scattered = points[0] + rng.standard_normal((480, points[0].size)) * 10.0 ** rng.uniform(-4, 0, (480, 1))
-    for K in (1, 2, 8, 480):
+    for K in (1, 2, 3, 8, 17, 255, 256, 257, 480):
         stack = np.vstack([points, scattered])[:K]
         stacked = fob.forward(stack)
         assert_same_forward(stacked, plain_forward_oracle(fob, stack))
@@ -591,6 +645,15 @@ def test_coercivity_bound_past_float_overflow():
         assert floor == pytest.approx(c * 1e9 * 1e300, rel=1e-12)  # c * 1e309
     # Below the overflow the floor is the plain formula, to the last bit.
     assert objective.coercivity_lower_bound(2.0, 0.1, 11) == c * 2.0**3
+
+
+def test_coercivity_lower_bounds_equal_the_floor_one_norm_at_a_time():
+    # Norms past the cube's overflow send the list down its slow path.
+    for top in (3.0, 110.0):
+        norms = (10.0 ** np.random.default_rng(3).uniform(-2.0, top, 500)).tolist()
+        got = objective.coercivity_lower_bounds(norms, 0.0123, 11)
+        assert got == [objective.coercivity_lower_bound(t, 0.0123, 11) for t in norms]
+        assert (np.inf in got) == (top > 100)
 
 
 def test_epsilon_criterion_on_confident_net():

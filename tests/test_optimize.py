@@ -385,6 +385,18 @@ def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
     assert stall_tries == []
 
 
+def test_train_from_a_filter_whose_anchor_overflows_does_not_raise():
+    # The first step from a 1e30-scale head throws the filter past
+    # ||v||^2 = 1e154, where (||v||^2 - 1)^2 overflows; the anchor took that
+    # square as a Python-float power, which raised OverflowError out of
+    # train.  Its value is now inf, and the run ends with a status.
+    ds = gen_random(3, 4, seed=2000)
+    cfg = quick_cfg(11, lam0=0.1, lam_c=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, traj = opt.train(opt.init_deep(4, 2, 2, 11, seed=0, scale=1e30), ds, cfg)
+    assert traj.status in opt.TERMINAL_STATUSES
+
+
 def test_train_raises_when_the_loss_falls_below_the_cubic_floor(monkeypatch):
     # The floor at the norm of the head (a, W, b) is a theorem for every
     # net: the cubic term covers exactly the head, and the data term and the
