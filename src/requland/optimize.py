@@ -25,6 +25,20 @@ theta, that pass (or the loss it holds) and the FlatObjective: the data, the
 loss and the neuron blocks all come from it.  Both escapes scan their grid
 of points theta + r u through one search, _search.
 
+Descent crawls through ill-conditioned tails, so once the activation
+pattern settles train finishes with modified-Newton steps (_newton_finish).
+It tries at a snap-cadence check where the objective is C^2 around the
+iterate and the tail is long: no sample is misclassified; the signs of
+every conv pre-activation and every live head pre-activation, each at
+least NEWTON_MARGIN from 0 relative to the largest of its layer or neuron,
+held over the last NEWTON_HOLD checks; and the gradient norm lies between
+NEWTON_SPAN * grad_tol and NEWTON_GATE, both times 1 + |loss|.  The
+gradient floor keeps it off short tails, such as the single-layer c01 runs,
+and the held margins off runs that head for a leaky-ReLU kink, such as the
+c09 pair that ends stalled.  Each accepted step is an iteration and a
+"newton" row; an attempt that takes no step doubles the checks skipped
+before the next.
+
 TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
 and seed.  Step sizes, cadences and move sizes are the module constants, the
 only values in use; the coercivity check runs on every network, at its head.
@@ -65,6 +79,13 @@ MAX_ESCAPES = 10
 STALL_WINDOW = 400  # iterations between flatline checks
 STALL_PROBES = 256
 LADDER_MAX = 8  # most Armijo rungs evaluated in one stacked forward pass
+NEWTON_GATE = 1e-2  # Newton finish: only once ||grad|| < NEWTON_GATE * (1 + |loss|),
+NEWTON_SPAN = 1e3  # ... and while ||grad|| > NEWTON_SPAN * grad_tol * (1 + |loss|)
+NEWTON_HOLD = 2  # ... once the sign pattern has held over this many snap-cadence checks
+NEWTON_MARGIN = 5e-3  # ... and each pre-activation that far from 0, relative
+NEWTON_H = 1e-6  # central-difference step of a Hessian column, times 1 + |theta_i|
+NEWTON_FLOOR = 1e-12  # least |eigenvalue| of the modified Hessian, relative to the largest
+NEWTON_RUNGS = 8  # Newton step lengths 1, SHRINK, ..., in one stacked forward pass
 
 
 @dataclass
@@ -81,7 +102,8 @@ class TrainOptions:
 class Trajectory:
     """Recorded (iter, loss, grad_norm, param_norm, status) rows.
 
-    Row statuses are "descent", "snap", or "escape"; the final row carries the
+    Row statuses are "descent", "snap", "escape", or "newton" (a step of the
+    Newton finish, see _newton_finish); the final row carries the
     terminal status: "converged", "budget-exhausted", "stalled" (the iterate
     is pinned -- no representable step decreases the loss, an accepted step
     rounds away to theta itself, or the loss flatlined -- and the stall
@@ -316,6 +338,92 @@ def _attempt_stall_escape(theta, loss, fob, rng):
     return theta + r * u, best_loss
 
 
+def _smooth_pattern(theta, fwd, fob):
+    """The sign pattern around theta where the objective is C^2 there, else
+    None.  The pattern is the live blocks and the signs of every conv
+    pre-activation and every live head pre-activation; it is None where a
+    sample is misclassified or where one of those pre-activations lies
+    within NEWTON_MARGIN of 0, relative to the largest of its conv layer or
+    of its neuron.  The cubic terms and both losses are C^2 everywhere, so
+    only the leaky-ReLU and ReQU kinks at 0 can break smoothness."""
+    _, convs, pre, *_, f = fwd[2]
+    if np.any(np.sign(f) != fob.y):
+        return None
+    live = theta[fob.layout.blocks()].any(axis=1)
+    parts = [P.reshape(-1, 1) for _, P in convs] + [pre[:, live]]  # one column per margin
+    for x in parts:
+        mag = np.abs(x)
+        if np.any(mag.min(axis=0) <= NEWTON_MARGIN * mag.max(axis=0)):
+            return None
+    return b"".join(x.tobytes() for x in [live] + [x >= 0.0 for x in parts])
+
+
+def _newton_finish(theta, fwd, g, fob):
+    """Modified-Newton steps on the live coordinates, from theta with its
+    forward pass fwd and gradient g.  Yields ("newton", theta, fwd, g) after
+    each accepted step and ("snap", ...) after each snap that follows one;
+    returns at the first step that fails.
+
+    The live coordinates are the blocks that are not exactly zero, plus the
+    filters.  The Hessian on them comes from central differences of the
+    gradient: the 2|live| points go through stacked forward passes, and
+    each gradient through row and grad, bit-equal to a 1-D call.  Its
+    eigenvalues enter the step as their absolute values, floored at
+    NEWTON_FLOOR times the largest.  The step lengths 1, SHRINK, ... are one
+    stacked pass; the first with the Armijo decrease, a strictly lower value
+    and the _smooth_pattern of the point it leaves is taken.  A dying block
+    only halves per step (its terms are cubic along its ray), so each step
+    is followed by _try_snaps, and a snap starts a new pattern on the
+    smaller live set.  Stopping at grad_tol and at max_iter is the caller's.
+    """
+    # Rows per stacked pass: about 32k numbers in each (rows, n, m) temporary.
+    per = max(1, (1 << 15) // (fob.X.shape[0] * fob.layout.m))
+    steps = SHRINK ** np.arange(NEWTON_RUNGS)
+    blocks = fob.layout.blocks()
+    pattern = _smooth_pattern(theta, fwd, fob)
+    while pattern is not None:
+        live = np.ones(theta.size, dtype=bool)
+        live[blocks[~theta[blocks].any(axis=1)]] = False
+        idx = np.flatnonzero(live)
+        k = idx.size
+        h = NEWTON_H * (1.0 + np.abs(theta[idx]))
+        points = np.tile(theta, (2 * k, 1))
+        points[np.arange(k), idx] += h
+        points[np.arange(k, 2 * k), idx] -= h
+        G = np.empty((2 * k, k))
+        for s in range(0, 2 * k, per):
+            stacked = fob.forward(points[s : s + per])
+            for r in range(len(stacked[0])):
+                G[s + r] = fob.grad(fob.row(stacked, r))[idx]
+        H = (G[:k] - G[k:]) / (2.0 * h)[:, None]
+        ev, V = np.linalg.eigh(0.5 * (H + H.T))
+        ev = np.abs(ev)
+        ev = np.maximum(ev, NEWTON_FLOOR * float(np.max(ev)))
+        gl = g[idx]
+        d = -(V @ ((V.T @ gl) / ev))
+        slope = float(gl @ d)
+        trials = np.tile(theta, (NEWTON_RUNGS, 1))
+        trials[:, idx] += np.multiply.outer(steps, d)
+        stacked = fob.forward(trials)
+        loss = float(fwd[0])
+        for r, (t, trial_loss) in enumerate(zip(steps.tolist(), stacked[0].tolist())):
+            if trial_loss < loss and trial_loss <= loss + ARMIJO * t * slope:
+                trial_fwd = fob.row(stacked, r)
+                if _smooth_pattern(trials[r], trial_fwd, fob) == pattern:
+                    break
+        else:
+            return
+        theta, fwd = trials[r], trial_fwd
+        g = fob.grad(fwd)
+        yield "newton", theta, fwd, g
+        theta, _, snapped = _try_snaps(theta, float(fwd[0]), fob)
+        if snapped:
+            fwd = fob.forward(theta)
+            pattern = _smooth_pattern(theta, fwd, fob)
+            g = fob.grad(fwd)
+            yield "snap", theta, fwd, g
+
+
 def _opening_width(step, last_step):
     """Rungs in the first block of an Armijo ladder: one, unless step is at
     least 2**LADDER_MAX times last_step; then k + 1 for the overshoot
@@ -327,6 +435,7 @@ def _opening_width(step, last_step):
     return k + 1 if k >= LADDER_MAX else 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing run ends "non-finite", silently
 def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = None):
     """Minimize the objective from the given starting network.
 
@@ -343,7 +452,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     cost.  An accepted rung whose trial equals theta (the decrease
     ARMIJO*step*gn^2 fell below half an ulp of the loss) is no step: like
     an exhausted ladder it pins the iterate and hands it to the stall probe.
-    See the module docstring for the snap and escape moves.
+    See the module docstring for the snap, escape and Newton moves.
 
     fwd is always fob.forward(theta) for the current iterate, set at the
     start, by refresh and by each accepted rung; the moves and the escape
@@ -366,6 +475,8 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     loss, g = float(fwd[0]), fob.grad(fwd)
     prev_theta = prev_g = None
     stall_ref_it, stall_ref_loss = 0, loss
+    pattern, held = None, 0  # _smooth_pattern at the last snap-cadence check, and for how many
+    newton_wait = newton_backoff = 0  # checks to skip, and how many after the next miss
 
     def refresh(new_theta, status):
         nonlocal theta, fwd, loss, g, prev_theta, prev_g, stall_ref_it, stall_ref_loss
@@ -377,6 +488,14 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
 
     def record(status):  # the norm of the iteration's starting point, taken only here
         traj.record(it, loss, gn, math.sqrt(start @ start), status)
+
+    def check_floor():
+        head = theta[:n_head]
+        floor = coercivity_lower_bound(math.sqrt(head @ head), lam_min, fob.layout.m)
+        if loss < floor - 1e-9 * (1.0 + abs(loss)):
+            raise CoercivityViolationError(
+                f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
+            )
 
     while True:
         gn = math.sqrt(g @ g)  # == float(np.linalg.norm(g)): the same dot, a correctly rounded sqrt
@@ -390,12 +509,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             status = "non-finite"
             break
 
-        head = theta[:n_head]
-        floor = coercivity_lower_bound(math.sqrt(head @ head), lam_min, fob.layout.m)
-        if loss < floor - 1e-9 * (1.0 + abs(loss)):
-            raise CoercivityViolationError(
-                f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
-            )
+        check_floor()
 
         converged = gn < opts.grad_tol * (1.0 + abs(loss))
         # Prune at the stopping point, and periodically so that dying blocks
@@ -409,6 +523,31 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 refresh(theta2, "snap")
                 if converged:
                     continue
+            # Newton finish: see the module docstring for the gate.
+            scale, last_pattern, pattern = 1.0 + abs(loss), pattern, None
+            if NEWTON_SPAN * opts.grad_tol * scale < math.sqrt(g @ g) < NEWTON_GATE * scale:
+                pattern = _smooth_pattern(theta, fwd, fob)
+            held = held + 1 if pattern is not None and pattern == last_pattern else 0
+            if held >= NEWTON_HOLD:
+                if newton_wait > 0:
+                    newton_wait -= 1
+                else:
+                    moved = False
+                    for move, theta, fwd, g in _newton_finish(theta, fwd, g, fob):
+                        moved = True
+                        loss, gn = float(fwd[0]), math.sqrt(g @ g)
+                        check_floor()
+                        traj.record(it, loss, gn, math.sqrt(theta @ theta), move)
+                        if move == "newton":
+                            it += 1
+                        if it >= opts.max_iter or gn < opts.grad_tol * (1.0 + abs(loss)):
+                            break
+                    if moved:
+                        prev_theta = prev_g = None
+                        stall_ref_it, stall_ref_loss = it, loss
+                        continue
+                    newton_backoff = 2 * newton_backoff or 1
+                    newton_wait = newton_backoff
 
         # While samples stay misclassified, try the third-order escape move
         # at the stopping point, and at a coarse cadence too, where near-flat

@@ -19,7 +19,7 @@ from requland.datasets import gen_random
 from requland.landscape import MC_BLOCK, CertificateReport
 from requland.models import SingleLayerReQUNet, load_net, save_net
 from requland.objective import FlatObjective, ObjectiveConfig, coercivity_lower_bound
-from requland.optimize import init_single, sample_lambda
+from requland.optimize import init_deep, init_single, sample_lambda
 
 
 def strict_json(path):
@@ -381,6 +381,19 @@ def test_probe_coercivity_overflowed_trials_raise_no_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     report = strict_json(tmp_path / "p" / "report.json")
     assert report["non_finite_trials"] == 632 and report["pass"] is False
+
+
+def test_train_from_an_overflowing_checkpoint_raises_no_warnings(tmp_path, capsys):
+    # A deep warm start with a 1e30 head overflows the data term at once.
+    # The run ends as it did (not critical, exit 2), but numpy also printed
+    # five RuntimeWarnings from the objective's evaluations.
+    ckpt = tmp_path / "big.json"
+    save_net(init_deep(3, 2, 2, 11, seed=0, scale=1e30), ckpt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--init-checkpoint", ckpt, "--lambda0", "0.1",
+                   "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_probe_coercivity_trials_are_a_prefix_of_a_longer_run(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import sys
 from collections import Counter
@@ -6,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from requland import landscape, models, objective
 from requland import optimize as opt
-from requland.datasets import gen_random
+from requland.datasets import Dataset, gen_random
 from requland.landscape import certify
 from requland.models import DeepConvNet, SingleLayerReQUNet, net_to_flat
 from requland.objective import (
@@ -18,6 +21,7 @@ from requland.objective import (
     logistic,
     loss_deriv,
     neuron_block_norms,
+    smooth_hinge,
     training_error,
 )
 
@@ -109,7 +113,7 @@ def test_train_reaches_certified_zero_error(trained):
 def test_trajectory_rows_are_sane(trained):
     _, _, _, traj = trained
     statuses = {row[4] for row in traj.rows}
-    assert statuses <= {"descent", "snap", "escape", "converged"}
+    assert statuses <= {"descent", "snap", "escape", "newton", "converged"}
     assert traj.rows[-1][4] == "converged"
     losses = [row[1] for row in traj.rows]
     assert losses[-1] <= losses[0] + 1e-12
@@ -643,3 +647,63 @@ def test_runs_off_the_kinks_never_pin(run, monkeypatch):
     monkeypatch.setattr(opt, "_attempt_stall_escape", refuse)
     _, traj = opt.train(*run())
     assert traj.status == "converged"
+
+
+def test_newton_finish_ends_the_c09_seed7_tail():
+    # Descent alone took 3,528 iterations here, most of them in a tail where
+    # the activation pattern no longer changes.  The Newton finish ends it
+    # at the same minimum.
+    net0, ds, cfg, opts = c09_run(7)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "converged" and traj.n_iter <= 400
+    assert any(row[4] == "newton" for row in traj.rows)
+    want = 9.683468865489e-03
+    assert abs(traj.rows[-1][1] - want) <= 1e-12 * want
+    assert certify(net, ds, cfg).verdict == "ok"
+
+
+@pytest.mark.parametrize("seed, stalled_at", [(2, 2010), (5, 374)])
+def test_newton_finish_makes_no_attempt_on_the_kink_pair(seed, stalled_at, monkeypatch):
+    # Both runs head for a leaky-ReLU kink within their first 200
+    # iterations and end pinned on one; the finish must leave them to the
+    # descent and the stall probes, so they stay the runs without it.
+    attempts = []
+    finish = opt._newton_finish
+    monkeypatch.setattr(opt, "_newton_finish", lambda *args: attempts.append(1) or finish(*args))
+    net0, ds, cfg, opts = c09_run(seed, max_stall_escapes=4)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "stalled" and traj.n_iter == stalled_at and attempts == []
+    fob = FlatObjective(net, ds, cfg)
+    theta = net_to_flat(net)
+    assert opt._smooth_pattern(theta, fob.forward(theta), fob) is None  # on the kink
+
+    monkeypatch.setattr(opt, "NEWTON_HOLD", math.inf)  # the trainer without the finish
+    plain, plain_traj = opt.train(*c09_run(seed, max_stall_escapes=4))
+    assert repr(traj.rows) == repr(plain_traj.rows)
+    assert theta.tobytes() == net_to_flat(plain).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 3), hinge=st.booleans())
+def test_newton_steps_never_raise_the_objective_or_cross_a_kink(seed, l, hinge):
+    # Labels from the net itself, so no sample is misclassified; every
+    # accepted step must lower the value strictly and keep the pattern of
+    # the point it left (a snap between steps starts a new one).
+    rng = np.random.default_rng(seed)
+    d, m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6)), int(rng.integers(2, 8))
+    net = opt.init_deep(d, int(rng.integers(2, 4)), l, m, seed=seed, scale=1.0)
+    X = rng.standard_normal((n, d))
+    ds = Dataset(X, np.where(net.value(X) > 0.0, 1, -1))
+    loss = smooth_hinge(3) if hinge else logistic()
+    cfg = ObjectiveConfig(loss, opt.sample_lambda(m, 1e-2, seed=seed), lam_c=1.0)
+    fob = FlatObjective(net, ds, cfg)
+    theta = net_to_flat(net)
+    fwd = fob.forward(theta)
+    pattern, value = opt._smooth_pattern(theta, fwd, fob), float(fwd[0])
+    assume(pattern is not None)
+    finish = opt._newton_finish(theta, fwd, fob.grad(fwd), fob)
+    for move, theta, fwd, _ in itertools.islice(finish, 12):
+        if move == "newton":
+            assert float(fwd[0]) < value
+            assert opt._smooth_pattern(theta, fwd, fob) == pattern
+        pattern, value = opt._smooth_pattern(theta, fwd, fob), float(fwd[0])
