@@ -220,12 +220,14 @@ UNTYPED = {  # the keys whose default (None or "auto") does not give their type
 }
 
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_NONEMPTY = (lambda v: len(v) > 0, "a list of one or more")
 # A (d, d) lidskii or (d_z + s - 1, d_z) conv-rank matrix at 4096 is 128 or 256 MiB.
 _SIZE = (lambda v: 1 <= v <= 4096, "at least 1 and at most 4096")
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "a positive finite number")
 RANGES = {  # key: (test, what it asks for); every given value of the key must pass
     "seed": (lambda v: v >= 0, "at least 0"),
-    "seeds": (lambda v: min(v, default=0) >= 0, "seeds of at least 0"),
+    "seeds": (lambda v: len(v) > 0 and min(v) >= 0, "seeds of at least 0, one or more"),
+    "n_values": _NONEMPTY, "m_values": _NONEMPTY,  # a grid with no cells is no phase diagram
     "s": _AT_LEAST_1, "d_max": _SIZE, "s_max": _SIZE, "dz_max": _SIZE,
     "radius": _POSITIVE, "certify_tol": _POSITIVE, "certify_grad_tol": _POSITIVE,
     "norm_max": (lambda v: 1e-2 < v < np.inf, "a finite norm above 1e-2, the smallest sampled one"),

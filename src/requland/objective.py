@@ -6,7 +6,9 @@ nets add (lam_c/4) sum_k (||v_k||^2 - 1)^2 to anchor filter norms near 1.
 FlatObjective is its one implementation, value and gradient alike; its
 values evaluates a (K, P) stack of parameter vectors in one pass, each
 result equal (==) to value at that row, so Monte-Carlo probes batch their
-points without changing what they select.  empirical_loss,
+points without changing what they select.  Its grad takes the forward
+result of a point or of a stack; a stack's gradient is a (K, P) array
+whose row k equals (==) the gradient at point k.  empirical_loss,
 value_and_gradient and gradient evaluate it at a network.
 
 Both supported losses are nonnegative, non-decreasing, and twice continuously
@@ -146,25 +148,26 @@ class FlatObjective:
     models.network_pass, the one evaluation of the network, which the
     network classes also call, and adds the loss and the one regularizer
     formula, over a leading batch axis; value, values and value_and_grad
-    read it, and grad is the one backward pass, from a kept forward result.
-    value(theta) equals value_and_grad(theta)[0] exactly, and
-    values(thetas)[k] equals value(thetas[k]) exactly (==, not approx), and
-    so does the gradient, grad(row(forward(thetas), k)) ==
-    grad(forward(thetas[k])): a stacked row goes through the same BLAS calls
-    and elementwise operations as a single point, so batched searches select
-    what point-by-point loops would, and take the same gradient at what they
-    select.  The tests pin the gradient to central differences, each hidden
-    state to numkit.conv_padded, the regularizer to closed forms, and
-    values to value.
+    read it, and grad is the one backward pass, over the same axis, from a
+    kept forward result of a point or of a stack.  value(theta) equals
+    value_and_grad(theta)[0] exactly, and values(thetas)[k] equals
+    value(thetas[k]) exactly (==, not approx), and so does the gradient:
+    grad(forward(thetas))[k] == grad(row(forward(thetas), k)) ==
+    grad(forward(thetas[k])).  A stacked row goes through the same BLAS
+    calls and elementwise operations as a single point, so batched searches
+    select what point-by-point loops would, and take the same gradient at
+    what they select.  The tests pin the gradient to central differences,
+    each hidden state to numkit.conv_padded, the regularizer to closed
+    forms, and values to value.
 
     The pass is lean in numpy calls, not in arithmetic: every element takes
     the same ufuncs, operand order and BLAS call shapes as the plain
     formulas that the tests keep as plain_forward_oracle and
     plain_grad_oracle, and equals them bit for bit; a reordered product or
     reduction fails those tests.  The data are read at construction, the
-    first conv layer's tap windows included.  grad pads deeper conv inputs
-    in buffers that the instance keeps, so no instance may be shared
-    between threads.
+    first conv layer's tap windows included.  grad pads a point's deeper
+    conv inputs in buffers that the instance keeps (a stack's in fresh
+    ones), so no instance may be shared between threads.
     """
 
     CHUNK = 480  # rows per stacked forward pass; bounds its temporaries
@@ -195,9 +198,14 @@ class FlatObjective:
     def _windows(self, k, H):
         """Conv layer k's s tap windows of its input H, as (s, n * w) rows:
         row i holds columns i .. i + w - 1 of H's zero-bordered copy, w the
-        layer's output length, one sample after another."""
+        layer's output length, one sample after another; a (K, n, dim)
+        stack of inputs gets (K, s, n * w)."""
         pad, s = self.pads[k], self.layout.filter_sizes[k]
-        pad[:, s - 1 : s - 1 + H.shape[1]] = H  # borders stay zero
+        if H.ndim > 2:  # a bordered copy of its own: the kept one is a point's
+            pad = np.zeros(H.shape[:-1] + pad.shape[-1:])
+        pad[..., s - 1 : s - 1 + H.shape[-1]] = H  # borders stay zero
+        if H.ndim > 2:  # each row's windows from its own flattened copy
+            return pad.reshape(len(H), -1).take(self.taps[k], axis=-1)
         return pad.take(self.taps[k])
 
     def _anchor(self, v):
@@ -261,22 +269,32 @@ class FlatObjective:
         return float(fwd[0]), self.grad(fwd)
 
     def grad(self, fwd):
-        """The gradient at a 1-D theta, from its forward(theta) result fwd
-        or from row(forward(thetas), k) for the row thetas[k] == theta."""
+        """The gradient at theta from fwd = forward(theta), or from
+        row(forward(thetas), k) for the row thetas[k] == theta.  From a
+        stacked fwd = forward(thetas) it is a (K, size) array whose row k
+        equals grad(row(fwd, k)) (==): each row takes a point's BLAS calls
+        and elementwise operations."""
         _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fwd
+        # A stack carries its axis first in every array.  The point path keeps
+        # its own forms below: each shape-generic one costs a 1-D call 0.3-1 us.
+        stacked = z.ndim > 1
         if self.logistic:  # d(data term)/d f_i, in one pass over the samples
-            g = np.array(_logistic_deriv(z.tolist(), self.neg_y_list))
+            if stacked:
+                g = np.array([_logistic_deriv(r, self.neg_y_list) for r in z.tolist()])
+            else:
+                g = np.array(_logistic_deriv(z.tolist(), self.neg_y_list))
         else:
             g = -loss_deriv(self.loss, z) * self.y
-        S = g[:, None] * (2.0 * act)
+        S = g[..., None] * (2.0 * act)
         c = self.lam2 * u  # 2 lam_j u_j, shared by dW and db
-        da = phi.T @ g + self.lam * np.abs(a) * a
-        dW = (S.T @ states[-1]) * a[:, None] + c[:, None] * W
-        db = np.add.reduce(S, axis=0) * a + c * b
+        da = np.vecmat(g, phi) + self.lam * np.abs(a) * a  # vecmat: the gemv of phi.T @ g
+        dW = (S.mT @ states[-1]) * a[..., None] + c[..., None] * W
+        db = np.add.reduce(S, axis=-2) * a + c * b
+        parts = [da, dW.reshape(len(dW), -1) if stacked else dW.ravel(), db]
         if not filts:
-            return np.concatenate([da, dW.ravel(), db])
+            return np.concatenate(parts, axis=-1)
 
-        dH = (S * a) @ W
+        dH = (S * (a[:, None] if stacked else a)) @ W
         dfilts = [None] * len(filts)
         for k in range(len(filts) - 1, -1, -1):
             v, (V, P) = filts[k], convs[k]
@@ -284,12 +302,14 @@ class FlatObjective:
             windows = self.x_windows if k == 0 else self._windows(k, states[k])
             # Tap i sums dpre * (window i) over all n * w products, in the
             # order and with the pairwise reduction of a contiguous (n, w) sum.
-            dv = np.add.reduce(dpre.reshape(-1) * windows, axis=-1)
-            dv += self.lam_c * (float(v @ v) - 1.0) * v
+            flat = dpre.reshape(len(dpre), 1, -1) if stacked else dpre.reshape(-1)
+            dv = np.add.reduce(flat * windows, axis=-1)
+            vv = row_dots(v)[:, None] if stacked else float(v @ v)
+            dv += self.lam_c * (vv - 1.0) * v
             dfilts[k] = dv
             if k > 0:
                 dH = dpre @ V
-        return np.concatenate([da, dW.ravel(), db, *dfilts])
+        return np.concatenate(parts + dfilts, axis=-1)
 
 
 def empirical_loss(net, ds, cfg: ObjectiveConfig) -> float:

@@ -366,14 +366,14 @@ def _newton_finish(theta, fwd, g, fob):
 
     The live coordinates are the blocks that are not exactly zero, plus the
     filters.  The Hessian on them comes from central differences of the
-    gradient: the 2|live| points go through stacked forward passes, and
-    each gradient through row and grad, bit-equal to a 1-D call.  Its
-    eigenvalues enter the step as their absolute values, floored at
-    NEWTON_FLOOR times the largest.  The step lengths 1, SHRINK, ... are one
-    stacked pass; the first with the Armijo decrease, a strictly lower value
-    and the _smooth_pattern of the point it leaves is taken.  A dying block
-    only halves per step (its terms are cubic along its ray), so each step
-    is followed by _try_snaps, and a snap starts a new pattern on the
+    gradient: the 2|live| points go through stacked forward and grad
+    passes, one of each per chunk of rows, every row bit-equal to a 1-D
+    call.  Its eigenvalues enter the step as their absolute values, floored
+    at NEWTON_FLOOR times the largest.  The step lengths 1, SHRINK, ... are
+    one stacked pass; the first with the Armijo decrease, a strictly lower
+    value and the _smooth_pattern of the point it leaves is taken.  A dying
+    block only halves per step (its terms are cubic along its ray), so each
+    step is followed by _try_snaps, and a snap starts a new pattern on the
     smaller live set.  Stopping at grad_tol and at max_iter is the caller's.
     """
     # Rows per stacked pass: about 32k numbers in each (rows, n, m) temporary.
@@ -392,9 +392,7 @@ def _newton_finish(theta, fwd, g, fob):
         points[np.arange(k, 2 * k), idx] -= h
         G = np.empty((2 * k, k))
         for s in range(0, 2 * k, per):
-            stacked = fob.forward(points[s : s + per])
-            for r in range(len(stacked[0])):
-                G[s + r] = fob.grad(fob.row(stacked, r))[idx]
+            G[s : s + per] = fob.grad(fob.forward(points[s : s + per]))[:, idx]
         H = (G[:k] - G[k:]) / (2.0 * h)[:, None]
         ev, V = np.linalg.eigh(0.5 * (H + H.T))
         ev = np.abs(ev)

@@ -444,10 +444,21 @@ def test_sweep_default_grid_starts_at_m_1(n, tmp_path):
     assert [(int(r["m"]), int(r["n"])) for r in rows] == [(m, n) for m in range(1, n + 4)]
 
 
-def test_sweep_empty_grid_writes_header_only(tmp_path):
+@pytest.mark.parametrize("args,config,named", [
+    (["--n", "4", "--seeds", ""], "", "config key seeds: expected seeds of at least 0, one or more, got []"),
+    (["--n", "4", "--m-values", ""], "", "config key m_values: expected a list of one or more, got []"),
+    (["--n", "4"], "m_values: []", "config key m_values: expected a list of one or more, got []"),
+    ([], "n_values: []", "config key n_values: expected a list of one or more, got []"),
+], ids=["seeds-flag", "m-values-flag", "m_values-config", "n_values-config"])
+def test_sweep_empty_grid_is_a_usage_error(args, config, named, tmp_path, capsys):
+    # An empty grid ran no cell, wrote a sweep.csv holding only its header
+    # and exited 0 with "wrote 0 rows".
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text(config + "\n")
     out = tmp_path / "sw0"
-    assert run("sweep", "--out", out, "--n", "6", "--m-values", "", "--seeds", "0") == 0
-    assert (out / "sweep.csv").read_bytes() == b"m,n,seed,lambda0,error,certified\r\n"
+    assert run("sweep", "--config", cfg, "--out", out, *args) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_and_help():

@@ -360,31 +360,38 @@ def test_stacked_filter_anchor_equals_one_filter_at_a_time():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    family=st.sampled_from(["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"]),
+    family=st.sampled_from(["single", "quadratic", "deep-l1", "deep-l2", "deep-l3", "deep-l4"]),
     n=st.integers(1, 40),
     d=st.integers(1, 36),
     m=st.integers(1, 12),
     K=st.integers(1, 2 * objective.FlatObjective.CHUNK + 1),
+    hinge=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_every_row_of_a_stack_equals_its_point(family, n, d, m, K, seed):
+def test_every_row_of_a_stack_equals_its_point(family, n, d, m, K, hinge, seed):
     # Exact equality over stack heights, data sizes, widths and depths, one
-    # output column (m = 1) included; values also crosses CHUNK.
+    # output column (m = 1) included; values also crosses CHUNK.  K reaches
+    # past one Newton-finish chunk of 2**15 // (n m) rows wherever n m > 34.
     rng = np.random.default_rng(seed)
     if family.startswith("deep"):
         net, lam_c = make_deep(rng, d=d, s=int(rng.integers(2, 4)), l=int(family[-1]), m=m), 1.0
     else:
         net, lam_c = make_single(rng, m=m, d=d, cls=QuadraticNet if family == "quadratic" else SingleLayerReQUNet), 0.0
     ds = datasets.gen_random(n, d, seed=seed % 1000)
-    loss = objective.logistic() if seed % 2 else objective.smooth_hinge(3)
+    loss = objective.smooth_hinge(3) if hinge else objective.logistic()
     fob = objective.FlatObjective(net, ds, objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, m), lam_c))
     theta = models.net_to_flat(net)
     thetas = theta + rng.standard_normal((K, theta.size)) * 10.0 ** rng.uniform(-4, 0, (K, 1))
     vals = fob.values(thetas)
     assert all(vals[k] == fob.value(thetas[k]) for k in range(K))
     stacked = fob.forward(thetas)
+    grads = fob.grad(stacked)
+    assert grads.shape == (K, theta.size)
+    want = plain_grad_oracle(fob, plain_forward_oracle(fob, thetas))
     for k in range(K):
-        assert np.array_equal(fob.grad(fob.row(stacked, k)), fob.grad(fob.forward(thetas[k])))
+        point = fob.grad(fob.forward(thetas[k]))
+        assert np.array_equal(grads[k], point) and np.array_equal(point, want[k])
+        assert np.array_equal(fob.grad(fob.row(stacked, k)), point)
 
 
 @pytest.mark.parametrize("lam_c", [1.0, 0.0])
@@ -449,10 +456,16 @@ def plain_forward_oracle(fob, theta):
 
 
 def plain_grad_oracle(fob, fwd):
-    """FlatObjective.grad as plain formulas, from a 1-D forward result: 2 lam
-    formed per use, .sum, and each filter tap a product and a sum over a
-    window of a fresh np.pad of the layer's input."""
-    _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fwd
+    """FlatObjective.grad as plain formulas: 2 lam formed per use, .sum, and
+    each filter tap a product and a sum over a window of a fresh np.pad of
+    the layer's input.  A stacked forward result goes one row at a time,
+    each row of every array cut by indexing, into a (K, size) array."""
+    _, (a, W, b, filts), (states, convs, pre, act, phi, f), z, u = fwd
+    if z.ndim > 1:
+        return np.array([plain_grad_oracle(fob, (
+            None, (a[k], W[k], b[k], [v[k] for v in filts]),
+            ([states[0]] + [H[k] for H in states[1:]], [(V[k], P[k]) for V, P in convs],
+             pre[k], act[k], phi[k], f[k]), z[k], u[k])) for k in range(len(z))])
     F, lam = states[-1], fob.lam
     g = -objective.loss_deriv(fob.loss, z) * fob.y
     S = g[:, None] * (2.0 * act)
@@ -524,9 +537,11 @@ def test_lean_pass_equals_the_plain_formulas(family, loss):
         stack = np.vstack([points, scattered])[:K]
         stacked = fob.forward(stack)
         assert_same_forward(stacked, plain_forward_oracle(fob, stack))
+        grads = fob.grad(stacked)
         for k in range(min(K, len(points) + 1)):
-            assert np.array_equal(fob.grad(fob.row(stacked, k)),
-                                  plain_grad_oracle(fob, plain_forward_oracle(fob, stack[k])))
+            want = plain_grad_oracle(fob, plain_forward_oracle(fob, stack[k]))
+            assert np.array_equal(fob.grad(fob.row(stacked, k)), want)
+            assert np.array_equal(grads[k], want)
 
 
 def deep_objective(rng, s, l, n=6):
@@ -553,17 +568,22 @@ def test_grad_equals_padded_filter_oracle(l):
 
 
 def test_grad_buffer_carries_nothing_between_calls():
-    # grad rewrites the kept buffers' interiors on every call; alternating
-    # two points, and forwards taken before either gradient, changes nothing.
+    # grad rewrites a point's kept buffers' interiors on every call and
+    # gives a stack fresh ones; points and stacks in any order, with every
+    # forward taken before the first gradient, change nothing.
     rng = np.random.default_rng(20)
-    fob, theta = deep_objective(rng, 3, 3)
-    first, second = theta, theta + rng.standard_normal(theta.size)
-    want = [plain_grad_oracle(fob, plain_forward_oracle(fob, p)) for p in (first, second)]
-    fwds = [fob.forward(p) for p in (first, second)]
-    for _ in range(3):
-        for k in (1, 0):
-            np.testing.assert_array_equal(fob.grad(fwds[k]), want[k])
-            np.testing.assert_array_equal(fob.value_and_grad((first, second)[k])[1], want[k])
+    for s, l in ((3, 3), (2, 4)):
+        fob, theta = deep_objective(rng, s, l)
+        thetas = theta + rng.standard_normal((5, theta.size)) * 10.0 ** rng.uniform(-3, 0, (5, 1))
+        want = plain_grad_oracle(fob, plain_forward_oracle(fob, thetas))
+        stacked, tail = fob.forward(thetas), fob.forward(thetas[3:])
+        points = [fob.forward(p) for p in thetas]
+        for _ in range(2):
+            for k in (4, 0, 2):
+                np.testing.assert_array_equal(fob.grad(stacked), want)
+                np.testing.assert_array_equal(fob.grad(points[k]), want[k])
+                np.testing.assert_array_equal(fob.grad(tail), want[3:])
+                np.testing.assert_array_equal(fob.value_and_grad(thetas[k])[1], want[k])
 
 
 def test_inactive_neuron_block_has_zero_gradient():

@@ -707,3 +707,74 @@ def test_newton_steps_never_raise_the_objective_or_cross_a_kink(seed, l, hinge):
             assert float(fwd[0]) < value
             assert opt._smooth_pattern(theta, fwd, fob) == pattern
         pattern, value = opt._smooth_pattern(theta, fwd, fob), float(fwd[0])
+
+
+def hessian_rows_oracle(fob, chunks, idx):
+    """G as _newton_finish built it before its backward pass was stacked:
+    one stacked forward per chunk of points, then row and a 1-D grad per
+    point, cut to the live coordinates idx."""
+    G = []
+    for points in chunks:
+        stacked = fob.forward(points)
+        G += [fob.grad(fob.row(stacked, r))[idx] for r in range(len(points))]
+    return np.array(G)
+
+
+def c09_seed7_gated_point():
+    """The point of c09 seed 7 where train first calls the Newton finish."""
+    gated = []
+    finish = opt._newton_finish
+
+    def spy(*args):
+        gated.append(args)
+        return finish(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_newton_finish", spy)
+        opt.train(*c09_run(7))
+    theta, fwd, g, fob = gated[0]
+    return theta, fob
+
+
+def wide_gated_point():
+    """A single-layer point whose Hessian takes 20 chunks of 20 rows: n = m
+    = 40, every pre-activation at least 0.7 from 0 (|b_j| = 1, W small) and
+    labels from the net itself."""
+    rng = np.random.default_rng(31)
+    net = SingleLayerReQUNet(rng.standard_normal(40), 0.1 * rng.standard_normal((40, 3)),
+                             rng.choice([-1.0, 1.0], 40))
+    X = rng.uniform(-1.0, 1.0, (40, 3))
+    ds = Dataset(X, np.where(net.value(X) > 0.0, 1, -1))
+    return net_to_flat(net), FlatObjective(net, ds, quick_cfg(40))
+
+
+@pytest.mark.parametrize("point, n_chunks", [(c09_seed7_gated_point, 1), (wide_gated_point, 20)],
+                         ids=["c09-seed7", "wide"])
+def test_newton_hessian_equals_the_per_row_oracle(point, n_chunks):
+    # Each chunk of Hessian rows takes one stacked grad; the G that the
+    # finish builds must be the one a row-by-row loop built, bit for bit.
+    theta, fob = point()
+    fwd = fob.forward(theta)
+    assert opt._smooth_pattern(theta, fwd, fob) is not None
+    chunks, grads = [], []
+    forward, grad = fob.forward, fob.grad
+
+    def spy_forward(t):
+        if t.ndim > 1:
+            chunks.append(t.copy())
+        return forward(t)
+
+    def spy_grad(f):
+        out = grad(f)
+        if out.ndim > 1:
+            grads.append(out)
+        return out
+
+    fob.forward, fob.grad = spy_forward, spy_grad
+    list(itertools.islice(opt._newton_finish(theta, fwd, grad(fwd), fob), 1))
+    fob.forward, fob.grad = forward, grad
+    chunks = chunks[: len(grads)]  # the Hessian's; the step lengths' stack comes after
+    idx = np.flatnonzero((np.vstack(chunks) != theta).any(axis=0))  # the live coordinates
+    G = np.vstack(grads)[:, idx]
+    assert len(chunks) == n_chunks and G.shape == (2 * idx.size, idx.size)
+    np.testing.assert_array_equal(G, hessian_rows_oracle(fob, chunks, idx))
