@@ -4,17 +4,20 @@ Three mechanisms beyond plain descent matter here.  Dying neurons decay only
 like 1/t under the cubic regularizer, so whenever zeroing a small neuron
 block does not increase the loss the trainer snaps it to exactly zero; a
 fully zero block has exactly zero gradient in every term, so descent never
-revives it.  When the iterate is nearly critical but still misclassifies,
-the trainer tries third-order escape moves: it reassigns one inactive neuron
-to a sampled direction (u, v) at small amplitude delta, where the loss change
-behaves like delta^3 (lam_j - |sum_i loss'_i y_i (u . x_i + v)_+^2|), and
-keeps the best strict improvement.  And when the loss flatlines with the
-gradient still large — the signature of an iterate pinned on a leaky-ReLU
-kink, where the almost-everywhere gradient is not a descent direction — the
-trainer probes random nearby points for a strict decrease before giving up.
-It probes at once when no Armijo rung moves the iterate, either because none
-decreases the loss or because the accepted step rounds away and leaves
-theta unchanged; the flatline watch catches pins where theta still moves.
+revives it.  While the iterate misclassifies, at the stopping point and
+every ESCAPE_EVERY = 250 iterations, the trainer tries third-order escape
+moves: it reassigns one exactly-zero neuron block to a sampled direction
+(u, v) at small amplitude delta, where the loss change behaves like
+delta^3 (lam_j - |sum_i loss'_i y_i (u . x_i + v)_+^2|), and keeps the best
+strict improvement.  Only such a search spends one of the MAX_ESCAPES
+tries: a point with no zero block makes none.  And when the loss flatlines
+with the gradient still large — the signature of an iterate pinned on a
+leaky-ReLU kink, where the almost-everywhere gradient is not a descent
+direction — the trainer probes random nearby points for a strict decrease
+before giving up.  It probes at once when no Armijo rung moves the
+iterate, either because none decreases the loss or because the accepted
+step rounds away and leaves theta unchanged; the flatline watch catches
+pins where theta still moves.
 
 The Armijo backtracking ladder runs in blocks of rungs, each block one
 FlatObjective.forward on a stack of trial points, from which the accepted
@@ -74,8 +77,8 @@ SNAP_EVERY = 50
 SNAP_REL = 0.05  # prune candidates: block norm below this times the largest
 ESCAPE_DIRECTIONS = 256
 ESCAPE_DELTA = 1e-3
-ESCAPE_EVERY = 1000  # while misclassifying, also try escapes at this cadence
-MAX_ESCAPES = 10
+ESCAPE_EVERY = 250  # while misclassifying, also try escapes at this cadence (5 snap checks)
+MAX_ESCAPES = 10  # escape searches per run; a point with no exactly-zero block spends none
 STALL_WINDOW = 400  # iterations between flatline checks
 STALL_PROBES = 256
 LADDER_MAX = 8  # most Armijo rungs evaluated in one stacked forward pass
@@ -109,7 +112,8 @@ class Trajectory:
     rounds away to theta itself, or the loss flatlined -- and the stall
     probes found no decrease or ran out of tries), or "non-finite" (the loss
     or the gradient norm is inf or NaN).  Escapes that later converge still
-    end in "converged"; the escape rows keep the history.
+    end in "converged"; the escape rows keep the history.  escapes counts
+    those rows, so third-order escapes and stall escapes alike.
     """
 
     rows: list = field(default_factory=list)
@@ -254,27 +258,25 @@ def _search(fob, theta, U, radii, best, tiny):
     return best, None if last is None else (U[last // radii.size], radii[last % radii.size])
 
 
-def _attempt_escape(theta, fwd, fob, rng):
-    """Point an inactive neuron along a sampled direction if that helps.
+def _attempt_escape(theta, fwd, fob, rng, block):
+    """Point the exactly-zero neuron block along a sampled direction if that
+    helps; block holds its flat indices (a_j, w_j, b_j).
 
     Candidate blocks are (a, w, b) = (s delta, delta u, delta v) over a
     geometric delta grid; s targets the sign of sum_i loss'_i y_i (u.x_i+v)_+^2
-    so the cubic term works downhill.  Only a strict loss decrease is kept.
-    Only an exactly-zero block may be repointed: turning one on is a genuine
-    perturbation (the loss change is third order in delta), whereas rewriting
-    an active block would be a non-local jump that can tunnel out of true
-    local minima the descent method is supposed to terminate at.  Returns
-    (None, loss) when every block is active.  The loss, head inputs and
-    margins are read from fwd = fob.forward(theta), the pass train keeps
-    for its iterate.  The repointed block is the first all-zero one; each
-    candidate is a row of U that is -0.0 outside it (x + -0.0 == x for every
-    x, signed zeros too), and _search scans the (candidate, delta) grid; the
-    last strict improvement wins.
+    so the cubic term works downhill.  Only a strict loss decrease is kept,
+    else the return is (None, loss).  Only an exactly-zero block may be
+    repointed, and train passes the first one: turning one on is a genuine
+    perturbation (the loss change is third order in delta), whereas
+    rewriting an active block would be a non-local jump that can tunnel out
+    of true local minima the descent method is supposed to terminate at.
+    The loss, head inputs and margins are read from fwd = fob.forward(theta),
+    the pass train keeps for its iterate.  Each candidate is a row of U that
+    is -0.0 outside the block (x + -0.0 == x for every x, signed zeros too),
+    and _search scans the (candidate, delta) grid; the last strict
+    improvement wins.
     """
     loss = float(fwd[0])
-    free = [b for b in fob.layout.blocks() if not theta[b].any()]
-    if not free:
-        return None, loss
     (states, *_, outputs), z = fwd[2], fwd[3]
     features = states[-1]
     lp = loss_deriv(fob.loss, z)
@@ -285,8 +287,8 @@ def _attempt_escape(theta, fwd, fob, rng):
     drive = (lp * fob.y) @ act
     order = np.argsort(-np.abs(drive))[: max(32, ESCAPE_DIRECTIONS // 4)]
     U = np.full((order.size, theta.size), -0.0)
-    U[:, free[0][0]] = np.where(drive[order] >= 0.0, 1.0, -1.0)
-    U[:, free[0][1:]] = dirs[order]
+    U[:, block[0]] = np.where(drive[order] >= 0.0, 1.0, -1.0)
+    U[:, block[1:]] = dirs[order]
     deltas = ESCAPE_DELTA * 2.0 ** np.arange(-4, 13)
     best_loss, step = _search(fob, theta, U, deltas, loss, 1e-14 * (1.0 + abs(loss)))
     if step is None:
@@ -461,6 +463,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     fob = FlatObjective(net, ds, cfg)
 
     lam_min = float(np.min(cfg.lam))
+    blocks = fob.layout.blocks()
     theta = net_to_flat(net)
     n_head = fob.layout.size - sum(fob.layout.filter_sizes)  # the head (a, W, b) leads theta
     traj = Trajectory()
@@ -549,14 +552,17 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
 
         # While samples stay misclassified, try the third-order escape move
         # at the stopping point, and at a coarse cadence too, where near-flat
-        # descent can crawl; a cadence escape uses up its iteration.
+        # descent can crawl; a cadence escape uses up its iteration.  The
+        # move repoints an exactly-zero block, so only a point with one
+        # makes a search and spends a try.
         if (
             (converged or it % ESCAPE_EVERY == ESCAPE_EVERY - 1)
             and escapes < MAX_ESCAPES
             and np.any(np.sign(fwd[2][-1]) != fob.y)  # a sample is misclassified
+            and (free := np.flatnonzero(~theta[blocks].any(axis=1))).size
         ):
             escapes += 1
-            esc_theta, _ = _attempt_escape(theta, fwd, fob, rng)
+            esc_theta, _ = _attempt_escape(theta, fwd, fob, rng, blocks[free[0]])
             if esc_theta is not None:
                 refresh(esc_theta, "escape")
                 eta = STEP0

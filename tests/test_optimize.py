@@ -291,6 +291,13 @@ def trainer_rng(seed):
     return np.random.default_rng(np.random.SeedSequence((seed, 0xE5CA)))
 
 
+def first_zero_block(fob, theta):
+    """The flat indices of the first exactly-zero neuron block, the one
+    train hands to _attempt_escape."""
+    blocks = fob.layout.blocks()
+    return blocks[np.flatnonzero(~theta[blocks].any(axis=1))[0]]
+
+
 def test_stall_escape_matches_serial_oracle():
     # c09 seed 2 with no stall tries stops where its first try would run:
     # pinned on a leaky-ReLU kink with a descending probe direction nearby.
@@ -314,16 +321,19 @@ def test_stall_escape_matches_serial_oracle():
 
 
 def test_escape_matches_serial_oracle():
-    # c01 seed 5 escapes at iteration 999 on the coarse cadence; stop there.
+    # c01 seed 5 escapes at iteration ESCAPE_EVERY - 1 on the coarse
+    # cadence; stop there.
     ds = gen_random(10, 3, seed=1005)
     lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
     cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
     like = opt.init_single(11, 3, seed=5)
-    net, _ = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=999))
+    opts = opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=opt.ESCAPE_EVERY - 1)
+    net, _ = opt.train(like, ds, cfg, opts)
     fob = FlatObjective(like, ds, cfg)
     theta = net_to_flat(net)
     loss = fob.value(theta)
-    got = opt._attempt_escape(theta, fob.forward(theta), fob, trainer_rng(5))
+    block = first_zero_block(fob, theta)
+    got = opt._attempt_escape(theta, fob.forward(theta), fob, trainer_rng(5), block)
     want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, trainer_rng(5))
     assert got[0] is not None and got[1] < loss
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
@@ -347,12 +357,14 @@ def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
     lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
     cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
     like = opt.init_single(11, 3, seed=5)
-    net, _ = opt.train(like, ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=999))
+    opts = opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=opt.ESCAPE_EVERY - 1)
+    net, _ = opt.train(like, ds, cfg, opts)
     fob = FlatObjective(like, ds, cfg)
     theta = net_to_flat(net)
     fwd = fob.forward(theta)
+    block = first_zero_block(fob, theta)
     heads.clear()
-    assert opt._attempt_escape(theta, fwd, fob, trainer_rng(5))[0] is not None
+    assert opt._attempt_escape(theta, fwd, fob, trainer_rng(5), block)[0] is not None
     # The move reads the pass it is given; its one-point passes evaluate the
     # interpolator that proposes candidates.
     assert net.a.tobytes() not in heads and None in heads
@@ -459,12 +471,17 @@ def c09_seed2_one_stall_try():
     return c09_run(2, max_stall_escapes=1)
 
 
+def c01_run(seed):
+    """The c01 configuration at one seed."""
+    ds = gen_random(10, 3, seed=1000 + seed)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=seed)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=seed))
+    return opt.init_single(11, 3, seed=seed), ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=seed)
+
+
 def c01_seed5():
-    """c01 seed 5: 1344 iterations with an escape at iteration 999."""
-    ds = gen_random(10, 3, seed=1005)
-    lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
-    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
-    return opt.init_single(11, 3, seed=5), ds, cfg, opt.TrainOptions(grad_tol=1e-7, seed=5)
+    """c01 seed 5: 640 iterations with an escape at iteration ESCAPE_EVERY - 1."""
+    return c01_run(5)
 
 
 def c09_seed0():
@@ -647,6 +664,54 @@ def test_runs_off_the_kinks_never_pin(run, monkeypatch):
     monkeypatch.setattr(opt, "_attempt_stall_escape", refuse)
     _, traj = opt.train(*run())
     assert traj.status == "converged"
+
+
+@pytest.mark.parametrize("seed", [5, 18, 19])
+def test_cadence_escape_ends_the_c01_plateaus(seed):
+    # These runs crawl on a misclassifying plateau from about iteration 100
+    # with exactly-zero blocks already free.  At a cadence of 1000 they
+    # escaped at iteration 999 and took 1,344, 1,123 and 1,063 iterations.
+    net0, ds, cfg, opts = c01_run(seed)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert [row[0] for row in traj.rows if row[4] == "escape"] == [opt.ESCAPE_EVERY - 1]
+    assert traj.status == "converged" and traj.n_iter <= 700
+    assert certify(net, ds, cfg).verdict == "ok"
+
+
+def test_c09_seed0_never_reaches_the_escape(monkeypatch):
+    # No point of this run that the gate checks both misclassifies and has
+    # an exactly-zero block, so neither cadence nor budget reaches the deep
+    # trajectories.
+    def refuse(*args):
+        raise AssertionError("escape reached")
+
+    monkeypatch.setattr(opt, "_attempt_escape", refuse)
+    _, traj = opt.train(*c09_seed0())
+    assert traj.status == "converged"
+
+
+def test_only_escape_searches_spend_the_budget(monkeypatch):
+    # Hinge grid cell (n, m, seed) = (4, 7, 3) misclassifies one sample for
+    # thousands of iterations with every block in use.  When each cadence
+    # check there spent one of the MAX_ESCAPES tries, all ten were gone by
+    # iteration 2,499, and the run ended at training error 0.25 without the
+    # escape it needs once a block is free.
+    ds = gen_random(4, 3, seed=3)
+    lam0 = opt.estimate_lambda0(ds, smooth_hinge(3), seed=3)
+    cfg = ObjectiveConfig(loss=smooth_hinge(3), lam=opt.sample_lambda(7, lam0, seed=3))
+    entered = []
+    escape = opt._attempt_escape
+
+    def spy(theta, fwd, fob, rng, block):
+        blocks = fob.layout.blocks()
+        entered.append((~theta[blocks].any(axis=1)).any() and not theta[block].any())
+        return escape(theta, fwd, fob, rng, block)
+
+    monkeypatch.setattr(opt, "_attempt_escape", spy)
+    net, traj = opt.train(opt.init_single(7, 3, seed=3), ds, cfg, opt.TrainOptions(seed=3))
+    assert training_error(net, ds) == 0.0
+    assert any(row[4] == "escape" for row in traj.rows)
+    assert entered and all(entered)
 
 
 def test_newton_finish_ends_the_c09_seed7_tail():
