@@ -19,14 +19,16 @@ import numpy as np
 from requland import ObjectiveConfig, TrainOptions, init_single, logistic, train, training_error
 from requland.constructions import build_bad_local_min
 from requland.landscape import perturbation_stability
-from requland.objective import empirical_loss, gradient
+from requland.models import net_to_flat
+from requland.objective import FlatObjective
 
 N, M = 10, 2
 lam = np.array([0.1, 0.3])
 
 ds, net, cfg = build_bad_local_min(N, M, lam, mode="generalized")
 err = training_error(net, ds)
-gn = float(np.linalg.norm(gradient(net, ds, cfg)))
+fob = FlatObjective(net, ds, cfg)
+gn = float(np.linalg.norm(fob.grad(fob.forward(net_to_flat(net)))))
 print(f"constructed point: training error {err:.0%} (floor 1 - m/n = {1 - M / N:.0%}), "
       f"gradient norm {gn:.1e}")
 
@@ -49,5 +51,5 @@ net2, traj2 = train(
 )
 print(f"\nretrained at width {m2}: {traj2.status}, "
       f"training error {training_error(net2, ds):.0%}, "
-      f"loss {empirical_loss(net2, ds, cfg2):.3e} "
-      f"(constructed point had {empirical_loss(net, ds, cfg):.3e})")
+      f"loss {FlatObjective(net2, ds, cfg2).value(net_to_flat(net2)):.3e} "
+      f"(constructed point had {fob.value(net_to_flat(net)):.3e})")

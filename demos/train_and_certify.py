@@ -25,7 +25,6 @@ from requland import (
     train,
     training_error,
 )
-from requland.objective import neuron_block_norms
 
 SEED = 0
 
@@ -51,7 +50,7 @@ print("loss trace (iter, loss, grad norm):")
 for it, loss, gn, _, status in traj.rows[:: max(1, len(traj.rows) // 6)]:
     print(f"  {it:6d}  {loss:12.6e}  {gn:10.3e}  {status}")
 
-bn = neuron_block_norms(net)
+bn = np.sqrt(net.a**2 + np.sum(net.W**2, axis=1) + net.b**2)
 print(f"\nblock norms: {np.array2string(bn, precision=3)}")
 print(f"inactive blocks (snapped to exact zero): {np.flatnonzero(bn == 0.0).tolist()}")
 print(f"training error: {training_error(net, ds):.0%}")

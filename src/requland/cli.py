@@ -219,17 +219,20 @@ UNTYPED = {  # the keys whose default (None or "auto") does not give their type
     "lambda0": lambda value: value if value == "auto" else _float(value),
 }
 
+_AT_LEAST_0 = (lambda v: v >= 0, "at least 0")
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 _NONEMPTY = (lambda v: len(v) > 0, "a list of one or more")
 # A (d, d) lidskii or (d_z + s - 1, d_z) conv-rank matrix at 4096 is 128 or 256 MiB.
 _SIZE = (lambda v: 1 <= v <= 4096, "at least 1 and at most 4096")
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "a positive finite number")
 RANGES = {  # key: (test, what it asks for); every given value of the key must pass
-    "seed": (lambda v: v >= 0, "at least 0"),
+    "seed": _AT_LEAST_0, "max_iter": _AT_LEAST_0,
+    "trials": _AT_LEAST_1,  # a Monte-Carlo check over no trials passes vacuously
     "seeds": (lambda v: len(v) > 0 and min(v) >= 0, "seeds of at least 0, one or more"),
     "n_values": _NONEMPTY, "m_values": _NONEMPTY,  # a grid with no cells is no phase diagram
     "s": _AT_LEAST_1, "d_max": _SIZE, "s_max": _SIZE, "dz_max": _SIZE,
-    "radius": _POSITIVE, "certify_tol": _POSITIVE, "certify_grad_tol": _POSITIVE,
+    "radius": _POSITIVE, "grad_tol": _POSITIVE,
+    "certify_tol": _POSITIVE, "certify_grad_tol": _POSITIVE,
     "norm_max": (lambda v: 1e-2 < v < np.inf, "a finite norm above 1e-2, the smallest sampled one"),
     "arch": (lambda v: v in ("single", "deep"), "single or deep"),
     "loss": (lambda v: v in ("logistic", "hinge"), "logistic or hinge"),
@@ -266,10 +269,7 @@ def _merge_config(defaults: dict, args) -> dict:
     entry of the key."""
     doc = _load_config_file(args.config) if args.config else {}
     doc.update((k, v) for k, v in vars(args).items() if k in defaults and v is not None)
-    cfg = _typed(defaults, doc)
-    if cfg.get("trials", 1) < 1:  # a Monte-Carlo check over no trials passes vacuously
-        raise UsageError(f"--trials must be at least 1, got {cfg['trials']}")
-    return cfg
+    return _typed(defaults, doc)
 
 
 def _prepare_outdir(path) -> Path:

@@ -208,37 +208,6 @@ def net_from_flat(like, theta) -> object:
     return like.with_params(*layout.split(theta))
 
 
-def scale_params(net, r):
-    """Positively scale each layer: filters by r_1..r_{l-1}, W by r_l, a by r_{l+1}.
-
-    The bias rides along with the full pre-activation scale prod(r_1..r_l), so
-    the output obeys f(x; scaled) = (r_1 ... r_l)^2 * r_{l+1} * f(x; theta)
-    exactly, for any input.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("scale factors must be positive")
-    if r.size != net.l + 1:
-        raise ValueError(f"need {net.l + 1} scale factors, got {r.size}")
-    filts = [rk * v for rk, v in zip(r, net.filters)]
-    pre_scale = float(np.prod(r[: net.l]))
-    return net.with_params(r[-1] * net.a, r[net.l - 1] * net.W, pre_scale * net.b, filts)
-
-
-def homogeneity_factor(net, r) -> float:
-    r = np.asarray(r, dtype=float)
-    return float(np.prod(r[:-1]) ** 2 * r[-1])
-
-
-def positive_homogeneity_check(net, x, r) -> float:
-    """Relative error of the scaling identity at one input; 0 means exact."""
-    scaled = scale_params(net, r)
-    base = net.value(np.atleast_2d(x))[0]
-    got = scaled.value(np.atleast_2d(x))[0]
-    want = homogeneity_factor(net, r) * base
-    return float(abs(got - want) / (1.0 + abs(want)))
-
-
 _KINDS = {"single_requ": SingleLayerReQUNet, "quadratic": QuadraticNet, "deep_conv": DeepConvNet}
 
 

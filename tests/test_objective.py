@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import finite_diff_oracle
 from requland import datasets, models, numkit, objective
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet
 
@@ -143,7 +144,8 @@ def test_empirical_loss_of_zero_net():
     ds = datasets.gen_random(7, 2, seed=0)
     net = SingleLayerReQUNet(np.zeros(3), np.zeros((3, 2)), np.zeros(3))
     cfg = objective.ObjectiveConfig(objective.logistic(), np.full(3, 0.1))
-    assert objective.empirical_loss(net, ds, cfg) == pytest.approx(7.0)
+    fob = objective.FlatObjective(net, ds, cfg)
+    assert fob.value(models.net_to_flat(net)) == pytest.approx(7.0)
 
 
 def test_training_error_counts_zero_output_as_error():
@@ -187,8 +189,10 @@ def test_gradient_matches_stationarity_formulas():
     ds = datasets.gen_random(6, 3, seed=5)
     net = make_single(rng)
     cfg = objective.ObjectiveConfig(objective.logistic(), rng.uniform(0.05, 0.4, net.m))
+    fob = objective.FlatObjective(net, ds, cfg)
     np.testing.assert_allclose(
-        objective.gradient(net, ds, cfg), brute_single_gradient(net, ds, cfg), atol=1e-10
+        fob.grad(fob.forward(models.net_to_flat(net))), brute_single_gradient(net, ds, cfg),
+        atol=1e-10,
     )
 
 
@@ -199,7 +203,7 @@ def test_gradient_fd_single(loss):
         ds = datasets.gen_random(5, 3, seed=int(rng.integers(1 << 30)))
         net = make_single(rng)
         cfg = objective.ObjectiveConfig(loss, rng.uniform(0.05, 0.4, net.m))
-        assert objective.finite_diff_check(net, ds, cfg) < 1e-6
+        assert finite_diff_oracle(net, ds, cfg) < 1e-6
 
 
 def test_gradient_fd_quadratic():
@@ -208,7 +212,7 @@ def test_gradient_fd_quadratic():
         ds = datasets.gen_random(5, 3, seed=int(rng.integers(1 << 30)))
         net = make_single(rng, cls=QuadraticNet)
         cfg = objective.ObjectiveConfig(objective.logistic(), rng.uniform(0.05, 0.4, net.m))
-        assert objective.finite_diff_check(net, ds, cfg) < 1e-6
+        assert finite_diff_oracle(net, ds, cfg) < 1e-6
 
 
 def test_gradient_fd_deep():
@@ -219,7 +223,7 @@ def test_gradient_fd_deep():
         cfg = objective.ObjectiveConfig(
             objective.logistic(), rng.uniform(0.05, 0.4, net.m), lam_c=1.0
         )
-        assert objective.finite_diff_check(net, ds, cfg) < 1e-5
+        assert finite_diff_oracle(net, ds, cfg) < 1e-5
 
 
 @pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"])
@@ -595,7 +599,8 @@ def test_inactive_neuron_block_has_zero_gradient():
     net.W[1] = 0.0
     net.b[1] = 0.0
     cfg = objective.ObjectiveConfig(objective.logistic(), np.array([0.1, 0.2, 0.3]))
-    g = objective.gradient(net, ds, cfg)
+    fob = objective.FlatObjective(net, ds, cfg)
+    g = fob.grad(fob.forward(models.net_to_flat(net)))
     m, d = net.m, net.d
     assert g[1] == 0.0
     np.testing.assert_array_equal(g[m + d : m + 2 * d], 0.0)
@@ -603,10 +608,11 @@ def test_inactive_neuron_block_has_zero_gradient():
 
 
 def coercivity_gap_oracle(net, ds, cfg):
-    """empirical_loss minus its coercivity floor; negative means violation."""
-    theta_norm = float(np.linalg.norm(models.net_to_flat(net)))
+    """The objective minus its coercivity floor; negative means violation."""
+    theta = models.net_to_flat(net)
+    theta_norm = float(np.linalg.norm(theta))
     bound = objective.coercivity_lower_bound(theta_norm, float(np.min(cfg.lam)), net.m)
-    return objective.empirical_loss(net, ds, cfg) - bound
+    return objective.FlatObjective(net, ds, cfg).value(theta) - bound
 
 
 def test_coercivity_bound_holds_at_scale():
@@ -619,7 +625,7 @@ def test_coercivity_bound_holds_at_scale():
         net = SingleLayerReQUNet(scale * net.a, scale * net.W, scale * net.b)
         cfg = objective.ObjectiveConfig(objective.logistic(), rng.uniform(0.01, 1.0, m))
         gap = coercivity_gap_oracle(net, ds, cfg)
-        loss = objective.empirical_loss(net, ds, cfg)
+        loss = objective.FlatObjective(net, ds, cfg).value(models.net_to_flat(net))
         assert gap >= -1e-9 * (1.0 + loss)
 
 
@@ -696,4 +702,4 @@ def test_config_validation():
     ds = datasets.gen_random(3, 2, seed=0)
     net = SingleLayerReQUNet(np.zeros(3), np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(ValueError):
-        objective.empirical_loss(net, ds, cfg)
+        objective.FlatObjective(net, ds, cfg)

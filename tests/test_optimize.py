@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import block_norms_oracle
 from requland import landscape, models, objective
 from requland import optimize as opt
 from requland.datasets import Dataset, gen_random
@@ -20,7 +21,6 @@ from requland.objective import (
     ObjectiveConfig,
     logistic,
     loss_deriv,
-    neuron_block_norms,
     smooth_hinge,
     training_error,
 )
@@ -123,11 +123,10 @@ def test_trajectory_rows_are_sane(trained):
 
 def test_pruned_blocks_have_exactly_zero_gradient(trained):
     ds, cfg, net, _ = trained
-    bn = neuron_block_norms(net)
+    bn = block_norms_oracle(net)
     assert np.any(bn == 0.0)  # at least one block was snapped away
     fob = FlatObjective(net, ds, cfg)
-    theta = net_to_flat(net)
-    _, g = fob.value_and_grad(theta)
+    g = fob.grad(fob.forward(net_to_flat(net)))
     m, d = net.m, net.W.shape[1]
     for j in np.flatnonzero(bn == 0.0):
         assert g[j] == 0.0
@@ -260,7 +259,7 @@ def serial_stall_escape_oracle(theta, loss, fob, blocks, rng):
 def serial_escape_oracle(theta, loss, fob, like, ds, cfg, rng):
     """_attempt_escape with one value call per (candidate, delta) pair."""
     net = opt.net_from_flat(like, theta)
-    norms = neuron_block_norms(net)
+    norms = block_norms_oracle(net)
     if not np.any(norms == 0.0):
         return None, loss
     features = net.head_inputs(ds.X)
