@@ -216,6 +216,12 @@ def load_csv(path) -> Dataset:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != d + 1:
             raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-        X.append([float(v) for v in row[:-1]])
-        y.append(int(row[-1]))
-    return Dataset(np.array(X, dtype=float), np.array(y, dtype=int))
+        try:
+            X.append([float(v) for v in row[:-1]])
+            y.append(int(row[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return Dataset(np.array(X, dtype=float), np.array(y, dtype=int))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,4 +1,4 @@
-"""Dense symmetric eigenvalues, singular values, and padded 1-D convolution.
+"""Dense symmetric eigenvalues, singular values, and padded 1-D convolution matrices.
 
 Matrices are plain 2-D float ndarrays and eigenvalue spectra are 1-D ndarrays
 sorted ascending.  Everything here is small and dense; LAPACK via numpy does
@@ -92,26 +92,12 @@ def _as_vector(v, name: str) -> np.ndarray:
     return v
 
 
-def conv_padded(alpha, beta) -> np.ndarray:
-    """Padded 1-D convolution producing all len(alpha)+len(beta)-1 outputs.
-
-    Output j (1-based) is sum_i alpha[i] * beta_padded[i + j - 1] where beta
-    is zero-padded by len(alpha)-1 on each side.  Equivalently this is full
-    convolution of the reversed filter with beta:
-
-        conv_padded((1, 2), (3, 4)) == (6, 11, 4)
-    """
-    alpha = _as_vector(alpha, "alpha")
-    beta = _as_vector(beta, "beta")
-    return np.convolve(alpha[::-1], beta, mode="full")
-
-
 @functools.lru_cache(maxsize=64)
 def conv_band(d_v: int, d_z: int) -> np.ndarray:
     """Gather index of the banded conv matrix, (d_v + d_z - 1, d_z).
 
-    The matrix V with V @ z == conv_padded(v, z) is vz[band], where vz is v
-    followed by one zero: row j, column c holds v[c + d_v - 1 - j] whenever
+    The matrix V of conv_matrix is vz[band], where vz is v followed by one
+    zero: row j, column c holds v[c + d_v - 1 - j] whenever
     that tap exists, and vz[d_v] = 0 elsewhere.  Every conv layer of every
     network evaluation reads it, so it is kept per (d_v, d_z), read-only.
     """
@@ -132,11 +118,13 @@ def conv_fill(v, d_z: int) -> np.ndarray:
 
 
 def conv_matrix(v, d_z: int) -> np.ndarray:
-    """Banded matrix V with V @ z == conv_padded(v, z) for every z of length d_z.
+    """Banded matrix V of the padded 1-D convolution of z by the filter v.
 
-    V has shape (d_v + d_z - 1, d_z).  Gathered through conv_band's index,
-    deliberately not via numpy's convolve, so the matrix route and the direct
-    route stay independent checks of each other.
+    V has shape (d_v + d_z - 1, d_z), and (V @ z)[j] = sum_i v[i] *
+    z_padded[i + j], where z is zero-padded by d_v - 1 on each side: the
+    full convolution of the reversed filter with z, (1, 2) on (3, 4) giving
+    (6, 11, 4).  Gathered through conv_band's index, deliberately not via
+    numpy's convolve, so that convolve stays an independent check of it.
     """
     v = _as_vector(v, "v")
     if int(d_z) != d_z or d_z < 1:

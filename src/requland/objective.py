@@ -153,17 +153,16 @@ class FlatObjective:
     calls and elementwise operations as a single point, so batched searches
     select what point-by-point loops would, and take the same gradient at
     what they select.  The tests pin the gradient to central differences,
-    each hidden state to numkit.conv_padded, the regularizer to closed
-    forms, and values to value.
+    each hidden state to the padded convolution of numpy's convolve, the
+    regularizer to closed forms, and values to value.
 
     The pass is lean in numpy calls, not in arithmetic: every element takes
     the same ufuncs, operand order and BLAS call shapes as the plain
     formulas that the tests keep as plain_forward_oracle and
     plain_grad_oracle, and equals them bit for bit; a reordered product or
     reduction fails those tests.  The data are read at construction, the
-    first conv layer's tap windows included.  grad pads a point's deeper
-    conv inputs in buffers that the instance keeps (a stack's in fresh
-    ones), so no instance may be shared between threads.
+    first conv layer's tap windows included, and no call writes to the
+    instance.
     """
 
     CHUNK = 480  # rows per stacked forward pass; bounds its temporaries
@@ -179,30 +178,26 @@ class FlatObjective:
         self.anchor_c = 0.25 * cfg.lam_c  # the filter anchor's lam_c / 4
         self.layout = FlatLayout.of(like)
         self.squared, self.slope = like.squared, like.slope
-        # Per conv layer, a zero-bordered copy of its input (n, dim + 2(s-1))
-        # and the gather index that _windows reads it through.
-        self.pads, self.taps = [], []
+        # Per conv layer, the gather index that _windows reads the
+        # zero-bordered (n, dim + 2(s-1)) copy of its input through.
+        self.taps = []
         dim = ds.d
         for s in self.layout.filter_sizes:
-            self.pads.append(np.zeros((ds.n, dim + 2 * (s - 1))))
             rows, cols = np.indices((ds.n, dim + s - 1))
             self.taps.append((rows * (dim + 2 * (s - 1)) + cols).ravel() + np.arange(s)[:, None])
             dim += s - 1
-        if self.pads:
+        if self.taps:
             self.x_windows = self._windows(0, ds.X)  # the first layer's input is X
 
     def _windows(self, k, H):
         """Conv layer k's s tap windows of its input H, as (s, n * w) rows:
         row i holds columns i .. i + w - 1 of H's zero-bordered copy, w the
         layer's output length, one sample after another; a (K, n, dim)
-        stack of inputs gets (K, s, n * w)."""
-        pad, s = self.pads[k], self.layout.filter_sizes[k]
-        if H.ndim > 2:  # a bordered copy of its own: the kept one is a point's
-            pad = np.zeros(H.shape[:-1] + pad.shape[-1:])
+        stack of inputs gets (K, s, n * w), each row from its own copy."""
+        s = self.layout.filter_sizes[k]
+        pad = np.zeros(H.shape[:-1] + (H.shape[-1] + 2 * (s - 1),))
         pad[..., s - 1 : s - 1 + H.shape[-1]] = H  # borders stay zero
-        if H.ndim > 2:  # each row's windows from its own flattened copy
-            return pad.reshape(len(H), -1).take(self.taps[k], axis=-1)
-        return pad.take(self.taps[k])
+        return pad.reshape(H.shape[:-2] + (-1,)).take(self.taps[k], axis=-1)
 
     def _anchor(self, v):
         """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack

@@ -26,7 +26,9 @@ step overshoots the last accepted one by 2**LADDER_MAX or more.
 train keeps the forward pass of its iterate, and every move reads only
 theta, that pass (or the loss it holds) and the FlatObjective: the data, the
 loss and the neuron blocks all come from it.  Both escapes scan their grid
-of points theta + r u through one search, _search.
+of points theta + r u through one search, _search.  Every move's point
+(snap, escape, stall escape, Newton step) becomes the iterate through
+train's refresh, which records its row and restarts the step after an escape.
 
 Descent crawls through ill-conditioned tails, so once the activation
 pattern settles train finishes with modified-Newton steps (_newton_finish).
@@ -313,12 +315,11 @@ def _attempt_stall_escape(theta, loss, fob, rng):
     point that beats the running best by more than tiny wins.  The greedy
     doubling that follows a hit calls FlatObjective.value one step at a time.
     """
+    blocks = fob.layout.blocks()
     live = np.ones(theta.size, dtype=bool)
+    live[blocks[~theta[blocks].any(axis=1)]] = False
     head = np.zeros(theta.size, dtype=bool)
-    for b in fob.layout.blocks():
-        head[b] = True
-        if not theta[b].any():
-            live[b] = False
+    head[blocks] = True
     # Kinks live in the filter coordinates; concentrated probes there reach
     # across the manifold where full-space directions dilute by 1/sqrt(dim).
     n_filt = int((~head).sum())
@@ -479,10 +480,13 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     pattern, held = None, 0  # _smooth_pattern at the last snap-cadence check, and for how many
     newton_wait = newton_backoff = 0  # checks to skip, and how many after the next miss
 
-    def refresh(new_theta, status):
-        nonlocal theta, fwd, loss, g, prev_theta, prev_g, stall_ref_it, stall_ref_loss
-        theta, fwd = new_theta, fob.forward(new_theta)
-        loss, g = float(fwd[0]), fob.grad(fwd)
+    def refresh(status, new_theta, new_fwd=None, new_g=None):
+        """Make a move's point the iterate and record its row."""
+        nonlocal theta, fwd, loss, g, eta, prev_theta, prev_g, stall_ref_it, stall_ref_loss
+        theta, fwd = new_theta, fob.forward(new_theta) if new_fwd is None else new_fwd
+        loss, g = float(fwd[0]), fob.grad(fwd) if new_g is None else new_g
+        if status == "escape":
+            eta = STEP0
         prev_theta = prev_g = None
         stall_ref_it, stall_ref_loss = it, loss
         traj.record(it, loss, math.sqrt(g @ g), math.sqrt(theta @ theta), status)
@@ -521,7 +525,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         if converged or it % SNAP_EVERY == SNAP_EVERY - 1:
             theta2, _, snapped = _try_snaps(theta, loss, fob)
             if snapped:
-                refresh(theta2, "snap")
+                refresh("snap", theta2)
                 if converged:
                     continue
             # Newton finish: see the module docstring for the gate.
@@ -533,19 +537,17 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
                 if newton_wait > 0:
                     newton_wait -= 1
                 else:
-                    moved = False
-                    for move, theta, fwd, g in _newton_finish(theta, fwd, g, fob):
-                        moved = True
-                        loss, gn = float(fwd[0]), math.sqrt(g @ g)
+                    before = theta
+                    for move, *point in _newton_finish(theta, fwd, g, fob):
+                        refresh(move, *point)
                         check_floor()
-                        traj.record(it, loss, gn, math.sqrt(theta @ theta), move)
                         if move == "newton":
                             it += 1
+                        gn = math.sqrt(g @ g)
                         if it >= opts.max_iter or gn < opts.grad_tol * (1.0 + abs(loss)):
                             break
-                    if moved:
-                        prev_theta = prev_g = None
-                        stall_ref_it, stall_ref_loss = it, loss
+                    if theta is not before:  # it moved; refresh set this before the last increment
+                        stall_ref_it = it
                         continue
                     newton_backoff = 2 * newton_backoff or 1
                     newton_wait = newton_backoff
@@ -564,8 +566,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             escapes += 1
             esc_theta, _ = _attempt_escape(theta, fwd, fob, rng, blocks[free[0]])
             if esc_theta is not None:
-                refresh(esc_theta, "escape")
-                eta = STEP0
+                refresh("escape", esc_theta)
                 if not converged:
                     it += 1
                 continue
@@ -635,17 +636,15 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
         if not pinned:
             continue
 
-        # Pinned: probe around the iterate for a strict decrease.
-        if stall_escapes >= opts.max_stall_escapes:
-            status = "stalled"
-            break
+        # Pinned: probe around the iterate for a strict decrease, while tries last.
         stall_escapes += 1
-        esc_theta, _ = _attempt_stall_escape(theta, loss, fob, rng)
+        esc_theta = None
+        if stall_escapes <= opts.max_stall_escapes:
+            esc_theta, _ = _attempt_stall_escape(theta, loss, fob, rng)
         if esc_theta is None:
             status = "stalled"
             break
-        refresh(esc_theta, "escape")
-        eta = STEP0
+        refresh("escape", esc_theta)
 
     record(status)
     return net_from_flat(net, theta), traj

@@ -3,7 +3,10 @@
 finite_diff_oracle takes the gradient by central differences of
 FlatObjective.value; block_norms_oracle and scale_params_oracle work on a
 network's parameter arrays directly, not through the flat layout;
-homogeneity_oracle checks f(x; scaled) against the closed-form factor.
+homogeneity_oracle checks f(x; scaled) against the closed-form factor;
+conv_padded_oracle convolves with numpy's convolve, where numkit gathers a
+banded matrix; separating_gaps_oracle forms every pair difference, where
+find_separating_direction sorts projections.
 """
 
 import numpy as np
@@ -56,3 +59,24 @@ def homogeneity_oracle(net, x, r) -> float:
     got = scale_params_oracle(net, r).value(np.atleast_2d(x))[0]
     want = float(np.prod(r[:-1]) ** 2 * r[-1]) * base
     return float(abs(got - want) / (1.0 + abs(want)))
+
+
+def conv_padded_oracle(alpha, beta) -> np.ndarray:
+    """Padded 1-D convolution producing all len(alpha)+len(beta)-1 outputs.
+
+    Output j (1-based) is sum_i alpha[i] * beta_padded[i + j - 1] where beta
+    is zero-padded by len(alpha)-1 on each side.  Equivalently this is full
+    convolution of the reversed filter with beta:
+
+        conv_padded_oracle((1, 2), (3, 4)) == (6, 11, 4)
+    """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if alpha.ndim != 1 or beta.ndim != 1 or alpha.size == 0 or beta.size == 0:
+        raise ValueError("alpha and beta must be nonempty 1-D vectors")
+    return np.convolve(alpha[::-1], beta, mode="full")
+
+
+def separating_gaps_oracle(X, dirs) -> np.ndarray:
+    """min over all pairs a < b of |(x_a - x_b) . w|, for each row w of dirs."""
+    a, b = np.triu_indices(len(X), k=1)
+    return np.min(np.abs((X[a] - X[b]) @ np.atleast_2d(dirs).T), axis=0)

@@ -144,6 +144,15 @@ def test_dataset_without_feature_columns_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_malformed_dataset_error_names_the_file_and_line(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    for text, where in [("x1,y\n0.0,1\nabc,-1\n", ":3: "), ("x1,y\n0.0,1\ninf,-1\n", ": ")]:
+        data.write_text(text)
+        assert run("train", "--dataset", data, "--out", tmp_path / "out") == 1
+        assert f"{data}{where}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_certify_needs_some_dataset(train_run, tmp_path):
     _, out, _ = train_run
     ckpt = out / "checkpoint.json"

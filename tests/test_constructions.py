@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import separating_gaps_oracle
 from requland import constructions as cons
 from requland.datasets import Dataset, gen_random
 from requland.models import net_to_flat
@@ -39,6 +42,44 @@ def test_direction_separates_every_pair_random():
     for i in range(ds.n):
         for j in range(i + 1, ds.n):
             assert abs(z[i] - z[j]) > 0.0
+
+
+def separation_cases():
+    """(dataset, seed) of the workloads' datasets -- c01, c09, the width and
+    deep grids -- and of random ones."""
+    cases = [(gen_random(10, 3, seed=1000 + s), s) for s in range(20)]
+    cases += [(gen_random(3, 4, seed=2000 + s), s) for s in range(10)]
+    cases += [(gen_random(n, 3, seed=s), s) for n in range(2, 13) for s in range(4)]
+    cases += [(gen_random(n, 4, seed=3000 + s), s) for n in (2, 4, 6, 8) for s in range(3)]
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+        cases.append((gen_random(n, d, seed=int(rng.integers(1 << 30))), int(rng.integers(1 << 30))))
+    return cases
+
+
+def test_direction_reaches_the_all_pairs_best_gap():
+    # The candidates are the first DIRECTION_BUDGET draws of the seed's
+    # generator; the one returned has the largest all-pairs gap among them.
+    for ds, seed in separation_cases():
+        omega = cons.find_separating_direction(ds, seed)
+        cands = np.random.default_rng(seed).standard_normal((cons.DIRECTION_BUDGET, ds.d))
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+        best = separating_gaps_oracle(ds.X, cands).max()
+        assert abs(separating_gaps_oracle(ds.X, omega)[0] - best) <= 1e-12 * best
+
+
+def test_direction_search_memory_is_linear_in_n():
+    # All pair differences at n = 500 would take 1,954 MiB; sorted
+    # projections take a few.
+    ds = gen_random(500, 3, seed=0)
+    tracemalloc.start()
+    try:
+        cons.find_separating_direction(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_direction_rejects_coincident_rows():

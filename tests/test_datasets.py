@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,10 +142,17 @@ def test_csv_round_trip_is_the_identity(tmp_path_factory, ds):
 
 
 def test_csv_rejects_malformed(tmp_path):
+    # Each error names the file, and the line where one value is at fault.
     path = tmp_path / "bad.csv"
-    path.write_text("x1,z\n0.0,1\n")
-    with pytest.raises(ValueError, match="header"):
-        datasets.load_csv(path)
-    path.write_text("x1,y\n0.0\n")
-    with pytest.raises(ValueError, match="fields"):
-        datasets.load_csv(path)
+    for text, message in [
+        ("x1,z\n0.0,1\n", ": expected header"),
+        ("x1,y\n0.0\n", ":2: expected 2 fields"),
+        ("x1,x2,y\n0.0,1.0,1\n0.5,abc,-1\n", ":3: could not convert string to float: 'abc'"),
+        ("x1,y\n0.0,1.0\n", ":2: invalid literal for int"),
+        ("x1,y\n0.0,1\n1.0,nan\n", ":3: invalid literal for int"),
+        ("x1,y\n0.0,1\ninf,-1\n", ": X has non-finite entries"),
+        ("x1,y\n0.0,2\n", ": labels must be -1 or +1"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            datasets.load_csv(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_oracle
+from oracles import conv_padded_oracle, finite_diff_oracle
 from requland import datasets, models, numkit, objective
 from requland.models import DeepConvNet, QuadraticNet, SingleLayerReQUNet
 
@@ -340,7 +340,7 @@ def test_hidden_states_equal_the_padded_convolution_sample_by_sample(l):
         for i, x in enumerate(ds.X):
             h = x
             for v, H in zip(filts, states[1:]):
-                h = numkit.conv_padded(v, h)
+                h = conv_padded_oracle(v, h)
                 h = np.where(h >= 0.0, h, net.slope * h)
                 np.testing.assert_allclose(H[i], h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
     kernel_states = fob.forward(theta)[2][0][1:]
@@ -572,9 +572,9 @@ def test_grad_equals_padded_filter_oracle(l):
 
 
 def test_grad_buffer_carries_nothing_between_calls():
-    # grad rewrites a point's kept buffers' interiors on every call and
-    # gives a stack fresh ones; points and stacks in any order, with every
-    # forward taken before the first gradient, change nothing.
+    # grad pads each conv input in a fresh bordered copy, a point's and a
+    # stack's alike; points and stacks in any order, with every forward
+    # taken before the first gradient, change nothing.
     rng = np.random.default_rng(20)
     for s, l in ((3, 3), (2, 4)):
         fob, theta = deep_objective(rng, s, l)
@@ -588,6 +588,39 @@ def test_grad_buffer_carries_nothing_between_calls():
                 np.testing.assert_array_equal(fob.grad(points[k]), want[k])
                 np.testing.assert_array_equal(fob.grad(tail), want[3:])
                 np.testing.assert_array_equal(fob.value_and_grad(thetas[k])[1], want[k])
+
+
+def instance_bytes(obj):
+    """The bytes of every ndarray that an instance holds, in its lists and
+    tuples too, keyed by where it sits."""
+    found = {}
+
+    def walk(key, value):
+        if isinstance(value, np.ndarray):
+            found[key] = value.tobytes()
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                walk(f"{key}[{i}]", item)
+
+    for key, value in vars(obj).items():
+        walk(key, value)
+    return found
+
+
+def test_flat_objective_keeps_no_per_call_state():
+    # Nothing a call computes is written into the instance: every array it
+    # holds has the bytes it had at construction, so one instance can serve
+    # interleaved points and stacks, and threads, alike.
+    rng = np.random.default_rng(22)
+    for s, l in ((3, 3), (2, 4)):
+        fob, theta = deep_objective(rng, s, l)
+        before = instance_bytes(fob)
+        assert any(key.startswith("taps") for key in before)
+        thetas = theta + rng.standard_normal((4, theta.size))
+        fob.grad(fob.forward(theta))
+        fob.grad(fob.forward(thetas))
+        fob.grad(fob.row(fob.forward(thetas), 1))
+        assert instance_bytes(fob) == before
 
 
 def test_inactive_neuron_block_has_zero_gradient():
