@@ -60,13 +60,16 @@ def validate_distinct(ds: Dataset, tol: float = 1e-12):
     """Check all sample pairs are separated by more than tol.
 
     Returns (True, None) or (False, (i, j)) with the first offending pair in
-    (i, j) order, 0-indexed.  The distances of all pairs come from one
-    stacked computation (numkit.row_dots, the dot np.linalg.norm takes).
+    (i, j) order, 0-indexed.  The pairs go in blocks of rows i, about 64k
+    pairs a block, so memory stays O(n d); each block's distances come from
+    one stacked computation (numkit.row_dots, the dot np.linalg.norm takes).
     """
-    i, j = np.triu_indices(ds.n, k=1)  # every pair, in (i, j) order
-    hits = np.flatnonzero(np.sqrt(row_dots(ds.X[i] - ds.X[j])) <= tol)
-    if hits.size:
-        return False, (int(i[hits[0]]), int(j[hits[0]]))
+    per = max(1, (1 << 16) // ds.n)  # rows i per block
+    for s in range(0, ds.n, per):
+        i, j = np.triu_indices(min(per, ds.n - s), k=1, m=ds.n - s)  # pairs i < j, rows s on
+        hits = np.flatnonzero(np.sqrt(row_dots(ds.X[s + i] - ds.X[s + j])) <= tol)
+        if hits.size:
+            return False, (s + int(i[hits[0]]), s + int(j[hits[0]]))
     return True, None
 
 

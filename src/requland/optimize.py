@@ -36,13 +36,13 @@ It tries at a snap-cadence check where the objective is C^2 around the
 iterate and the tail is long: no sample is misclassified; the signs of
 every conv pre-activation and every live head pre-activation, each at
 least NEWTON_MARGIN from 0 relative to the largest of its layer or neuron,
-held over the last NEWTON_HOLD checks; and the gradient norm lies between
+the same as at the check before; and the gradient norm lies between
 NEWTON_SPAN * grad_tol and NEWTON_GATE, both times 1 + |loss|.  The
-gradient floor keeps it off short tails, such as the single-layer c01 runs,
-and the held margins off runs that head for a leaky-ReLU kink, such as the
-c09 pair that ends stalled.  Each accepted step is an iteration and a
-"newton" row; an attempt that takes no step doubles the checks skipped
-before the next.
+gradient floor keeps it off short tails, such as all but one of the
+single-layer c01 runs, and the margins off runs that head for a leaky-ReLU
+kink, such as the c09 pair that ends stalled.  Each accepted step is an
+iteration and a "newton" row; an attempt that takes no step doubles the
+checks skipped before the next.
 
 TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
 and seed.  Step sizes, cadences and move sizes are the module constants, the
@@ -86,8 +86,7 @@ STALL_PROBES = 256
 LADDER_MAX = 8  # most Armijo rungs evaluated in one stacked forward pass
 NEWTON_GATE = 1e-2  # Newton finish: only once ||grad|| < NEWTON_GATE * (1 + |loss|),
 NEWTON_SPAN = 1e3  # ... and while ||grad|| > NEWTON_SPAN * grad_tol * (1 + |loss|)
-NEWTON_HOLD = 2  # ... once the sign pattern has held over this many snap-cadence checks
-NEWTON_MARGIN = 5e-3  # ... and each pre-activation that far from 0, relative
+NEWTON_MARGIN = 5e-3  # ... once each pre-activation is that far from 0, relative
 NEWTON_H = 1e-6  # central-difference step of a Hessian column, times 1 + |theta_i|
 NEWTON_FLOOR = 1e-12  # least |eigenvalue| of the modified Hessian, relative to the largest
 NEWTON_RUNGS = 8  # Newton step lengths 1, SHRINK, ..., in one stacked forward pass
@@ -477,7 +476,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     loss, g = float(fwd[0]), fob.grad(fwd)
     prev_theta = prev_g = None
     stall_ref_it, stall_ref_loss = 0, loss
-    pattern, held = None, 0  # _smooth_pattern at the last snap-cadence check, and for how many
+    pattern = None  # _smooth_pattern at the last snap-cadence check
     newton_wait = newton_backoff = 0  # checks to skip, and how many after the next miss
 
     def refresh(status, new_theta, new_fwd=None, new_g=None):
@@ -532,8 +531,7 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             scale, last_pattern, pattern = 1.0 + abs(loss), pattern, None
             if NEWTON_SPAN * opts.grad_tol * scale < math.sqrt(g @ g) < NEWTON_GATE * scale:
                 pattern = _smooth_pattern(theta, fwd, fob)
-            held = held + 1 if pattern is not None and pattern == last_pattern else 0
-            if held >= NEWTON_HOLD:
+            if pattern is not None and pattern == last_pattern:
                 if newton_wait > 0:
                     newton_wait -= 1
                 else:

@@ -6,12 +6,15 @@ network's parameter arrays directly, not through the flat layout;
 homogeneity_oracle checks f(x; scaled) against the closed-form factor;
 conv_padded_oracle convolves with numpy's convolve, where numkit gathers a
 banded matrix; separating_gaps_oracle forms every pair difference, where
-find_separating_direction sorts projections.
+find_separating_direction sorts projections; close_pair_oracle forms every
+pair difference at once, where validate_distinct goes a block of rows at a
+time.
 """
 
 import numpy as np
 
 from requland.models import net_to_flat
+from requland.numkit import row_dots
 from requland.objective import FlatObjective
 
 
@@ -80,3 +83,10 @@ def separating_gaps_oracle(X, dirs) -> np.ndarray:
     """min over all pairs a < b of |(x_a - x_b) . w|, for each row w of dirs."""
     a, b = np.triu_indices(len(X), k=1)
     return np.min(np.abs((X[a] - X[b]) @ np.atleast_2d(dirs).T), axis=0)
+
+
+def close_pair_oracle(X, tol):
+    """The first pair (i, j) in (i, j) order with ||x_i - x_j|| <= tol, or None."""
+    a, b = np.triu_indices(len(X), k=1)
+    hits = np.flatnonzero(np.sqrt(row_dots(X[a] - X[b])) <= tol)
+    return (int(a[hits[0]]), int(b[hits[0]])) if hits.size else None

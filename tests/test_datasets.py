@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import close_pair_oracle
 from requland import datasets
 from requland.datasets import Dataset
 
@@ -45,6 +47,42 @@ def test_validate_distinct_flags_pair():
     # comes before (1, 2), though (1, 2) is closer.
     X = np.array([[0.0], [1.0], [1.0], [1e-13]])
     assert datasets.validate_distinct(Dataset(X, np.ones(4, dtype=int))) == (False, (0, 3))
+
+
+def test_validate_distinct_matches_the_all_pairs_oracle():
+    # validate_distinct scans (1 << 16) // n rows i per block.  Collisions
+    # (exact, and 5e-13 apart) sit inside a block, on both sides of its
+    # edges and at the last rows, alone and two at once, where the first
+    # pair in (i, j) order and the other hit may lie in different blocks.
+    n = 500
+    per = (1 << 16) // n
+    X0 = np.random.default_rng(0).standard_normal((n, 3))
+    y = np.ones(n, dtype=int)
+    edges = [0, 5, per - 1, per, per + 1, 2 * per - 1, 2 * per, n - 2, n - 1]
+    placed = [(i, j) for i in edges for j in edges if i < j]
+    cases = [[p] for p in placed] + [[p, q] for p, q in zip(placed, placed[::-1]) if p < q]
+    for case in cases:
+        for gap in (0.0, 5e-13, 2e-12):
+            X = X0.copy()
+            for i, j in case:
+                X[j] = X[i]
+                X[j, 0] += gap
+            want = close_pair_oracle(X, 1e-12)
+            assert want is not None or gap > 1e-12  # two rows copied from one meet at 0
+            assert datasets.validate_distinct(Dataset(X, y)) == (want is None, want)
+
+
+def test_validate_distinct_memory_is_linear_in_n():
+    # All n(n-1)/2 pair differences at once peak at 78 MiB at n = 1600; a
+    # block of rows at a time takes a few.
+    ds = datasets.gen_random(1600, 3, seed=0)
+    tracemalloc.start()
+    try:
+        assert datasets.validate_distinct(ds) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

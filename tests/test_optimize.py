@@ -741,10 +741,54 @@ def test_newton_finish_makes_no_attempt_on_the_kink_pair(seed, stalled_at, monke
     theta = net_to_flat(net)
     assert opt._smooth_pattern(theta, fob.forward(theta), fob) is None  # on the kink
 
-    monkeypatch.setattr(opt, "NEWTON_HOLD", math.inf)  # the trainer without the finish
+    # The trainer without the finish: every attempt yields no step.
+    monkeypatch.setattr(opt, "_newton_finish", lambda *args: iter(()))
     plain, plain_traj = opt.train(*c09_run(seed, max_stall_escapes=4))
     assert repr(traj.rows) == repr(plain_traj.rows)
     assert theta.tobytes() == net_to_flat(plain).tobytes()
+
+
+def test_newton_finish_opens_at_the_first_repeated_pattern(monkeypatch):
+    # Each snap-cadence check calls _try_snaps once, and _smooth_pattern
+    # when the gradient lies in the Newton window; a check without that
+    # call has no pattern.  The first attempt must come at the first check
+    # whose pattern is not None and equals the one before.
+    events = []
+    snaps, pattern, finish = opt._try_snaps, opt._smooth_pattern, opt._newton_finish
+
+    def spy_snaps(*args):
+        events.append(["check", None])
+        return snaps(*args)
+
+    def spy_pattern(*args):
+        out = pattern(*args)
+        events[-1][1] = out
+        return out
+
+    def spy_finish(*args):
+        events.append(["finish", None])
+        return finish(*args)
+
+    monkeypatch.setattr(opt, "_try_snaps", spy_snaps)
+    monkeypatch.setattr(opt, "_smooth_pattern", spy_pattern)
+    monkeypatch.setattr(opt, "_newton_finish", spy_finish)
+    _, traj = opt.train(*c09_run(0))
+    first = [kind for kind, _ in events].index("finish")
+    checks = [p for kind, p in events[:first] if kind == "check"]
+    repeats = [k for k in range(1, len(checks))
+               if checks[k] is not None and checks[k] == checks[k - 1]]
+    assert repeats == [len(checks) - 1]
+    assert traj.status == "converged" and any(row[4] == "newton" for row in traj.rows)
+
+
+def test_c01_seed4_still_certifies_with_its_newton_steps():
+    # The one c01 run whose tail the finish takes: two steps at iterations
+    # 199-200, then descent to convergence.
+    net0, ds, cfg, opts = c01_run(4)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "converged"
+    assert [row[0] for row in traj.rows if row[4] == "newton"] == [199, 200]
+    assert certify(net, ds, cfg).verdict == "ok"
 
 
 @settings(max_examples=40, deadline=None)
