@@ -7,8 +7,7 @@ FlatObjective is its one implementation, value and gradient alike; its
 values evaluates a (K, P) stack of parameter vectors in one pass, each
 result equal (==) to value at that row, so Monte-Carlo probes batch their
 points without changing what they select.  Its grad takes the forward
-result of a point or of a stack; a stack's gradient is a (K, P) array
-whose row k equals (==) the gradient at point k.  empirical_loss and
+result of a point.  empirical_loss and
 value_and_gradient evaluate it at a network; no workload calls them, and
 they go once the benchmark's tracer no longer wraps them.
 
@@ -144,15 +143,12 @@ class FlatObjective:
     models.network_pass, the one evaluation of the network, which the
     network classes also call, and adds the loss and the one regularizer
     formula, over a leading batch axis; value, values and value_and_grad
-    read it, and grad is the one backward pass, over the same axis, from a
-    kept forward result of a point or of a stack.  value(theta) equals
-    value_and_grad(theta)[0] exactly, and values(thetas)[k] equals
-    value(thetas[k]) exactly (==, not approx), and so does the gradient:
-    grad(forward(thetas))[k] == grad(row(forward(thetas), k)) ==
-    grad(forward(thetas[k])).  A stacked row goes through the same BLAS
-    calls and elementwise operations as a single point, so batched searches
-    select what point-by-point loops would, and take the same gradient at
-    what they select.  The tests pin the gradient to central differences,
+    read it, and grad is the one backward pass, from a kept forward result
+    of a point.  value(theta) equals value_and_grad(theta)[0] exactly, and
+    values(thetas)[k] equals value(thetas[k]) exactly (==, not approx): a
+    stacked row goes through the same BLAS calls and elementwise operations
+    as a single point, so batched searches select what point-by-point loops
+    would.  The tests pin the gradient to central differences,
     each hidden state to the padded convolution of numpy's convolve, the
     regularizer to closed forms, and values to value.
 
@@ -192,12 +188,11 @@ class FlatObjective:
     def _windows(self, k, H):
         """Conv layer k's s tap windows of its input H, as (s, n * w) rows:
         row i holds columns i .. i + w - 1 of H's zero-bordered copy, w the
-        layer's output length, one sample after another; a (K, n, dim)
-        stack of inputs gets (K, s, n * w), each row from its own copy."""
+        layer's output length, one sample after another."""
         s = self.layout.filter_sizes[k]
-        pad = np.zeros(H.shape[:-1] + (H.shape[-1] + 2 * (s - 1),))
-        pad[..., s - 1 : s - 1 + H.shape[-1]] = H  # borders stay zero
-        return pad.reshape(H.shape[:-2] + (-1,)).take(self.taps[k], axis=-1)
+        pad = np.zeros((H.shape[0], H.shape[1] + 2 * (s - 1)))
+        pad[:, s - 1 : s - 1 + H.shape[1]] = H  # borders stay zero
+        return pad.reshape(-1).take(self.taps[k])
 
     def _anchor(self, v):
         """(lam_c/4)(||v||^2 - 1)^2 for a filter v, or one per row of a stack
@@ -234,16 +229,6 @@ class FlatObjective:
         data = np.logaddexp(0.0, z) / _LN2 if self.logistic else loss_value(self.loss, z)
         return np.add.reduce(data, axis=-1) + reg, params, out, z, u
 
-    def row(self, fwd, k):
-        """forward(thetas[k]) cut out of fwd = forward(thetas): row k of
-        every stacked array.  The data X, which a conv stack's first layer
-        and a filterless head take as input, is never stacked."""
-        value, (a, W, b, filts), (states, convs, pre, act, phi, f), z, u = fwd
-        states = [self.X] + [H[k] for H in states[1:]]
-        convs = [(V[k], P[k]) for V, P in convs]
-        return (value[k], (a[k], W[k], b[k], [v[k] for v in filts]),
-                (states, convs, pre[k], act[k], phi[k], f[k]), z[k], u[k])
-
     def value(self, theta) -> float:
         return float(self.forward(theta)[0])
 
@@ -260,32 +245,22 @@ class FlatObjective:
         return float(fwd[0]), self.grad(fwd)
 
     def grad(self, fwd):
-        """The gradient at theta from fwd = forward(theta), or from
-        row(forward(thetas), k) for the row thetas[k] == theta.  From a
-        stacked fwd = forward(thetas) it is a (K, size) array whose row k
-        equals grad(row(fwd, k)) (==): each row takes a point's BLAS calls
-        and elementwise operations."""
+        """The gradient at theta from fwd = forward(theta), theta 1-D."""
         _, (a, W, b, filts), (states, convs, _, act, phi, _), z, u = fwd
-        # A stack carries its axis first in every array.  The point path keeps
-        # its own forms below: each shape-generic one costs a 1-D call 0.3-1 us.
-        stacked = z.ndim > 1
         if self.logistic:  # d(data term)/d f_i, in one pass over the samples
-            if stacked:
-                g = np.array([_logistic_deriv(r, self.neg_y_list) for r in z.tolist()])
-            else:
-                g = np.array(_logistic_deriv(z.tolist(), self.neg_y_list))
+            g = np.array(_logistic_deriv(z.tolist(), self.neg_y_list))
         else:
             g = -loss_deriv(self.loss, z) * self.y
-        S = g[..., None] * (2.0 * act)
+        S = g[:, None] * (2.0 * act)
         c = self.lam2 * u  # 2 lam_j u_j, shared by dW and db
         da = np.vecmat(g, phi) + self.lam * np.abs(a) * a  # vecmat: the gemv of phi.T @ g
-        dW = (S.mT @ states[-1]) * a[..., None] + c[..., None] * W
-        db = np.add.reduce(S, axis=-2) * a + c * b
-        parts = [da, dW.reshape(len(dW), -1) if stacked else dW.ravel(), db]
+        dW = (S.T @ states[-1]) * a[:, None] + c[:, None] * W
+        db = np.add.reduce(S, axis=0) * a + c * b
+        parts = [da, dW.ravel(), db]
         if not filts:
-            return np.concatenate(parts, axis=-1)
+            return np.concatenate(parts)
 
-        dH = (S * (a[:, None] if stacked else a)) @ W
+        dH = (S * a) @ W
         dfilts = [None] * len(filts)
         for k in range(len(filts) - 1, -1, -1):
             v, (V, P) = filts[k], convs[k]
@@ -293,14 +268,12 @@ class FlatObjective:
             windows = self.x_windows if k == 0 else self._windows(k, states[k])
             # Tap i sums dpre * (window i) over all n * w products, in the
             # order and with the pairwise reduction of a contiguous (n, w) sum.
-            flat = dpre.reshape(len(dpre), 1, -1) if stacked else dpre.reshape(-1)
-            dv = np.add.reduce(flat * windows, axis=-1)
-            vv = row_dots(v)[:, None] if stacked else float(v @ v)
-            dv += self.lam_c * (vv - 1.0) * v
+            dv = np.add.reduce(dpre.reshape(-1) * windows, axis=-1)
+            dv += self.lam_c * (float(v @ v) - 1.0) * v
             dfilts[k] = dv
             if k > 0:
                 dH = dpre @ V
-        return np.concatenate(parts + dfilts, axis=-1)
+        return np.concatenate(parts + dfilts)
 
 
 def empirical_loss(net, ds, cfg: ObjectiveConfig) -> float:

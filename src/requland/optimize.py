@@ -1,48 +1,38 @@
-"""Training by backtracking gradient descent, with pruning and escape moves.
+"""Training by L-BFGS with a weak-Wolfe line search, with pruning and
+escape moves.
+
+Each step follows the L-BFGS direction of the last MEMORY curvature pairs
+(Nocedal & Wright, Numerical Optimization, ch. 7), formed in the compact
+representation of Byrd, Nocedal & Schnabel (1994), along which the
+weak-Wolfe bracketing search of Lewis & Overton (Math. Program. 141, 2013)
+finds a strictly lower point; that search also copes with the leaky-ReLU
+kinks, where the objective is not differentiable.
 
 Three mechanisms beyond plain descent matter here.  Dying neurons decay only
 like 1/t under the cubic regularizer, so whenever zeroing a small neuron
 block does not increase the loss the trainer snaps it to exactly zero; a
-fully zero block has exactly zero gradient in every term, so descent never
-revives it.  While the iterate misclassifies, at the stopping point and
-every ESCAPE_EVERY = 250 iterations, the trainer tries third-order escape
-moves: it reassigns one exactly-zero neuron block to a sampled direction
-(u, v) at small amplitude delta, where the loss change behaves like
-delta^3 (lam_j - |sum_i loss'_i y_i (u . x_i + v)_+^2|), and keeps the best
-strict improvement.  Only such a search spends one of the MAX_ESCAPES
-tries: a point with no zero block makes none.  And when the loss flatlines
-with the gradient still large — the signature of an iterate pinned on a
-leaky-ReLU kink, where the almost-everywhere gradient is not a descent
-direction — the trainer probes random nearby points for a strict decrease
-before giving up.  It probes at once when no Armijo rung moves the
-iterate, either because none decreases the loss or because the accepted
-step rounds away and leaves theta unchanged; the flatline watch catches
-pins where theta still moves.
+fully zero block has exactly zero gradient in every term and so a zero
+L-BFGS direction: descent never revives it.  While the iterate
+misclassifies, at the stopping point and every ESCAPE_EVERY = 250
+iterations, the trainer tries third-order escape moves: it reassigns one
+exactly-zero neuron block to a sampled direction (u, v) at small amplitude
+delta, where the loss change behaves like delta^3 (lam_j - |sum_i loss'_i
+y_i (u . x_i + v)_+^2|), and keeps the best strict improvement.  Only such
+a search spends one of the MAX_ESCAPES tries: a point with no zero block
+makes none.  And when no step lowers the loss -- the line search finds no
+lower point, or its steps round away and leave theta unchanged -- or the
+loss flatlines with the gradient still large, the iterate is pinned, as on
+a leaky-ReLU kink where the almost-everywhere gradient is not a descent
+direction, and the trainer probes random nearby points for a strict
+decrease before giving up.
 
-The Armijo backtracking ladder runs in blocks of rungs, each block one
-FlatObjective.forward on a stack of trial points, from which the accepted
-rung also takes its gradient; a ladder opens wide only where the proposed
-step overshoots the last accepted one by 2**LADDER_MAX or more.
 train keeps the forward pass of its iterate, and every move reads only
 theta, that pass (or the loss it holds) and the FlatObjective: the data, the
 loss and the neuron blocks all come from it.  Both escapes scan their grid
 of points theta + r u through one search, _search.  Every move's point
-(snap, escape, stall escape, Newton step) becomes the iterate through
-train's refresh, which records its row and restarts the step after an escape.
-
-Descent crawls through ill-conditioned tails, so once the activation
-pattern settles train finishes with modified-Newton steps (_newton_finish).
-It tries at a snap-cadence check where the objective is C^2 around the
-iterate and the tail is long: no sample is misclassified; the signs of
-every conv pre-activation and every live head pre-activation, each at
-least NEWTON_MARGIN from 0 relative to the largest of its layer or neuron,
-the same as at the check before; and the gradient norm lies between
-NEWTON_SPAN * grad_tol and NEWTON_GATE, both times 1 + |loss|.  The
-gradient floor keeps it off short tails, such as all but one of the
-single-layer c01 runs, and the margins off runs that head for a leaky-ReLU
-kink, such as the c09 pair that ends stalled.  Each accepted step is an
-iteration and a "newton" row; an attempt that takes no step doubles the
-checks skipped before the next.
+(snap, escape, stall escape) becomes the iterate through train's refresh,
+which records its row and clears the L-BFGS memory: snaps and escapes are
+the only moves that change the set of live blocks.
 
 TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
 and seed.  Step sizes, cadences and move sizes are the module constants, the
@@ -70,10 +60,10 @@ class CoercivityViolationError(RuntimeError):
     come from a numerical defect, so it is never ignored."""
 
 
-STEP0 = 1.0  # first trial step, and the step after every escape
-ARMIJO = 1e-4
-SHRINK = 0.5
-GROW = 2.0
+ARMIJO = 1e-4  # weak-Wolfe sufficient decrease c1
+WOLFE = 0.9  # weak-Wolfe curvature c2
+WOLFE_TRIALS = 60  # most trial points of one line search
+MEMORY = 20  # L-BFGS curvature pairs kept
 RECORD_EVERY = 200
 SNAP_EVERY = 50
 SNAP_REL = 0.05  # prune candidates: block norm below this times the largest
@@ -83,13 +73,6 @@ ESCAPE_EVERY = 250  # while misclassifying, also try escapes at this cadence (5 
 MAX_ESCAPES = 10  # escape searches per run; a point with no exactly-zero block spends none
 STALL_WINDOW = 400  # iterations between flatline checks
 STALL_PROBES = 256
-LADDER_MAX = 8  # most Armijo rungs evaluated in one stacked forward pass
-NEWTON_GATE = 1e-2  # Newton finish: only once ||grad|| < NEWTON_GATE * (1 + |loss|),
-NEWTON_SPAN = 1e3  # ... and while ||grad|| > NEWTON_SPAN * grad_tol * (1 + |loss|)
-NEWTON_MARGIN = 5e-3  # ... once each pre-activation is that far from 0, relative
-NEWTON_H = 1e-6  # central-difference step of a Hessian column, times 1 + |theta_i|
-NEWTON_FLOOR = 1e-12  # least |eigenvalue| of the modified Hessian, relative to the largest
-NEWTON_RUNGS = 8  # Newton step lengths 1, SHRINK, ..., in one stacked forward pass
 
 
 @dataclass
@@ -106,11 +89,10 @@ class TrainOptions:
 class Trajectory:
     """Recorded (iter, loss, grad_norm, param_norm, status) rows.
 
-    Row statuses are "descent", "snap", "escape", or "newton" (a step of the
-    Newton finish, see _newton_finish); the final row carries the
-    terminal status: "converged", "budget-exhausted", "stalled" (the iterate
-    is pinned -- no representable step decreases the loss, an accepted step
-    rounds away to theta itself, or the loss flatlined -- and the stall
+    Row statuses are "descent", "snap" or "escape"; the final row carries
+    the terminal status: "converged", "budget-exhausted", "stalled" (the
+    iterate is pinned -- the line search finds no lower point, its steps
+    round away to theta itself, or the loss flatlined -- and the stall
     probes found no decrease or ran out of tries), or "non-finite" (the loss
     or the gradient norm is inf or NaN).  Escapes that later converge still
     end in "converged"; the escape rows keep the history.  escapes counts
@@ -340,122 +322,106 @@ def _attempt_stall_escape(theta, loss, fob, rng):
     return theta + r * u, best_loss
 
 
-def _smooth_pattern(theta, fwd, fob):
-    """The sign pattern around theta where the objective is C^2 there, else
-    None.  The pattern is the live blocks and the signs of every conv
-    pre-activation and every live head pre-activation; it is None where a
-    sample is misclassified or where one of those pre-activations lies
-    within NEWTON_MARGIN of 0, relative to the largest of its conv layer or
-    of its neuron.  The cubic terms and both losses are C^2 everywhere, so
-    only the leaky-ReLU and ReQU kinks at 0 can break smoothness."""
-    _, convs, pre, *_, f = fwd[2]
-    if np.any(np.sign(f) != fob.y):
-        return None
-    live = theta[fob.layout.blocks()].any(axis=1)
-    parts = [P.reshape(-1, 1) for _, P in convs] + [pre[:, live]]  # one column per margin
-    for x in parts:
-        mag = np.abs(x)
-        if np.any(mag.min(axis=0) <= NEWTON_MARGIN * mag.max(axis=0)):
-            return None
-    return b"".join(x.tobytes() for x in [live] + [x >= 0.0 for x in parts])
+def _no_pairs(size):
+    """The L-BFGS memory of size-P pairs with no pair in it (see _remember)."""
+    pairs, square = np.empty((0, size)), np.empty((0, 0))
+    return pairs, pairs, square, square, np.empty(0)
 
 
-def _newton_finish(theta, fwd, g, fob):
-    """Modified-Newton steps on the live coordinates, from theta with its
-    forward pass fwd and gradient g.  Yields ("newton", theta, fwd, g) after
-    each accepted step and ("snap", ...) after each snap that follows one;
-    returns at the first step that fails.
+def _remember(memory, s, y):
+    """The L-BFGS memory with the pair (s, y) appended as the newest, the
+    oldest dropped past MEMORY pairs; a pair with s . y <= 0 carries no
+    curvature and is skipped.
 
-    The live coordinates are the blocks that are not exactly zero, plus the
-    filters.  The Hessian on them comes from central differences of the
-    gradient: the 2|live| points go through stacked forward and grad
-    passes, one of each per chunk of rows, every row bit-equal to a 1-D
-    call.  Its eigenvalues enter the step as their absolute values, floored
-    at NEWTON_FLOOR times the largest.  The step lengths 1, SHRINK, ... are
-    one stacked pass; the first with the Armijo decrease, a strictly lower
-    value and the _smooth_pattern of the point it leaves is taken.  A dying
-    block only halves per step (its terms are cubic along its ray), so each
-    step is followed by _try_snaps, and a snap starts a new pattern on the
-    smaller live set.  Stopping at grad_tol and at max_iter is the caller's.
-    """
-    # Rows per stacked pass: about 32k numbers in each (rows, n, m) temporary.
-    per = max(1, (1 << 15) // (fob.X.shape[0] * fob.layout.m))
-    steps = SHRINK ** np.arange(NEWTON_RUNGS)
-    blocks = fob.layout.blocks()
-    pattern = _smooth_pattern(theta, fwd, fob)
-    while pattern is not None:
-        live = np.ones(theta.size, dtype=bool)
-        live[blocks[~theta[blocks].any(axis=1)]] = False
-        idx = np.flatnonzero(live)
-        k = idx.size
-        h = NEWTON_H * (1.0 + np.abs(theta[idx]))
-        points = np.tile(theta, (2 * k, 1))
-        points[np.arange(k), idx] += h
-        points[np.arange(k, 2 * k), idx] -= h
-        G = np.empty((2 * k, k))
-        for s in range(0, 2 * k, per):
-            G[s : s + per] = fob.grad(fob.forward(points[s : s + per]))[:, idx]
-        H = (G[:k] - G[k:]) / (2.0 * h)[:, None]
-        ev, V = np.linalg.eigh(0.5 * (H + H.T))
-        ev = np.abs(ev)
-        ev = np.maximum(ev, NEWTON_FLOOR * float(np.max(ev)))
-        gl = g[idx]
-        d = -(V @ ((V.T @ gl) / ev))
-        slope = float(gl @ d)
-        trials = np.tile(theta, (NEWTON_RUNGS, 1))
-        trials[:, idx] += np.multiply.outer(steps, d)
-        stacked = fob.forward(trials)
-        loss = float(fwd[0])
-        for r, (t, trial_loss) in enumerate(zip(steps.tolist(), stacked[0].tolist())):
-            if trial_loss < loss and trial_loss <= loss + ARMIJO * t * slope:
-                trial_fwd = fob.row(stacked, r)
-                if _smooth_pattern(trials[r], trial_fwd, fob) == pattern:
-                    break
+    A memory is (S, Y, Rinv, YY, D): the pairs as rows of S and Y, oldest
+    first, the inverse of the upper triangle R of S Y' (R_ij = s_i . y_j
+    for i <= j), Y Y' and the diagonal of R.  Appending a pair borders R
+    with a column, and dropping the oldest cuts R's first row and column;
+    both carry over to the inverse of a triangle in closed form, so no
+    k x k inverse is formed anew."""
+    sy = float(s @ y)
+    if not sy > 0.0:
+        return memory
+    S, Y, Rinv, YY, D = memory
+    if len(S) == MEMORY:
+        S, Y, Rinv, YY, D = S[1:], Y[1:], Rinv[1:, 1:], YY[1:, 1:], D[1:]
+    k = len(S)
+    R2 = np.zeros((k + 1, k + 1))
+    R2[:k, :k] = Rinv
+    R2[:k, k] = Rinv @ (S @ y) / -sy
+    R2[k, k] = 1.0 / sy
+    YY2 = np.empty((k + 1, k + 1))
+    YY2[:k, :k] = YY
+    YY2[k, :k] = YY2[:k, k] = Y @ y
+    YY2[k, k] = y @ y
+    S, Y, D = np.concatenate((S, s[None])), np.concatenate((Y, y[None])), np.concatenate((D, (sy,)))
+    return S, Y, R2, YY2, D
+
+
+def _lbfgs_direction(g, memory):
+    """-H g for the L-BFGS inverse Hessian H of the memory's pairs, in the
+    compact form of Byrd, Nocedal & Schnabel (1994): H = gamma I +
+    [S' gamma Y'] M [S; gamma Y], M from R^-1, D and Y Y', with gamma =
+    s.y / y.y of the newest pair.  -g when the memory is empty.  Where g
+    and every row of S and Y are exactly zero, as on a pruned block, the
+    direction is zero too."""
+    S, Y, Rinv, YY, D = memory
+    if not len(S):
+        return -g
+    gamma = D[-1] / YY[-1, -1]
+    q = Rinv @ (S @ g)
+    p = Rinv.T @ (D * q + gamma * (YY @ q - Y @ g))
+    return gamma * (q @ Y - g) - p @ S
+
+
+def _weak_wolfe(fob, theta, loss, g, d):
+    """The weak-Wolfe bracketing search of Lewis & Overton (2013) along d
+    from theta, first trial t = 1.
+
+    A trial passes Armijo when its value is below loss and within ARMIJO t
+    g.d of it; only then is its gradient taken, and the weak Wolfe test
+    asks its slope along d to be at least WOLFE g.d.  A failed Armijo test
+    bounds t from above, a failed Wolfe test from below; t doubles until
+    bounded above, then bisects.  Returns (t, point, forward pass, gradient)
+    of the first trial that passes both, else of the last that passed
+    Armijo, else None: no trial lowered the loss.  The search stops early
+    once a trial rounds onto the point it would improve on (theta, or the
+    last Armijo point), so no gradient is taken twice at one point."""
+    slope = float(g @ d)
+    lo, hi, t, kept = 0.0, math.inf, 1.0, None
+    for _ in range(WOLFE_TRIALS):
+        trial = theta + t * d
+        if np.array_equal(trial, theta if kept is None else kept[1]):
+            break
+        fwd = fob.forward(trial)
+        value = float(fwd[0])
+        if value < loss and value <= loss + ARMIJO * t * slope:
+            tg = fob.grad(fwd)
+            if tg @ d >= WOLFE * slope:
+                return t, trial, fwd, tg
+            lo, kept = t, (t, trial, fwd, tg)
         else:
-            return
-        theta, fwd = trials[r], trial_fwd
-        g = fob.grad(fwd)
-        yield "newton", theta, fwd, g
-        theta, _, snapped = _try_snaps(theta, float(fwd[0]), fob)
-        if snapped:
-            fwd = fob.forward(theta)
-            pattern = _smooth_pattern(theta, fwd, fob)
-            g = fob.grad(fwd)
-            yield "snap", theta, fwd, g
-
-
-def _opening_width(step, last_step):
-    """Rungs in the first block of an Armijo ladder: one, unless step is at
-    least 2**LADDER_MAX times last_step; then k + 1 for the overshoot
-    2**k <= step / last_step < 2**(k + 1), so the block reaches from step
-    down to last_step.  k comes from the two exponents, so a quotient that
-    overflows to inf still has one."""
-    (m, e), (m_last, e_last) = math.frexp(step), math.frexp(last_step)
-    k = e - e_last - (m < m_last)
-    return k + 1 if k >= LADDER_MAX else 1
+            hi = t
+        t = 2.0 * t if hi == math.inf else 0.5 * (lo + hi)
+    return kept
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing run ends "non-finite", silently
 def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = None):
     """Minimize the objective from the given starting network.
 
-    Returns (trained_net, Trajectory).  Each iteration proposes a spectral
-    (Barzilai-Borwein) step when curvature information is available and the
-    last grown step otherwise, then enforces the Armijo condition by
-    backtracking along step, step*SHRINK, ... (at most 120 rungs), so the
-    accepted sequence is strictly monotone.  A block of rungs is one stacked
-    FlatObjective.forward.  The first block is one rung or, where the trial
-    step overshoots the last accepted one by 2**LADDER_MAX or more, reaches
-    down to it (_opening_width): a kink's long backtrack ends near there.
-    Later blocks are LADDER_MAX wide.  The first passing rung wins and
-    takes its gradient from its block's pass, so the widths change only the
-    cost.  An accepted rung whose trial equals theta (the decrease
-    ARMIJO*step*gn^2 fell below half an ulp of the loss) is no step: like
-    an exhausted ladder it pins the iterate and hands it to the stall probe.
-    See the module docstring for the snap, escape and Newton moves.
+    Returns (trained_net, Trajectory).  Each iteration steps along the
+    L-BFGS direction of the last MEMORY curvature pairs (_lbfgs_direction)
+    with the weak-Wolfe search (_weak_wolfe), so the accepted sequence is
+    strictly monotone; a direction that does not descend, which rounding
+    alone can cause, is replaced by -g with the memory cleared.  A search
+    that finds no lower point pins the iterate and hands it to the stall
+    probe.  See the module docstring for the snap and escape moves; every
+    move's point becomes the iterate through refresh, which records its
+    row and clears the memory, and the iteration starts again from it.
 
     fwd is always fob.forward(theta) for the current iterate, set at the
-    start, by refresh and by each accepted rung; the moves and the escape
+    start, by refresh and by each accepted step; the moves and the escape
     gate read it, so no network is rebuilt or evaluated again at theta.
     """
     opts = opts or TrainOptions()
@@ -467,43 +433,28 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     theta = net_to_flat(net)
     n_head = fob.layout.size - sum(fob.layout.filter_sizes)  # the head (a, W, b) leads theta
     traj = Trajectory()
-    eta = STEP0
-    last_step = STEP0  # the last accepted Armijo step, STEP0 before the first
+    memory = empty = _no_pairs(theta.size)
     escapes = 0
     stall_escapes = 0
     it = 0
     fwd = fob.forward(theta)
     loss, g = float(fwd[0]), fob.grad(fwd)
-    prev_theta = prev_g = None
     stall_ref_it, stall_ref_loss = 0, loss
-    pattern = None  # _smooth_pattern at the last snap-cadence check
-    newton_wait = newton_backoff = 0  # checks to skip, and how many after the next miss
 
-    def refresh(status, new_theta, new_fwd=None, new_g=None):
-        """Make a move's point the iterate and record its row."""
-        nonlocal theta, fwd, loss, g, eta, prev_theta, prev_g, stall_ref_it, stall_ref_loss
-        theta, fwd = new_theta, fob.forward(new_theta) if new_fwd is None else new_fwd
-        loss, g = float(fwd[0]), fob.grad(fwd) if new_g is None else new_g
-        if status == "escape":
-            eta = STEP0
-        prev_theta = prev_g = None
+    def refresh(status, new_theta):
+        """Make a move's point the iterate, record its row, clear the memory."""
+        nonlocal theta, fwd, loss, g, memory, stall_ref_it, stall_ref_loss
+        theta, fwd = new_theta, fob.forward(new_theta)
+        loss, g = float(fwd[0]), fob.grad(fwd)
+        memory = empty
         stall_ref_it, stall_ref_loss = it, loss
         traj.record(it, loss, math.sqrt(g @ g), math.sqrt(theta @ theta), status)
 
     def record(status):  # the norm of the iteration's starting point, taken only here
-        traj.record(it, loss, gn, math.sqrt(start @ start), status)
-
-    def check_floor():
-        head = theta[:n_head]
-        floor = coercivity_lower_bound(math.sqrt(head @ head), lam_min, fob.layout.m)
-        if loss < floor - 1e-9 * (1.0 + abs(loss)):
-            raise CoercivityViolationError(
-                f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
-            )
+        traj.record(it, loss, gn, math.sqrt(theta @ theta), status)
 
     while True:
         gn = math.sqrt(g @ g)  # == float(np.linalg.norm(g)): the same dot, a correctly rounded sqrt
-        start = theta
         if it >= opts.max_iter:
             status = "budget-exhausted"
             break
@@ -513,42 +464,22 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             status = "non-finite"
             break
 
-        check_floor()
+        head = theta[:n_head]
+        floor = coercivity_lower_bound(math.sqrt(head @ head), lam_min, fob.layout.m)
+        if loss < floor - 1e-9 * (1.0 + abs(loss)):
+            raise CoercivityViolationError(
+                f"loss {loss:.6e} fell below the cubic floor {floor:.6e} at iter {it}"
+            )
 
         converged = gn < opts.grad_tol * (1.0 + abs(loss))
         # Prune at the stopping point, and periodically so that dying blocks
-        # do not drag on convergence.  After a periodic snap the iteration
-        # keeps the pre-snap gn on purpose: the Armijo test and the rows it
-        # records use it, and taking the snapped point's would change the
-        # trajectories.
+        # do not drag on convergence.  The iteration then starts again from
+        # the snapped point, its gradient norm and rows included.
         if converged or it % SNAP_EVERY == SNAP_EVERY - 1:
             theta2, _, snapped = _try_snaps(theta, loss, fob)
             if snapped:
                 refresh("snap", theta2)
-                if converged:
-                    continue
-            # Newton finish: see the module docstring for the gate.
-            scale, last_pattern, pattern = 1.0 + abs(loss), pattern, None
-            if NEWTON_SPAN * opts.grad_tol * scale < math.sqrt(g @ g) < NEWTON_GATE * scale:
-                pattern = _smooth_pattern(theta, fwd, fob)
-            if pattern is not None and pattern == last_pattern:
-                if newton_wait > 0:
-                    newton_wait -= 1
-                else:
-                    before = theta
-                    for move, *point in _newton_finish(theta, fwd, g, fob):
-                        refresh(move, *point)
-                        check_floor()
-                        if move == "newton":
-                            it += 1
-                        gn = math.sqrt(g @ g)
-                        if it >= opts.max_iter or gn < opts.grad_tol * (1.0 + abs(loss)):
-                            break
-                    if theta is not before:  # it moved; refresh set this before the last increment
-                        stall_ref_it = it
-                        continue
-                    newton_backoff = 2 * newton_backoff or 1
-                    newton_wait = newton_backoff
+                continue
 
         # While samples stay misclassified, try the third-order escape move
         # at the stopping point, and at a coarse cadence too, where near-flat
@@ -585,54 +516,16 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             stall_ref_it, stall_ref_loss = it, loss
 
         if not pinned:
-            # Spectral trial step from the last secant pair, else the grown step.
-            step = eta
-            if prev_theta is not None:
-                dtheta = theta - prev_theta
-                dg = g - prev_g
-                curv = float(dtheta @ dg)
-                if curv > 0.0:
-                    step = min(max(float(dtheta @ dtheta) / curv, 1e-12), 1e15)
-            # A lone rung stays a 1-D forward: the common case must cost
-            # what one trial costs.  step ends on the accepted rung.
-            tried, width, accepted = 0, _opening_width(step, last_step), False
-            while tried < 120 and not accepted:
-                width = min(width, 120 - tried)
-                if width == 1:
-                    trial = theta - step * g
-                    trial_fwd = fob.forward(trial)
-                    trial_loss = float(trial_fwd[0])
-                    tried += 1
-                    accepted = trial_loss <= loss - ARMIJO * step * gn * gn
-                    if not accepted:
-                        step *= SHRINK
-                else:
-                    steps = [step]
-                    for _ in range(width - 1):
-                        steps.append(steps[-1] * SHRINK)
-                    trials = theta - np.multiply.outer(steps, g)
-                    stacked = fob.forward(trials)
-                    for r, (step, trial_loss) in enumerate(zip(steps, stacked[0].tolist())):
-                        tried += 1
-                        accepted = trial_loss <= loss - ARMIJO * step * gn * gn
-                        if accepted:
-                            trial, trial_fwd = trials[r], fob.row(stacked, r)
-                            break
-                    else:
-                        step *= SHRINK
-                width = LADDER_MAX
-            # A rung whose step rounds away leaves theta where it is: no step.
-            if accepted and not (trial_loss == loss and np.array_equal(trial, theta)):
-                prev_theta, prev_g = theta, g
-                theta, fwd = trial, trial_fwd  # the accepted rung's own forward pass
-                loss, g = trial_loss, fob.grad(fwd)
-                eta = min(step * GROW, 1e15)
-                last_step = step
+            d = _lbfgs_direction(g, memory)
+            if not g @ d < 0.0:
+                memory, d = empty, -g
+            step = _weak_wolfe(fob, theta, loss, g, d)
+            if step is not None:
+                _, new_theta, fwd, new_g = step
+                memory = _remember(memory, new_theta - theta, new_g - g)
+                theta, loss, g = new_theta, float(fwd[0]), new_g
                 it += 1
-            else:
-                pinned = True  # no representable step decreases the loss or moves theta
-        if not pinned:
-            continue
+                continue
 
         # Pinned: probe around the iterate for a strict decrease, while tries last.
         stall_escapes += 1

@@ -8,7 +8,8 @@ conv_padded_oracle convolves with numpy's convolve, where numkit gathers a
 banded matrix; separating_gaps_oracle forms every pair difference, where
 find_separating_direction sorts projections; close_pair_oracle forms every
 pair difference at once, where validate_distinct goes a block of rows at a
-time.
+time; lbfgs_two_loop_oracle runs the textbook two-loop recursion, where the
+trainer forms the L-BFGS direction in compact form.
 """
 
 import numpy as np
@@ -90,3 +91,21 @@ def close_pair_oracle(X, tol):
     a, b = np.triu_indices(len(X), k=1)
     hits = np.flatnonzero(np.sqrt(row_dots(X[a] - X[b])) <= tol)
     return (int(a[hits[0]]), int(b[hits[0]])) if hits.size else None
+
+
+def lbfgs_two_loop_oracle(g, pairs) -> np.ndarray:
+    """-H g by the two-loop recursion (Nocedal & Wright, Numerical
+    Optimization, Alg. 7.4) over the (s, y) pairs, oldest first, with
+    H0 = gamma I, gamma = s.y / y.y of the newest pair; -g for no pairs."""
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = (s @ q) / (s @ y)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - (y @ q) / (s @ y)) * s
+    return -q

@@ -290,18 +290,29 @@ def test_values_equals_value_at_every_row(family):
             assert vals[k] == fob.value(thetas[k])
 
 
+def stack_row(fob, fwd, k):
+    """forward(thetas[k]) cut out of fwd = forward(thetas): row k of every
+    stacked array.  The data X, which a conv stack's first layer and a
+    filterless head take as input, is never stacked."""
+    value, (a, W, b, filts), (states, convs, pre, act, phi, f), z, u = fwd
+    states = [fob.X] + [H[k] for H in states[1:]]
+    convs = [(V[k], P[k]) for V, P in convs]
+    return (value[k], (a[k], W[k], b[k], [v[k] for v in filts]),
+            (states, convs, pre[k], act[k], phi[k], f[k]), z[k], u[k])
+
+
 @pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3"])
 def test_row_of_a_stacked_forward_equals_the_forward_of_that_row(family):
-    # The line search accepts a rung of a stacked ladder and takes its
-    # gradient from that stacked pass; trajectories stay those of one
-    # forward per trial only if every array grad reads is the same.
+    # values, the escape grid and the stall probe read stacked passes; they
+    # select what one forward per point would only if every array of a
+    # stacked row is that point's, and so is the gradient read from it.
     rng = np.random.default_rng(19)
     for t, K in enumerate((1, 2, 8)):
         loss = objective.logistic() if t % 2 == 0 else objective.smooth_hinge(3)
         fob, thetas = stacked_case(rng, family, t, K, loss)
         stacked = fob.forward(thetas)
         for k in range(K):
-            got, want = fob.row(stacked, k), fob.forward(thetas[k])
+            got, want = stack_row(fob, stacked, k), fob.forward(thetas[k])
             assert_same_forward(got, want)
             assert np.array_equal(fob.grad(got), fob.grad(want))
 
@@ -333,7 +344,7 @@ def test_hidden_states_equal_the_padded_convolution_sample_by_sample(l):
     theta = models.net_to_flat(net)
     thetas = theta + rng.standard_normal((3, theta.size))
     stacked = fob.forward(thetas)
-    cases = [(theta, fob.forward(theta))] + [(p, fob.row(stacked, k)) for k, p in enumerate(thetas)]
+    cases = [(theta, fob.forward(theta))] + [(p, stack_row(fob, stacked, k)) for k, p in enumerate(thetas)]
     for point, fwd in cases:
         states, filts = fwd[2][0], fob.layout.split(point)[3]
         assert len(states) == l and states[0] is ds.X
@@ -374,8 +385,7 @@ def test_stacked_filter_anchor_equals_one_filter_at_a_time():
 )
 def test_every_row_of_a_stack_equals_its_point(family, n, d, m, K, hinge, seed):
     # Exact equality over stack heights, data sizes, widths and depths, one
-    # output column (m = 1) included; values also crosses CHUNK.  K reaches
-    # past one Newton-finish chunk of 2**15 // (n m) rows wherever n m > 34.
+    # output column (m = 1) included; values also crosses CHUNK.
     rng = np.random.default_rng(seed)
     if family.startswith("deep"):
         net, lam_c = make_deep(rng, d=d, s=int(rng.integers(2, 4)), l=int(family[-1]), m=m), 1.0
@@ -389,13 +399,13 @@ def test_every_row_of_a_stack_equals_its_point(family, n, d, m, K, hinge, seed):
     vals = fob.values(thetas)
     assert all(vals[k] == fob.value(thetas[k]) for k in range(K))
     stacked = fob.forward(thetas)
-    grads = fob.grad(stacked)
-    assert grads.shape == (K, theta.size)
     want = plain_grad_oracle(fob, plain_forward_oracle(fob, thetas))
     for k in range(K):
-        point = fob.grad(fob.forward(thetas[k]))
-        assert np.array_equal(grads[k], point) and np.array_equal(point, want[k])
-        assert np.array_equal(fob.grad(fob.row(stacked, k)), point)
+        fwd = fob.forward(thetas[k])
+        assert_same_forward(stack_row(fob, stacked, k), fwd)
+        point = fob.grad(fwd)
+        assert np.array_equal(point, want[k])
+        assert np.array_equal(fob.grad(stack_row(fob, stacked, k)), point)
 
 
 @pytest.mark.parametrize("lam_c", [1.0, 0.0])
@@ -541,11 +551,9 @@ def test_lean_pass_equals_the_plain_formulas(family, loss):
         stack = np.vstack([points, scattered])[:K]
         stacked = fob.forward(stack)
         assert_same_forward(stacked, plain_forward_oracle(fob, stack))
-        grads = fob.grad(stacked)
         for k in range(min(K, len(points) + 1)):
             want = plain_grad_oracle(fob, plain_forward_oracle(fob, stack[k]))
-            assert np.array_equal(fob.grad(fob.row(stacked, k)), want)
-            assert np.array_equal(grads[k], want)
+            assert np.array_equal(fob.grad(stack_row(fob, stacked, k)), want)
 
 
 def deep_objective(rng, s, l, n=6):
@@ -572,9 +580,9 @@ def test_grad_equals_padded_filter_oracle(l):
 
 
 def test_grad_buffer_carries_nothing_between_calls():
-    # grad pads each conv input in a fresh bordered copy, a point's and a
-    # stack's alike; points and stacks in any order, with every forward
-    # taken before the first gradient, change nothing.
+    # grad pads each conv input in a fresh bordered copy; points in any
+    # order, with every forward taken before the first gradient and stacked
+    # passes in between, change nothing.
     rng = np.random.default_rng(20)
     for s, l in ((3, 3), (2, 4)):
         fob, theta = deep_objective(rng, s, l)
@@ -584,9 +592,9 @@ def test_grad_buffer_carries_nothing_between_calls():
         points = [fob.forward(p) for p in thetas]
         for _ in range(2):
             for k in (4, 0, 2):
-                np.testing.assert_array_equal(fob.grad(stacked), want)
+                np.testing.assert_array_equal(fob.grad(stack_row(fob, stacked, k)), want[k])
                 np.testing.assert_array_equal(fob.grad(points[k]), want[k])
-                np.testing.assert_array_equal(fob.grad(tail), want[3:])
+                np.testing.assert_array_equal(fob.grad(stack_row(fob, tail, 1)), want[4])
                 np.testing.assert_array_equal(fob.value_and_grad(thetas[k])[1], want[k])
 
 
@@ -618,8 +626,8 @@ def test_flat_objective_keeps_no_per_call_state():
         assert any(key.startswith("taps") for key in before)
         thetas = theta + rng.standard_normal((4, theta.size))
         fob.grad(fob.forward(theta))
-        fob.grad(fob.forward(thetas))
-        fob.grad(fob.row(fob.forward(thetas), 1))
+        fob.values(thetas)
+        fob.grad(stack_row(fob, fob.forward(thetas), 1))
         assert instance_bytes(fob) == before
 
 

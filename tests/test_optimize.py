@@ -1,16 +1,14 @@
 import csv
-import itertools
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_norms_oracle
+from oracles import block_norms_oracle, lbfgs_two_loop_oracle
 from requland import landscape, models, objective
 from requland import optimize as opt
 from requland.datasets import Dataset, gen_random
@@ -113,7 +111,7 @@ def test_train_reaches_certified_zero_error(trained):
 def test_trajectory_rows_are_sane(trained):
     _, _, _, traj = trained
     statuses = {row[4] for row in traj.rows}
-    assert statuses <= {"descent", "snap", "escape", "newton", "converged"}
+    assert statuses <= {"descent", "snap", "escape", "converged"}
     assert traj.rows[-1][4] == "converged"
     losses = [row[1] for row in traj.rows]
     assert losses[-1] <= losses[0] + 1e-12
@@ -298,20 +296,21 @@ def first_zero_block(fob, theta):
 
 
 def test_stall_escape_matches_serial_oracle():
-    # c09 seed 2 with no stall tries stops where its first try would run:
-    # pinned on a leaky-ReLU kink with a descending probe direction nearby.
-    ds = gen_random(3, 4, seed=2002)
-    lam0 = opt.estimate_lambda0(ds, logistic(), seed=2)
-    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(25, lam0, seed=2), lam_c=1.0)
-    opts = opt.TrainOptions(grad_tol=1e-8, seed=2, max_stall_escapes=0)
-    net, traj = opt.train(opt.init_deep(d=4, s=2, l=2, m=25, seed=2), ds, cfg, opts)
-    assert traj.status == "stalled"
+    # c09 seed 2 at iteration 300, closing in on the leaky-ReLU kink that
+    # pins it at 429: one hidden pre-activation is within 1e-6 of the
+    # largest from zero, with descending probe directions nearby.  (At the
+    # pin itself the trainer's probe finds none.)
+    net0, ds, cfg, opts = c09_run(2, max_iter=300)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "budget-exhausted"
     fob = FlatObjective(net, ds, cfg)
     theta = net_to_flat(net)
     loss = fob.value(theta)
+    P = fob.forward(theta)[2][1][0][1]
+    assert np.min(np.abs(P)) < 1e-6 * np.max(np.abs(P))
     blocks = fob.layout.blocks()
     # Several draws, as the winning probe of one draw shows little of it;
-    # seed 2 is the try the trainer itself would make here.
+    # seed 2 is the draw the trainer itself would make here.
     for seed in range(8):
         got = opt._attempt_stall_escape(theta, loss, fob, trainer_rng(seed))
         want = serial_stall_escape_oracle(theta, loss, fob, blocks, trainer_rng(seed))
@@ -320,20 +319,16 @@ def test_stall_escape_matches_serial_oracle():
 
 
 def test_escape_matches_serial_oracle():
-    # c01 seed 5 escapes at iteration ESCAPE_EVERY - 1 on the coarse
-    # cadence; stop there.
-    ds = gen_random(10, 3, seed=1005)
-    lam0 = opt.estimate_lambda0(ds, logistic(), seed=5)
-    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(11, lam0, seed=5))
-    like = opt.init_single(11, 3, seed=5)
-    opts = opt.TrainOptions(grad_tol=1e-7, seed=5, max_iter=opt.ESCAPE_EVERY - 1)
+    # Logistic grid cell (10, 11, 2) escapes at iteration ESCAPE_EVERY - 1
+    # on the coarse cadence; stop there.
+    like, ds, cfg, opts = grid_run(10, 11, 2, max_iter=opt.ESCAPE_EVERY - 1)
     net, _ = opt.train(like, ds, cfg, opts)
     fob = FlatObjective(like, ds, cfg)
     theta = net_to_flat(net)
     loss = fob.value(theta)
     block = first_zero_block(fob, theta)
-    got = opt._attempt_escape(theta, fob.forward(theta), fob, trainer_rng(5), block)
-    want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, trainer_rng(5))
+    got = opt._attempt_escape(theta, fob.forward(theta), fob, trainer_rng(2), block)
+    want = serial_escape_oracle(theta, loss, fob, like, ds, cfg, trainer_rng(2))
     assert got[0] is not None and got[1] < loss
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
@@ -463,10 +458,9 @@ def c09_run(seed, **opts):
 
 
 def c09_seed2_one_stall_try():
-    """c09 seed 2 with one stall try: a snap at iteration 49, a stall escape
-    at 283 and a "stalled" end at 416, on a leaky-ReLU kink where the
-    spectral step overshoots and the Armijo steps shrink until they round
-    away."""
+    """c09 seed 2 with one stall try: snaps, then a pin at iteration 429 on
+    a leaky-ReLU kink, where the L-BFGS steps round away to theta and the
+    stall probe finds no descent."""
     return c09_run(2, max_stall_escapes=1)
 
 
@@ -479,7 +473,7 @@ def c01_run(seed):
 
 
 def c01_seed5():
-    """c01 seed 5: 640 iterations with an escape at iteration ESCAPE_EVERY - 1."""
+    """c01 seed 5: converges with no escape and no pin."""
     return c01_run(5)
 
 
@@ -488,80 +482,30 @@ def c09_seed0():
     return c09_run(0)
 
 
-def train_forward_rows(monkeypatch):
-    """The trial rows of each FlatObjective.forward that train calls itself,
-    one entry per pass, filled as train runs."""
-    rows = []
-    forward = FlatObjective.forward
-
-    def counted(self, theta):
-        if sys._getframe(1).f_code.co_name == "train":
-            rows.append(1 if theta.ndim == 1 else len(theta))
-        return forward(self, theta)
-
-    monkeypatch.setattr(FlatObjective, "forward", counted)
-    return rows
+def grid_run(n, m, seed, loss=None, **opts):
+    """A cell of the width-threshold grid: gen_random(n, 3, seed), lambda0
+    estimated as sweep does, default options but the given ones."""
+    loss = loss or logistic()
+    ds = gen_random(n, 3, seed=seed)
+    lam0 = opt.estimate_lambda0(ds, loss, seed=seed)
+    cfg = ObjectiveConfig(loss=loss, lam=opt.sample_lambda(m, lam0, seed=seed))
+    return opt.init_single(m, 3, seed=seed), ds, cfg, opt.TrainOptions(seed=seed, **opts)
 
 
-@pytest.mark.parametrize("run", [c09_seed2_one_stall_try, c01_seed5, c09_seed0])
-def test_stacked_ladder_matches_the_serial_ladder(run, monkeypatch):
-    # One-rung blocks evaluate every Armijo rung alone, as one forward per
-    # trial did; the stacked blocks may change only the cost.  Both the
-    # opening width and the later cap must be 1, or the run still stacks.
-    net, traj = opt.train(*run())
-    monkeypatch.setattr(opt, "LADDER_MAX", 1)
-    monkeypatch.setattr(opt, "_opening_width", lambda step, last_step: 1)
-    rows = train_forward_rows(monkeypatch)
-    serial_net, serial_traj = opt.train(*run())
-    assert len(rows) > 1 and set(rows) == {1}
-    assert repr(traj.rows) == repr(serial_traj.rows)
-    assert net_to_flat(net).tobytes() == net_to_flat(serial_net).tobytes()
-
-
-def test_opening_width_spans_the_overshoot_down_to_the_last_step():
-    # Width k + 1 for 2**k <= step / last_step < 2**(k + 1) once k reaches
-    # LADDER_MAX, else 1; the exact quotient is the oracle, so neither
-    # rounding nor a float quotient's overflow to inf may move k.
-    def oracle(step, last_step):
-        ratio = Fraction(step) / Fraction(last_step)
-        k = ratio.numerator.bit_length() - ratio.denominator.bit_length()
-        k -= Fraction(2) ** k > ratio
-        return k + 1 if k >= opt.LADDER_MAX else 1
-
-    cap = 2.0**opt.LADDER_MAX
-    cases = [(1.0, 1.0), (cap, 1.0), (math.nextafter(cap, 0.0), 1.0),
-             (cap, math.nextafter(1.0, 2.0)), (1e15, 1e-12), (1e-12, 1e15), (3.0 * cap, 3.0),
-             (1e15, 5e-324), (5e-324, 5e-324), (sys.float_info.max, sys.float_info.min),
-             (sys.float_info.max, 5e-324)]
-    rng = np.random.default_rng(0)
-    cases += [tuple(10.0 ** rng.uniform(-320, 308, 2)) for _ in range(2000)]
-    cases += [(x, x * 2.0 ** -rng.integers(0, 20)) for x in 10.0 ** rng.uniform(-20, 20, 500)]
-    for step, last_step in cases:
-        assert opt._opening_width(step, last_step) == oracle(step, last_step), (step, last_step)
-    assert opt._opening_width(cap, 1.0) == opt.LADDER_MAX + 1
-    assert opt._opening_width(math.nextafter(cap, 0.0), 1.0) == 1
-    assert 1e15 / 5e-324 == math.inf and opt._opening_width(1e15, 5e-324) == 1074 + 50
-    assert opt._opening_width(sys.float_info.max, 5e-324) == 2098
-
-
-def test_kink_ladders_take_one_forward_per_overshoot(monkeypatch):
-    # c09 seeds 2 and 5 with four stall tries: the spectral step overshoots
-    # the last accepted step by 2**10 to 2**54 before long backtracks.  A
-    # block as wide as the overshoot reaches the passing rung in one pass,
-    # where blocks as wide as the last ladder, capped at LADDER_MAX, took
-    # 4,682 passes over 27,163 rows; the trajectories are the same.
-    rows = train_forward_rows(monkeypatch)
-    for seed in (2, 5):
-        _, traj = opt.train(*c09_run(seed, max_stall_escapes=4))
-        assert traj.status == "stalled"
-    assert len(rows) == 3180
-    assert sum(rows) <= 27_163
+def deep_grid_8_9_0(**opts):
+    """Deep-grid cell (n, m, seed) = (8, 9, 0): snaps, a third-order escape
+    at iteration 249, then a pin on a leaky-ReLU kink at 1074."""
+    ds = gen_random(8, 4, seed=3000)
+    lam0 = opt.estimate_lambda0(ds, logistic(), seed=0)
+    cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(9, lam0, seed=0), lam_c=1.0)
+    return opt.init_deep(d=4, s=2, l=2, m=9, seed=0), ds, cfg, opt.TrainOptions(grad_tol=1e-8, **opts)
 
 
 def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
     # Every objective entry point is counted by the function that called
-    # it, and forward also by the trial rows it evaluates.
-    calls, rows = Counter(), Counter()
+    # it, and forward also by the trial rows it evaluates.  Each gradient
+    # must read the forward pass made just before it, at its own point.
+    calls, rows, last = Counter(), Counter(), []
 
     def counted(name, fn):
         def wrapper(self, *args):
@@ -569,12 +513,20 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
             calls[name, caller] += 1
             if name == "forward":
                 rows[caller] += 1 if args[0].ndim == 1 else len(args[0])
-            return fn(self, *args)
+            if name == "grad":
+                assert args[0] is last[-1]
+            out = fn(self, *args)
+            if name == "forward":
+                last.append(out)
+            return out
         return wrapper
 
-    for name in ("forward", "row", "grad", "value", "values", "value_and_grad"):
+    for name in ("forward", "grad", "value", "values", "value_and_grad"):
         monkeypatch.setattr(FlatObjective, name, counted(name, getattr(FlatObjective, name)))
-    _, traj = opt.train(*c09_seed2_one_stall_try())
+    steps = []
+    search = opt._weak_wolfe
+    monkeypatch.setattr(opt, "_weak_wolfe", lambda *args: steps.append(search(*args)) or steps[-1])
+    _, traj = opt.train(*deep_grid_8_9_0(max_stall_escapes=1))
     moves = Counter(row[4] for row in traj.rows)
     assert traj.status == "stalled" and moves["snap"] >= 1 and moves["escape"] == 1
 
@@ -583,26 +535,24 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
 
     # train keeps the forward pass of its iterate, so it takes every
     # gradient from a kept pass and never calls value_and_grad.  Gradients:
-    # 1 at the start, 1 per snap or escape (refresh), 1 per accepted rung;
-    # this run's only escape is a stall escape, which spends no iteration,
-    # so every iteration is an accepted rung.
+    # 1 at the start, 1 per snap or escape (refresh), and in the line
+    # search 1 per trial that passes Armijo, the accepted one among them.
+    # This run's escape is a cadence escape, which spends an iteration, and
+    # every other iteration is an accepted step.
     moved = moves["snap"] + moves["escape"]
+    accepted = [step for step in steps if step is not None]
+    assert len(accepted) == traj.n_iter - moves["escape"] and steps[-1] is None
     assert by("value_and_grad") == {}
-    assert by("grad") == {"train": 1 + traj.n_iter, "refresh": moved}
-    # train's forward passes are the start and the line search.  A ladder
-    # opens with a wide block where the spectral step overshoots the last
-    # accepted step by 2**LADDER_MAX or more, so on this kink run the
-    # forward calls are fewer than the trial rows.
-    trials = rows["train"] - 1
-    assert 0 < traj.n_iter < trials
-    assert by("forward")["train"] - 1 < trials
-    assert set(by("row")) <= {"train"} and by("row").get("train", 0) <= traj.n_iter
-    assert set(by("value")) == {"_try_snaps", "_attempt_stall_escape"}
-    assert set(by("values")) == {"_search"}
+    assert by("grad")["train"] == 1 and by("grad")["refresh"] == moved
+    assert len(accepted) <= by("grad")["_weak_wolfe"] < by("forward")["_weak_wolfe"]
     # Every forward pass is the start, a line-search trial, a refresh, or a
-    # snap, grid or stall evaluation.
+    # snap, grid or stall evaluation; the line search runs 1-D points only.
+    assert rows["_weak_wolfe"] == by("forward")["_weak_wolfe"]
+    assert set(by("value")) == {"_try_snaps"}
+    assert set(by("values")) == {"_search"}
     assert by("forward") == {
-        "train": by("forward")["train"],
+        "train": 1,
+        "_weak_wolfe": by("forward")["_weak_wolfe"],
         "refresh": moved,
         "value": sum(by("value").values()),
         "values": sum(by("values").values()),
@@ -635,10 +585,13 @@ def test_train_reads_the_kept_pass_for_the_escape_gate_and_move(monkeypatch):
 
 
 def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
-    # On this kink run the Armijo decrease ARMIJO step gn^2 fell below half
-    # an ulp of the loss, so a rung with trial == theta passed and the
-    # trainer took a gradient at the same point again, 1233 times, until
-    # the flatline window noticed.  Such a rung now pins the iterate at once.
+    # On this kink run the L-BFGS direction shrinks to |d| ~ 1e-16: the
+    # trials theta + t d, t = 1, 1/2, ..., lower the loss not at all until
+    # they round away to theta itself.  A trial equal to theta (or to the
+    # last Armijo point) ends the line search with no gradient taken there:
+    # the old Armijo ladder accepted such a rung and took a gradient at the
+    # same point again, 1233 times, until the flatline window noticed.  The
+    # pin goes to the stall probe at once.
     points = []
     grad = FlatObjective.grad
 
@@ -647,11 +600,21 @@ def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
         points.append(b"".join(p.tobytes() for p in (a, W, b, *filts)))
         return grad(self, fwd)
 
+    searches = []
+    search = opt._weak_wolfe
+    monkeypatch.setattr(opt, "_weak_wolfe", lambda *args: searches.append(args) or search(*args))
+    stall_tries = []
+    stall = opt._attempt_stall_escape
+    monkeypatch.setattr(opt, "_attempt_stall_escape",
+                        lambda *args: stall_tries.append(args) or stall(*args))
     monkeypatch.setattr(FlatObjective, "grad", recorded)
     _, traj = opt.train(*c09_seed2_one_stall_try())
-    assert traj.status == "stalled" and traj.escapes == 1
+    assert traj.status == "stalled" and traj.n_iter == 429 and len(stall_tries) == 1
+    fob, theta, loss, _, d = searches[-1]  # the search that pinned
+    halvings = next(k for k in range(opt.WOLFE_TRIALS) if np.array_equal(theta + 0.5**k * d, theta))
+    assert all(fob.value(theta + 0.5**k * d) >= loss for k in range(halvings))
     assert len(points) > 2
-    assert all(p != q for p, q in zip(points, points[1:]))
+    assert len(set(points)) == len(points)
 
 
 @pytest.mark.parametrize("run", [c01_seed5, c09_seed0])
@@ -665,16 +628,22 @@ def test_runs_off_the_kinks_never_pin(run, monkeypatch):
     assert traj.status == "converged"
 
 
-@pytest.mark.parametrize("seed", [5, 18, 19])
-def test_cadence_escape_ends_the_c01_plateaus(seed):
-    # These runs crawl on a misclassifying plateau from about iteration 100
-    # with exactly-zero blocks already free.  At a cadence of 1000 they
-    # escaped at iteration 999 and took 1,344, 1,123 and 1,063 iterations.
-    net0, ds, cfg, opts = c01_run(seed)
+@pytest.mark.parametrize("cell", [(10, 11, 2), (10, 12, 1), (10, 12, 2)],
+                         ids=["10-11-2", "10-12-1", "10-12-2"])
+def test_cadence_escape_ends_the_grid_plateaus(cell, monkeypatch):
+    # These logistic grid cells misclassify from about iteration 50 with
+    # exactly-zero blocks already free, while the loss barely moves.  The
+    # cadence escape at ESCAPE_EVERY - 1 ends the plateau, and they
+    # converge in 335, 312 and 433 iterations; with the cadence off they
+    # take 383, 448 and 973.
+    net0, ds, cfg, opts = grid_run(*cell)
     net, traj = opt.train(net0, ds, cfg, opts)
     assert [row[0] for row in traj.rows if row[4] == "escape"] == [opt.ESCAPE_EVERY - 1]
-    assert traj.status == "converged" and traj.n_iter <= 700
+    assert traj.status == "converged" and traj.n_iter <= 450
     assert certify(net, ds, cfg).verdict == "ok"
+    monkeypatch.setattr(opt, "ESCAPE_EVERY", 10**9)
+    _, slow = opt.train(net0, ds, cfg, opts)
+    assert slow.status == "converged" and slow.n_iter > traj.n_iter
 
 
 def test_c09_seed0_never_reaches_the_escape(monkeypatch):
@@ -690,199 +659,229 @@ def test_c09_seed0_never_reaches_the_escape(monkeypatch):
 
 
 def test_only_escape_searches_spend_the_budget(monkeypatch):
-    # Hinge grid cell (n, m, seed) = (4, 7, 3) misclassifies one sample for
-    # thousands of iterations with every block in use.  When each cadence
-    # check there spent one of the MAX_ESCAPES tries, all ten were gone by
-    # iteration 2,499, and the run ended at training error 0.25 without the
-    # escape it needs once a block is free.
-    ds = gen_random(4, 3, seed=3)
-    lam0 = opt.estimate_lambda0(ds, smooth_hinge(3), seed=3)
-    cfg = ObjectiveConfig(loss=smooth_hinge(3), lam=opt.sample_lambda(7, lam0, seed=3))
-    entered = []
-    escape = opt._attempt_escape
+    # With one escape try and a check at every snap check, hinge grid cell
+    # (n, m, seed) = (4, 5, 3) misclassifies at its first check (iteration
+    # 49) with every block in use, and has a free block at the second.
+    # Were the first check to spend the one try, the run would reach the
+    # second without the escape it needs there.
+    monkeypatch.setattr(opt, "MAX_ESCAPES", 1)
+    monkeypatch.setattr(opt, "ESCAPE_EVERY", opt.SNAP_EVERY)
+    net0, ds, cfg, opts = grid_run(4, 5, 3, smooth_hinge(3))
+    checks, entered = [], []
+    snaps, escape = opt._try_snaps, opt._attempt_escape
+
+    def spy_snaps(theta, loss, fob):
+        checks.append((np.any(np.sign(fob.forward(theta)[2][-1]) != fob.y),
+                       (~theta[fob.layout.blocks()].any(axis=1)).any()))
+        return snaps(theta, loss, fob)
 
     def spy(theta, fwd, fob, rng, block):
         blocks = fob.layout.blocks()
         entered.append((~theta[blocks].any(axis=1)).any() and not theta[block].any())
         return escape(theta, fwd, fob, rng, block)
 
+    monkeypatch.setattr(opt, "_try_snaps", spy_snaps)
     monkeypatch.setattr(opt, "_attempt_escape", spy)
-    net, traj = opt.train(opt.init_single(7, 3, seed=3), ds, cfg, opt.TrainOptions(seed=3))
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert checks[0] == (True, False)  # misclassifying, no zero block
     assert training_error(net, ds) == 0.0
-    assert any(row[4] == "escape" for row in traj.rows)
+    assert [row[0] for row in traj.rows if row[4] == "escape"] == [2 * opt.SNAP_EVERY - 1]
     assert entered and all(entered)
 
 
-def test_newton_finish_ends_the_c09_seed7_tail():
-    # Descent alone took 3,528 iterations here, most of them in a tail where
-    # the activation pattern no longer changes.  The Newton finish ends it
-    # at the same minimum.
-    net0, ds, cfg, opts = c09_run(7)
-    net, traj = opt.train(net0, ds, cfg, opts)
-    assert traj.status == "converged" and traj.n_iter <= 400
-    assert any(row[4] == "newton" for row in traj.rows)
-    want = 9.683468865489e-03
-    assert abs(traj.rows[-1][1] - want) <= 1e-12 * want
-    assert certify(net, ds, cfg).verdict == "ok"
+def test_the_step_after_a_snap_starts_from_the_snapped_point(monkeypatch):
+    # c09 seed 0's snap at iteration 49 moves ||g|| from 2.7613e-3 to
+    # 2.7791e-3 (the last digits below are this run's).  The iteration then starts again from the snapped point:
+    # its line search reads that point's loss and gradient, and a gradient
+    # norm from before the snap reaches neither the search nor a row.
+    searches = []
+    search = opt._weak_wolfe
+    monkeypatch.setattr(opt, "_weak_wolfe", lambda *args: searches.append(args) or search(*args))
+    net0, ds, cfg, opts = c09_seed0()
+    _, traj = opt.train(net0, ds, cfg, opts)
+    snap = next(row for row in traj.rows if row[4] == "snap")
+    assert snap[0] == 49 and snap[2] == 2.7790810882217447e-03
+    fob, theta, loss, g, _ = searches[49]  # the 50th search, iteration 49's
+    assert math.sqrt(theta @ theta) == snap[3] and loss == snap[1]
+    assert math.sqrt(g @ g) == snap[2]
+    np.testing.assert_array_equal(g, fob.grad(fob.forward(theta)))
+    before = opt.train(net0, ds, cfg, opt.TrainOptions(grad_tol=1e-8, max_iter=49))[0]
+    fwd = fob.forward(net_to_flat(before))
+    assert math.sqrt(fob.grad(fwd) @ fob.grad(fwd)) == 2.7613207636834045e-03
 
 
-@pytest.mark.parametrize("seed, stalled_at", [(2, 2010), (5, 374)])
-def test_newton_finish_makes_no_attempt_on_the_kink_pair(seed, stalled_at, monkeypatch):
-    # Both runs head for a leaky-ReLU kink within their first 200
-    # iterations and end pinned on one; the finish must leave them to the
-    # descent and the stall probes, so they stay the runs without it.
-    attempts = []
-    finish = opt._newton_finish
-    monkeypatch.setattr(opt, "_newton_finish", lambda *args: attempts.append(1) or finish(*args))
-    net0, ds, cfg, opts = c09_run(seed, max_stall_escapes=4)
-    net, traj = opt.train(net0, ds, cfg, opts)
-    assert traj.status == "stalled" and traj.n_iter == stalled_at and attempts == []
-    fob = FlatObjective(net, ds, cfg)
-    theta = net_to_flat(net)
-    assert opt._smooth_pattern(theta, fob.forward(theta), fob) is None  # on the kink
-
-    # The trainer without the finish: every attempt yields no step.
-    monkeypatch.setattr(opt, "_newton_finish", lambda *args: iter(()))
-    plain, plain_traj = opt.train(*c09_run(seed, max_stall_escapes=4))
-    assert repr(traj.rows) == repr(plain_traj.rows)
-    assert theta.tobytes() == net_to_flat(plain).tobytes()
+def random_memory(rng, size, pairs, zero):
+    """The memory _remember builds from random pairs, some with s.y <= 0,
+    and the pairs it kept; coordinates in zero are exactly zero throughout."""
+    memory = opt._no_pairs(size)
+    kept = []
+    for _ in range(pairs):
+        s, y = rng.standard_normal(size), rng.standard_normal(size)
+        if rng.random() < 0.7:  # most pairs carry curvature, as descent's do
+            y = s * rng.uniform(0.1, 10.0, size) + 0.1 * y
+        s[zero], y[zero] = 0.0, 0.0
+        memory = opt._remember(memory, s, y)
+        if s @ y > 0.0:
+            kept.append((s, y))
+    return memory, kept[-opt.MEMORY :]
 
 
-def test_newton_finish_opens_at_the_first_repeated_pattern(monkeypatch):
-    # Each snap-cadence check calls _try_snaps once, and _smooth_pattern
-    # when the gradient lies in the Newton window; a check without that
-    # call has no pattern.  The first attempt must come at the first check
-    # whose pattern is not None and equals the one before.
-    events = []
-    snaps, pattern, finish = opt._try_snaps, opt._smooth_pattern, opt._newton_finish
-
-    def spy_snaps(*args):
-        events.append(["check", None])
-        return snaps(*args)
-
-    def spy_pattern(*args):
-        out = pattern(*args)
-        events[-1][1] = out
-        return out
-
-    def spy_finish(*args):
-        events.append(["finish", None])
-        return finish(*args)
-
-    monkeypatch.setattr(opt, "_try_snaps", spy_snaps)
-    monkeypatch.setattr(opt, "_smooth_pattern", spy_pattern)
-    monkeypatch.setattr(opt, "_newton_finish", spy_finish)
-    _, traj = opt.train(*c09_run(0))
-    first = [kind for kind, _ in events].index("finish")
-    checks = [p for kind, p in events[:first] if kind == "check"]
-    repeats = [k for k in range(1, len(checks))
-               if checks[k] is not None and checks[k] == checks[k - 1]]
-    assert repeats == [len(checks) - 1]
-    assert traj.status == "converged" and any(row[4] == "newton" for row in traj.rows)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(0, 45), size=st.integers(2, 60))
+def test_compact_direction_equals_the_two_loop_recursion(seed, pairs, size):
+    # The compact form and the textbook recursion are the same operator;
+    # skipped pairs (s.y <= 0) enter neither, and only the last MEMORY kept
+    # pairs count, however the bordered and cut blocks of the memory got
+    # there.  The direction is exactly 0.0 on an exactly-zero block,
+    # which keeps a pruned block pruned.
+    rng = np.random.default_rng(seed)
+    zero = rng.random(size) < 0.3
+    zero[rng.integers(size)] = False  # some coordinate is live
+    memory, kept = random_memory(rng, size, pairs, zero)
+    S, Y, Rinv, YY, D = memory
+    assert len(S) == len(kept) <= opt.MEMORY
+    assert all(np.array_equal(S[i], s) and np.array_equal(Y[i], y) for i, (s, y) in enumerate(kept))
+    g = rng.standard_normal(size)
+    g[zero] = 0.0
+    SY = S @ Y.T  # the kept blocks against their definitions
+    np.testing.assert_allclose(Rinv @ np.triu(SY), np.eye(len(S)), atol=1e-9)
+    for got, want in ((YY, Y @ Y.T), (D, np.diag(SY))):  # equal but for rounding
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+    got, want = opt._lbfgs_direction(g, memory), lbfgs_two_loop_oracle(g, kept)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.all(got[zero] == 0.0)
+    assert g @ got < 0.0
 
 
-def test_c01_seed4_still_certifies_with_its_newton_steps():
-    # The one c01 run whose tail the finish takes: two steps at iterations
-    # 199-200, then descent to convergence.
-    net0, ds, cfg, opts = c01_run(4)
-    net, traj = opt.train(net0, ds, cfg, opts)
-    assert traj.status == "converged"
-    assert [row[0] for row in traj.rows if row[4] == "newton"] == [199, 200]
-    assert certify(net, ds, cfg).verdict == "ok"
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), l=st.integers(1, 3), hinge=st.booleans())
-def test_newton_steps_never_raise_the_objective_or_cross_a_kink(seed, l, hinge):
-    # Labels from the net itself, so no sample is misclassified; every
-    # accepted step must lower the value strictly and keep the pattern of
-    # the point it left (a snap between steps starts a new one).
+def test_every_accepted_step_meets_armijo_and_no_gradient_repeats(seed, l, hinge):
+    # Random nets, data and losses: every step the line search returns
+    # lowers the loss by at least ARMIJO t g.d, and no gradient of the run
+    # is taken twice at one point (the property a rounded-away trial broke).
     rng = np.random.default_rng(seed)
     d, m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6)), int(rng.integers(2, 8))
     net = opt.init_deep(d, int(rng.integers(2, 4)), l, m, seed=seed, scale=1.0)
-    X = rng.standard_normal((n, d))
-    ds = Dataset(X, np.where(net.value(X) > 0.0, 1, -1))
+    ds = Dataset(rng.standard_normal((n, d)), rng.choice([-1, 1], n))
     loss = smooth_hinge(3) if hinge else logistic()
     cfg = ObjectiveConfig(loss, opt.sample_lambda(m, 1e-2, seed=seed), lam_c=1.0)
-    fob = FlatObjective(net, ds, cfg)
-    theta = net_to_flat(net)
-    fwd = fob.forward(theta)
-    pattern, value = opt._smooth_pattern(theta, fwd, fob), float(fwd[0])
-    assume(pattern is not None)
-    finish = opt._newton_finish(theta, fwd, fob.grad(fwd), fob)
-    for move, theta, fwd, _ in itertools.islice(finish, 12):
-        if move == "newton":
-            assert float(fwd[0]) < value
-            assert opt._smooth_pattern(theta, fwd, fob) == pattern
-        pattern, value = opt._smooth_pattern(theta, fwd, fob), float(fwd[0])
+    steps, points = [], []
+    search, grad = opt._weak_wolfe, FlatObjective.grad
 
+    def spy_search(fob, theta, loss, g, d):
+        out = search(fob, theta, loss, g, d)
+        steps.append((loss, float(g @ d), out))
+        return out
 
-def hessian_rows_oracle(fob, chunks, idx):
-    """G as _newton_finish built it before its backward pass was stacked:
-    one stacked forward per chunk of points, then row and a 1-D grad per
-    point, cut to the live coordinates idx."""
-    G = []
-    for points in chunks:
-        stacked = fob.forward(points)
-        G += [fob.grad(fob.row(stacked, r))[idx] for r in range(len(points))]
-    return np.array(G)
-
-
-def c09_seed7_gated_point():
-    """The point of c09 seed 7 where train first calls the Newton finish."""
-    gated = []
-    finish = opt._newton_finish
-
-    def spy(*args):
-        gated.append(args)
-        return finish(*args)
+    def spy_grad(self, fwd):
+        points.append(b"".join(p.tobytes() for p in (*fwd[1][:3], *fwd[1][3])))
+        return grad(self, fwd)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(opt, "_newton_finish", spy)
-        opt.train(*c09_run(7))
-    theta, fwd, g, fob = gated[0]
-    return theta, fob
+        mp.setattr(opt, "_weak_wolfe", spy_search)
+        mp.setattr(FlatObjective, "grad", spy_grad)
+        opt.train(net, ds, cfg, opt.TrainOptions(max_iter=300, seed=seed))
+    assert steps
+    for before, slope, out in steps:
+        if out is not None:
+            t, _, fwd, _ = out
+            assert slope < 0.0
+            assert float(fwd[0]) < before and float(fwd[0]) <= before + opt.ARMIJO * t * slope
+    assert len(set(points)) == len(points)
 
 
-def wide_gated_point():
-    """A single-layer point whose Hessian takes 20 chunks of 20 rows: n = m
-    = 40, every pre-activation at least 0.7 from 0 (|b_j| = 1, W small) and
-    labels from the net itself."""
+def c09_seed7():
+    """c09 seed 7: snaps, then converges with a full memory of pairs."""
+    return c09_run(7)
+
+
+def wide_run():
+    """A single-layer run of n = m = 40 with every pre-activation at least
+    0.7 from 0 at the start (|b_j| = 1, W small) and labels from the net
+    itself; 300 iterations, most of them with a full memory."""
     rng = np.random.default_rng(31)
     net = SingleLayerReQUNet(rng.standard_normal(40), 0.1 * rng.standard_normal((40, 3)),
                              rng.choice([-1.0, 1.0], 40))
     X = rng.uniform(-1.0, 1.0, (40, 3))
     ds = Dataset(X, np.where(net.value(X) > 0.0, 1, -1))
-    return net_to_flat(net), FlatObjective(net, ds, quick_cfg(40))
+    return net, ds, quick_cfg(40), opt.TrainOptions(max_iter=300)
 
 
-@pytest.mark.parametrize("point, n_chunks", [(c09_seed7_gated_point, 1), (wide_gated_point, 20)],
-                         ids=["c09-seed7", "wide"])
-def test_newton_hessian_equals_the_per_row_oracle(point, n_chunks):
-    # Each chunk of Hessian rows takes one stacked grad; the G that the
-    # finish builds must be the one a row-by-row loop built, bit for bit.
-    theta, fob = point()
-    fwd = fob.forward(theta)
-    assert opt._smooth_pattern(theta, fwd, fob) is not None
-    chunks, grads = [], []
-    forward, grad = fob.forward, fob.grad
+@pytest.mark.parametrize("run", [c09_seed7, wide_run], ids=["c09-seed7", "wide"])
+def test_newton_hessian_equals_the_per_row_oracle(run, monkeypatch):
+    # The quasi-Newton inverse Hessian that train applies, in compact form,
+    # must equal the two-loop recursion over the rows of S and Y, one pair
+    # at a time, on every memory the run builds, snaps and all; and it is
+    # exactly 0.0 wherever g and every pair are.
+    calls = []
+    direction = opt._lbfgs_direction
+    monkeypatch.setattr(opt, "_lbfgs_direction", lambda g, memory: calls.append((g, memory))
+                        or direction(g, memory))
+    _, traj = opt.train(*run())
+    assert sum(len(memory[0]) == opt.MEMORY for _, memory in calls) > 100
+    assert any(row[4] == "snap" for row in traj.rows)
+    for g, memory in calls:
+        S, Y = memory[:2]
+        got, want = direction(g, memory), lbfgs_two_loop_oracle(g, list(zip(S, Y)))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        zero = (g == 0.0) & ~S.any(axis=0) & ~Y.any(axis=0)
+        assert np.all(got[zero] == 0.0)
 
-    def spy_forward(t):
-        if t.ndim > 1:
-            chunks.append(t.copy())
-        return forward(t)
 
-    def spy_grad(f):
-        out = grad(f)
-        if out.ndim > 1:
-            grads.append(out)
-        return out
+def test_newton_finish_ends_the_c09_seed7_tail():
+    # BB descent alone took 3,528 iterations here, most of them in a tail
+    # where the activation pattern no longer changes, and a Newton finish
+    # that took over that tail ended it within 400.  The quasi-Newton
+    # (L-BFGS) steps now finish the whole run and reach the same minimum.
+    net0, ds, cfg, opts = c09_run(7)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "converged" and traj.n_iter <= 400
+    want = 9.683468865489e-03
+    assert abs(traj.rows[-1][1] - want) <= 1e-12 * want
+    assert certify(net, ds, cfg).verdict == "ok"
 
-    fob.forward, fob.grad = spy_forward, spy_grad
-    list(itertools.islice(opt._newton_finish(theta, fwd, grad(fwd), fob), 1))
-    fob.forward, fob.grad = forward, grad
-    chunks = chunks[: len(grads)]  # the Hessian's; the step lengths' stack comes after
-    idx = np.flatnonzero((np.vstack(chunks) != theta).any(axis=0))  # the live coordinates
-    G = np.vstack(grads)[:, idx]
-    assert len(chunks) == n_chunks and G.shape == (2 * idx.size, idx.size)
-    np.testing.assert_array_equal(G, hessian_rows_oracle(fob, chunks, idx))
+
+def test_c01_seed4_still_certifies_with_its_newton_steps():
+    # The one c01 run whose tail the old Newton finish took (two steps at
+    # iterations 199-200).  Its quasi-Newton steps now take the whole run,
+    # which must still end at a certified minimum.
+    net0, ds, cfg, opts = c01_run(4)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "converged" and traj.n_iter <= 250
+    assert certify(net, ds, cfg).verdict == "ok"
+
+
+def test_c01_logistic_set_takes_at_most_4000_iterations():
+    # The old BB ladder with its Newton finish took 8,258 iterations over
+    # the twenty c01 runs.
+    total = 0
+    for seed in range(20):
+        net0, ds, cfg, opts = c01_run(seed)
+        _, traj = opt.train(net0, ds, cfg, opts)
+        assert traj.status == "converged"
+        total += traj.n_iter
+    assert total <= 4000
+
+
+def test_held_out_c09_seed23_converges_within_1000_iterations():
+    # The old engine took 5,260 iterations here, a long descent tail below
+    # its Newton finish's gradient floor, to the same minimum.
+    net0, ds, cfg, opts = c09_run(23)
+    net, traj = opt.train(net0, ds, cfg, opts)
+    assert traj.status == "converged" and traj.n_iter <= 1000
+    want = 9.215831e-03
+    assert abs(traj.rows[-1][1] - want) <= 1e-6 * want
+    assert certify(net, ds, cfg).verdict == "ok"
+
+
+def test_no_c01_run_under_the_smooth_hinge_exhausts_its_budget():
+    # The old engine ran seeds 4 and 10 to 200,000 iterations (117 s for
+    # the twenty runs).
+    for seed in range(20):
+        ds = gen_random(10, 3, seed=1000 + seed)
+        lam0 = opt.estimate_lambda0(ds, smooth_hinge(3), seed=seed)
+        cfg = ObjectiveConfig(loss=smooth_hinge(3), lam=opt.sample_lambda(11, lam0, seed=seed))
+        net, traj = opt.train(opt.init_single(11, 3, seed=seed), ds, cfg,
+                              opt.TrainOptions(grad_tol=1e-7, seed=seed))
+        assert traj.status == "converged", seed
+        assert training_error(net, ds) == 0.0
