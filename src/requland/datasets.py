@@ -212,7 +212,7 @@ def load_csv(path) -> Dataset:
     if len(rows) < 2:
         raise ValueError(f"{path}: no samples" if rows else f"{path}: empty file")
     header = rows[0]
-    if header[-1] != "y" or any(h != f"x{k + 1}" for k, h in enumerate(header[:-1])):
+    if not header or header[-1] != "y" or any(h != f"x{k + 1}" for k, h in enumerate(header[:-1])):
         raise ValueError(f"{path}: expected header x1,...,xd,y, got {header}")
     d = len(header) - 1
     X, y = [], []

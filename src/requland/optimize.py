@@ -8,35 +8,37 @@ weak-Wolfe bracketing search of Lewis & Overton (Math. Program. 141, 2013)
 finds a strictly lower point; that search also copes with the leaky-ReLU
 kinks, where the objective is not differentiable.
 
-Three mechanisms beyond plain descent matter here.  Dying neurons decay only
-like 1/t under the cubic regularizer, so whenever zeroing a small neuron
-block does not increase the loss the trainer snaps it to exactly zero; a
-fully zero block has exactly zero gradient in every term and so a zero
-L-BFGS direction: descent never revives it.  While the iterate
-misclassifies, at the stopping point and every ESCAPE_EVERY = 250
-iterations, the trainer tries third-order escape moves: it reassigns one
-exactly-zero neuron block to a sampled direction (u, v) at small amplitude
-delta, where the loss change behaves like delta^3 (lam_j - |sum_i loss'_i
-y_i (u . x_i + v)_+^2|), and keeps the best strict improvement.  Only such
-a search spends one of the MAX_ESCAPES tries: a point with no zero block
-makes none.  And when no step lowers the loss -- the line search finds no
-lower point, or its steps round away and leave theta unchanged -- or the
-loss flatlines with the gradient still large, the iterate is pinned, as on
-a leaky-ReLU kink where the almost-everywhere gradient is not a descent
-direction, and the trainer probes random nearby points for a strict
-decrease before giving up.
+Two moves beyond plain descent matter here.  Dying neurons decay only like
+1/t under the cubic regularizer, so whenever zeroing a small neuron block
+does not increase the loss the trainer snaps it to exactly zero; a fully
+zero block has exactly zero gradient in every term and so a zero L-BFGS
+direction: descent never revives it.  While the iterate misclassifies, at
+the stopping point and every ESCAPE_EVERY = 250 iterations, the trainer
+tries third-order escape moves: it reassigns one exactly-zero neuron block
+to a sampled direction (u, v) at small amplitude delta, where the loss
+change behaves like delta^3 (lam_j - |sum_i loss'_i y_i (u . x_i + v)_+^2|),
+and keeps the best strict improvement.  Only such a search spends one of
+the MAX_ESCAPES tries: a point with no zero block makes none.
+
+The accepted losses fall strictly and the objective has no decreasing path
+to infinity, so the iterates stay bounded, and a run that neither converges
+nor runs out of iterations stops only where no step lowers the loss: where
+the line search finds no lower point -- its trials fail, or round away onto
+theta itself -- as on a leaky-ReLU kink where the almost-everywhere gradient
+is not a descent direction.  That is the one pin rule; the run ends there
+"stalled".
 
 train keeps the forward pass of its iterate, and every move reads only
 theta, that pass (or the loss it holds) and the FlatObjective: the data, the
-loss and the neuron blocks all come from it.  Both escapes scan their grid
-of points theta + r u through one search, _search.  Every move's point
-(snap, escape, stall escape) becomes the iterate through train's refresh,
-which records its row and clears the L-BFGS memory: snaps and escapes are
-the only moves that change the set of live blocks.
+loss and the neuron blocks all come from it.  The escape scans its grid of
+points theta + r u through _search.  Every move's point (snap or escape)
+becomes the iterate through train's refresh, which records its row and
+clears the L-BFGS memory: snaps and escapes are the only moves that change
+the set of live blocks.
 
-TrainOptions holds what callers set: max_iter, grad_tol, max_stall_escapes
-and seed.  Step sizes, cadences and move sizes are the module constants, the
-only values in use; the coercivity check runs on every network, at its head.
+TrainOptions holds what callers set: max_iter, grad_tol and seed.  Step
+sizes, cadences and move sizes are the module constants, the only values in
+use; the coercivity check runs on every network, at its head.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ ESCAPE_DIRECTIONS = 256
 ESCAPE_DELTA = 1e-3
 ESCAPE_EVERY = 250  # while misclassifying, also try escapes at this cadence (5 snap checks)
 MAX_ESCAPES = 10  # escape searches per run; a point with no exactly-zero block spends none
-STALL_WINDOW = 400  # iterations between flatline checks
-STALL_PROBES = 256
 
 
 @dataclass
@@ -81,7 +81,6 @@ class TrainOptions:
 
     max_iter: int = 200_000
     grad_tol: float = 1e-7  # stop when ||grad|| < grad_tol * (1 + |loss|)
-    max_stall_escapes: int = 100
     seed: int = 0
 
 
@@ -91,12 +90,10 @@ class Trajectory:
 
     Row statuses are "descent", "snap" or "escape"; the final row carries
     the terminal status: "converged", "budget-exhausted", "stalled" (the
-    iterate is pinned -- the line search finds no lower point, its steps
-    round away to theta itself, or the loss flatlined -- and the stall
-    probes found no decrease or ran out of tries), or "non-finite" (the loss
-    or the gradient norm is inf or NaN).  Escapes that later converge still
-    end in "converged"; the escape rows keep the history.  escapes counts
-    those rows, so third-order escapes and stall escapes alike.
+    iterate is pinned: the line search finds no lower point, or its steps
+    round away to theta itself), or "non-finite" (the loss or the gradient
+    norm is inf or NaN).  Escapes that later converge still end in
+    "converged"; the escape rows keep the history, and escapes counts them.
     """
 
     rows: list = field(default_factory=list)
@@ -231,8 +228,7 @@ def _search(fob, theta, U, radii, best, tiny):
         dirs = U[c : c + per]
         # trials stays bound until the next chunk's exist: freed before the
         # scan, it let malloc trim the heap, and each pass's temporaries
-        # faulted in anew (a c09 stall try took a third longer on a 2-core
-        # host; with glibc's trimming and mmap thresholds raised, no longer).
+        # faulted in anew.
         trials = theta + radii[None, :, None] * dirs[:, None, :]
         vals = fob.values(trials.reshape(-1, theta.size))
         for k in np.flatnonzero(vals < best - tiny):
@@ -277,48 +273,6 @@ def _attempt_escape(theta, fwd, fob, rng, block):
     if step is None:
         return None, loss
     u, r = step
-    return theta + r * u, best_loss
-
-
-def _attempt_stall_escape(theta, loss, fob, rng):
-    """Random-direction probe for a strict decrease at a nonsmooth pin.
-
-    Descent can wedge the iterate onto a leaky-ReLU kink manifold (a hidden
-    pre-activation exactly zero for some sample) where the almost-everywhere
-    gradient points uphill on both smooth sides yet descent directions exist
-    off the manifold.  Probing random unit directions over live coordinates
-    (pruned blocks stay pruned; a revived block only re-enters at cubic order
-    anyway) finds one whenever the pin is not a genuine local minimum.
-
-    The directions come from two stacked draws, which follow the same
-    generator stream as one draw per direction.  _search scans the probe
-    points theta + r u (directions as drawn, radii ascending): the last
-    point that beats the running best by more than tiny wins.  The greedy
-    doubling that follows a hit calls FlatObjective.value one step at a time.
-    """
-    blocks = fob.layout.blocks()
-    live = np.ones(theta.size, dtype=bool)
-    live[blocks[~theta[blocks].any(axis=1)]] = False
-    head = np.zeros(theta.size, dtype=bool)
-    head[blocks] = True
-    # Kinks live in the filter coordinates; concentrated probes there reach
-    # across the manifold where full-space directions dilute by 1/sqrt(dim).
-    n_filt = int((~head).sum())
-    U = np.zeros((STALL_PROBES + (0 if n_filt == 0 else 64), theta.size))
-    U[:STALL_PROBES, live] = rng.standard_normal((STALL_PROBES, int(live.sum())))
-    U[STALL_PROBES:, ~head] = rng.standard_normal((len(U) - STALL_PROBES, n_filt))
-    U /= np.sqrt(row_dots(U))[:, None]  # == u /= np.linalg.norm(u), row by row
-    radii = ESCAPE_DELTA * 2.0 ** np.arange(-6, 9)
-    tiny = 1e-15 * (1.0 + abs(loss))
-    best_loss, step = _search(fob, theta, U, radii, loss, tiny)
-    if step is None:
-        return None, loss
-    u, r = step
-    while True:  # greedy extension: keep doubling while it keeps helping
-        trial_loss = fob.value(theta + 2.0 * r * u)
-        if trial_loss >= best_loss - tiny:
-            break
-        best_loss, r = trial_loss, 2.0 * r
     return theta + r * u, best_loss
 
 
@@ -415,8 +369,8 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     with the weak-Wolfe search (_weak_wolfe), so the accepted sequence is
     strictly monotone; a direction that does not descend, which rounding
     alone can cause, is replaced by -g with the memory cleared.  A search
-    that finds no lower point pins the iterate and hands it to the stall
-    probe.  See the module docstring for the snap and escape moves; every
+    that finds no lower point pins the iterate, and the run ends "stalled"
+    there.  See the module docstring for the snap and escape moves; every
     move's point becomes the iterate through refresh, which records its
     row and clears the memory, and the iteration starts again from it.
 
@@ -435,19 +389,16 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
     traj = Trajectory()
     memory = empty = _no_pairs(theta.size)
     escapes = 0
-    stall_escapes = 0
     it = 0
     fwd = fob.forward(theta)
     loss, g = float(fwd[0]), fob.grad(fwd)
-    stall_ref_it, stall_ref_loss = 0, loss
 
     def refresh(status, new_theta):
         """Make a move's point the iterate, record its row, clear the memory."""
-        nonlocal theta, fwd, loss, g, memory, stall_ref_it, stall_ref_loss
+        nonlocal theta, fwd, loss, g, memory
         theta, fwd = new_theta, fob.forward(new_theta)
         loss, g = float(fwd[0]), fob.grad(fwd)
         memory = empty
-        stall_ref_it, stall_ref_loss = it, loss
         traj.record(it, loss, math.sqrt(g @ g), math.sqrt(theta @ theta), status)
 
     def record(status):  # the norm of the iteration's starting point, taken only here
@@ -503,39 +454,17 @@ def train(net, ds: Dataset, cfg: ObjectiveConfig, opts: TrainOptions | None = No
             status = "converged"
             break
 
-        # Flatline watch: loss frozen for a whole window with the gradient
-        # still large means the iterate is pinned on a kink.  The gradient
-        # guard keeps ordinary slow tails (tiny loss decrements while the
-        # gradient steadily shrinks toward tolerance) out of it.
-        window = it - stall_ref_it >= STALL_WINDOW
-        pinned = window and (
-            stall_ref_loss - loss <= 1e-13 * (1.0 + abs(loss))
-            and gn > 1e3 * opts.grad_tol * (1.0 + abs(loss))
-        )
-        if window and not pinned:
-            stall_ref_it, stall_ref_loss = it, loss
-
-        if not pinned:
-            d = _lbfgs_direction(g, memory)
-            if not g @ d < 0.0:
-                memory, d = empty, -g
-            step = _weak_wolfe(fob, theta, loss, g, d)
-            if step is not None:
-                _, new_theta, fwd, new_g = step
-                memory = _remember(memory, new_theta - theta, new_g - g)
-                theta, loss, g = new_theta, float(fwd[0]), new_g
-                it += 1
-                continue
-
-        # Pinned: probe around the iterate for a strict decrease, while tries last.
-        stall_escapes += 1
-        esc_theta = None
-        if stall_escapes <= opts.max_stall_escapes:
-            esc_theta, _ = _attempt_stall_escape(theta, loss, fob, rng)
-        if esc_theta is None:
+        d = _lbfgs_direction(g, memory)
+        if not g @ d < 0.0:
+            memory, d = empty, -g
+        step = _weak_wolfe(fob, theta, loss, g, d)
+        if step is None:
             status = "stalled"
             break
-        refresh("escape", esc_theta)
+        _, new_theta, fwd, new_g = step
+        memory = _remember(memory, new_theta - theta, new_g - g)
+        theta, loss, g = new_theta, float(fwd[0]), new_g
+        it += 1
 
     record(status)
     return net_from_flat(net, theta), traj

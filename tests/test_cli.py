@@ -146,7 +146,9 @@ def test_dataset_without_feature_columns_is_a_usage_error(tmp_path, capsys):
 
 def test_malformed_dataset_error_names_the_file_and_line(tmp_path, capsys):
     data = tmp_path / "bad.csv"
-    for text, where in [("x1,y\n0.0,1\nabc,-1\n", ":3: "), ("x1,y\n0.0,1\ninf,-1\n", ": ")]:
+    # A blank first line ended train with an IndexError traceback, exit 3.
+    for text, where in [("x1,y\n0.0,1\nabc,-1\n", ":3: "), ("x1,y\n0.0,1\ninf,-1\n", ": "),
+                        ("\nx1,y\n0.0,1\n1.0,-1\n", ": expected header")]:
         data.write_text(text)
         assert run("train", "--dataset", data, "--out", tmp_path / "out") == 1
         assert f"{data}{where}" in capsys.readouterr().err

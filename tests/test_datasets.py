@@ -184,6 +184,8 @@ def test_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     for text, message in [
         ("x1,z\n0.0,1\n", ": expected header"),
+        # a blank first line is an empty header row (header[-1] raised IndexError)
+        ("\nx1,y\n0.0,1\n", ": expected header x1,...,xd,y, got []"),
         ("x1,y\n0.0\n", ":2: expected 2 fields"),
         ("x1,x2,y\n0.0,1.0,1\n0.5,abc,-1\n", ":3: could not convert string to float: 'abc'"),
         ("x1,y\n0.0,1.0\n", ":2: invalid literal for int"),

@@ -276,9 +276,9 @@ def stacked_case(rng, family, t, K, loss):
 
 @pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3", "deep-l4"])
 def test_values_equals_value_at_every_row(family):
-    # Exact equality, not approx: the stall probe, the escape grid and
-    # perturbation_stability select from values what point-by-point value
-    # loops selected.  K straddles the chunk size to cover chunk borders.
+    # Exact equality, not approx: the escape grid and perturbation_stability
+    # select from values what point-by-point value loops selected.  K
+    # straddles the chunk size to cover chunk borders.
     rng = np.random.default_rng(17)
     chunk = objective.FlatObjective.CHUNK
     for t, K in enumerate((1, chunk - 1, chunk, chunk + 1)):
@@ -303,9 +303,9 @@ def stack_row(fob, fwd, k):
 
 @pytest.mark.parametrize("family", ["single", "quadratic", "deep-l2", "deep-l3"])
 def test_row_of_a_stacked_forward_equals_the_forward_of_that_row(family):
-    # values, the escape grid and the stall probe read stacked passes; they
-    # select what one forward per point would only if every array of a
-    # stacked row is that point's, and so is the gradient read from it.
+    # values and the escape grid read stacked passes; they select what one
+    # forward per point would only if every array of a stacked row is that
+    # point's, and so is the gradient read from it.
     rng = np.random.default_rng(19)
     for t, K in enumerate((1, 2, 8)):
         loss = objective.logistic() if t % 2 == 0 else objective.smooth_hinge(3)

@@ -214,46 +214,6 @@ def test_path_csv_roundtrip(tmp_path):
     assert float(rows[1][2]) == pytest.approx(4.0)
 
 
-def serial_stall_escape_oracle(theta, loss, fob, blocks, rng):
-    """_attempt_stall_escape as one draw per direction and one value call
-    per probe point."""
-    live = np.ones(theta.size, dtype=bool)
-    head = np.zeros(theta.size, dtype=bool)
-    for b in blocks:
-        head[b] = True
-        if not theta[b].any():
-            live[b] = False
-    n_live = int(live.sum())
-    dirs = []
-    for _ in range(opt.STALL_PROBES):
-        u = np.zeros(theta.size)
-        u[live] = rng.standard_normal(n_live)
-        dirs.append(u)
-    n_filt = int((~head).sum())
-    for _ in range(0 if n_filt == 0 else 64):
-        u = np.zeros(theta.size)
-        u[~head] = rng.standard_normal(n_filt)
-        dirs.append(u)
-    radii = opt.ESCAPE_DELTA * 2.0 ** np.arange(-6, 9)
-    tiny = 1e-15 * (1.0 + abs(loss))
-    best_loss, best_step = loss, None
-    for u in dirs:
-        u /= np.linalg.norm(u)
-        for r in radii:
-            trial_loss = fob.value(theta + r * u)
-            if trial_loss < best_loss - tiny:
-                best_loss, best_step = trial_loss, (u, r)
-    if best_step is None:
-        return None, loss
-    u, r = best_step
-    while True:
-        trial_loss = fob.value(theta + 2.0 * r * u)
-        if trial_loss >= best_loss - tiny:
-            break
-        best_loss, r = trial_loss, 2.0 * r
-    return theta + r * u, best_loss
-
-
 def serial_escape_oracle(theta, loss, fob, like, ds, cfg, rng):
     """_attempt_escape with one value call per (candidate, delta) pair."""
     net = opt.net_from_flat(like, theta)
@@ -284,6 +244,22 @@ def serial_escape_oracle(theta, loss, fob, like, ds, cfg, rng):
     return best_theta, best_loss
 
 
+def failed_searches(monkeypatch):
+    """Spy on opt._weak_wolfe: the returned list collects the arguments of
+    every search that finds no lower point, the pins."""
+    failed = []
+    search = opt._weak_wolfe
+
+    def spy(*args):
+        step = search(*args)
+        if step is None:
+            failed.append(args)
+        return step
+
+    monkeypatch.setattr(opt, "_weak_wolfe", spy)
+    return failed
+
+
 def trainer_rng(seed):
     return np.random.default_rng(np.random.SeedSequence((seed, 0xE5CA)))
 
@@ -293,29 +269,6 @@ def first_zero_block(fob, theta):
     train hands to _attempt_escape."""
     blocks = fob.layout.blocks()
     return blocks[np.flatnonzero(~theta[blocks].any(axis=1))[0]]
-
-
-def test_stall_escape_matches_serial_oracle():
-    # c09 seed 2 at iteration 300, closing in on the leaky-ReLU kink that
-    # pins it at 429: one hidden pre-activation is within 1e-6 of the
-    # largest from zero, with descending probe directions nearby.  (At the
-    # pin itself the trainer's probe finds none.)
-    net0, ds, cfg, opts = c09_run(2, max_iter=300)
-    net, traj = opt.train(net0, ds, cfg, opts)
-    assert traj.status == "budget-exhausted"
-    fob = FlatObjective(net, ds, cfg)
-    theta = net_to_flat(net)
-    loss = fob.value(theta)
-    P = fob.forward(theta)[2][1][0][1]
-    assert np.min(np.abs(P)) < 1e-6 * np.max(np.abs(P))
-    blocks = fob.layout.blocks()
-    # Several draws, as the winning probe of one draw shows little of it;
-    # seed 2 is the draw the trainer itself would make here.
-    for seed in range(8):
-        got = opt._attempt_stall_escape(theta, loss, fob, trainer_rng(seed))
-        want = serial_stall_escape_oracle(theta, loss, fob, blocks, trainer_rng(seed))
-        assert got[0] is not None and got[1] < loss
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_escape_matches_serial_oracle():
@@ -376,14 +329,12 @@ def test_escape_and_certify_evaluate_the_network_once_per_point(monkeypatch):
 def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
     # ||theta||^3 overflows a float here, and the coercivity check at
     # iteration 0 must not raise from it; the objective itself is NaN.  The
-    # run ends "non-finite" at once instead of spending stall tries on a NaN
-    # loss and reporting a kink stall.  Deep nets take the same check, at
-    # the norm of their head.
+    # run ends "non-finite" at once instead of failing a line search on a
+    # NaN loss and reporting a kink stall.  Deep nets take the same check,
+    # at the norm of their head.
     ds = gen_random(10, 3, seed=0)
     cfg = quick_cfg(11, lam0=0.1)
-    stall_tries = []
-    monkeypatch.setattr(opt, "_attempt_stall_escape",
-                        lambda *args: stall_tries.append(args) or (None, np.nan))
+    failed = failed_searches(monkeypatch)
     for scale in (1e110, 1e103):
         for net in (opt.init_single(11, 3, seed=0, scale=scale),
                     opt.init_deep(3, 2, 2, 11, seed=0, scale=scale)):
@@ -392,7 +343,7 @@ def test_train_from_an_overflowing_norm_does_not_raise(monkeypatch):
             assert np.isnan(traj.rows[-1][1])
             assert traj.status == "non-finite" and traj.n_iter == 0
             assert traj.status in opt.TERMINAL_STATUSES
-    assert stall_tries == []
+    assert failed == []
 
 
 def test_train_from_a_filter_whose_anchor_overflows_does_not_raise():
@@ -457,11 +408,10 @@ def c09_run(seed, **opts):
     return opt.init_deep(d=4, s=2, l=2, m=25, seed=seed), ds, cfg, opts
 
 
-def c09_seed2_one_stall_try():
-    """c09 seed 2 with one stall try: snaps, then a pin at iteration 429 on
-    a leaky-ReLU kink, where the L-BFGS steps round away to theta and the
-    stall probe finds no descent."""
-    return c09_run(2, max_stall_escapes=1)
+def c09_seed2_pin():
+    """c09 seed 2: snaps, then a pin at iteration 429 on a leaky-ReLU kink,
+    where the L-BFGS steps round away to theta."""
+    return c09_run(2)
 
 
 def c01_run(seed):
@@ -492,13 +442,13 @@ def grid_run(n, m, seed, loss=None, **opts):
     return opt.init_single(m, 3, seed=seed), ds, cfg, opt.TrainOptions(seed=seed, **opts)
 
 
-def deep_grid_8_9_0(**opts):
+def deep_grid_8_9_0():
     """Deep-grid cell (n, m, seed) = (8, 9, 0): snaps, a third-order escape
     at iteration 249, then a pin on a leaky-ReLU kink at 1074."""
     ds = gen_random(8, 4, seed=3000)
     lam0 = opt.estimate_lambda0(ds, logistic(), seed=0)
     cfg = ObjectiveConfig(loss=logistic(), lam=opt.sample_lambda(9, lam0, seed=0), lam_c=1.0)
-    return opt.init_deep(d=4, s=2, l=2, m=9, seed=0), ds, cfg, opt.TrainOptions(grad_tol=1e-8, **opts)
+    return opt.init_deep(d=4, s=2, l=2, m=9, seed=0), ds, cfg, opt.TrainOptions(grad_tol=1e-8)
 
 
 def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypatch):
@@ -526,7 +476,7 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
     steps = []
     search = opt._weak_wolfe
     monkeypatch.setattr(opt, "_weak_wolfe", lambda *args: steps.append(search(*args)) or steps[-1])
-    _, traj = opt.train(*deep_grid_8_9_0(max_stall_escapes=1))
+    _, traj = opt.train(*deep_grid_8_9_0())
     moves = Counter(row[4] for row in traj.rows)
     assert traj.status == "stalled" and moves["snap"] >= 1 and moves["escape"] == 1
 
@@ -546,7 +496,7 @@ def test_line_search_takes_each_accepted_gradient_from_its_own_forward(monkeypat
     assert by("grad")["train"] == 1 and by("grad")["refresh"] == moved
     assert len(accepted) <= by("grad")["_weak_wolfe"] < by("forward")["_weak_wolfe"]
     # Every forward pass is the start, a line-search trial, a refresh, or a
-    # snap, grid or stall evaluation; the line search runs 1-D points only.
+    # snap or grid evaluation; the line search runs 1-D points only.
     assert rows["_weak_wolfe"] == by("forward")["_weak_wolfe"]
     assert set(by("value")) == {"_try_snaps"}
     assert set(by("values")) == {"_search"}
@@ -590,8 +540,8 @@ def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
     # they round away to theta itself.  A trial equal to theta (or to the
     # last Armijo point) ends the line search with no gradient taken there:
     # the old Armijo ladder accepted such a rung and took a gradient at the
-    # same point again, 1233 times, until the flatline window noticed.  The
-    # pin goes to the stall probe at once.
+    # same point again, 1233 times, until a flatline window noticed.  The
+    # run now ends "stalled" at that first failed search.
     points = []
     grad = FlatObjective.grad
 
@@ -600,32 +550,43 @@ def test_a_step_that_rounds_away_is_a_pin(monkeypatch):
         points.append(b"".join(p.tobytes() for p in (a, W, b, *filts)))
         return grad(self, fwd)
 
-    searches = []
-    search = opt._weak_wolfe
-    monkeypatch.setattr(opt, "_weak_wolfe", lambda *args: searches.append(args) or search(*args))
-    stall_tries = []
-    stall = opt._attempt_stall_escape
-    monkeypatch.setattr(opt, "_attempt_stall_escape",
-                        lambda *args: stall_tries.append(args) or stall(*args))
+    failed = failed_searches(monkeypatch)
     monkeypatch.setattr(FlatObjective, "grad", recorded)
-    _, traj = opt.train(*c09_seed2_one_stall_try())
-    assert traj.status == "stalled" and traj.n_iter == 429 and len(stall_tries) == 1
-    fob, theta, loss, _, d = searches[-1]  # the search that pinned
+    _, traj = opt.train(*c09_seed2_pin())
+    assert traj.status == "stalled" and traj.n_iter == 429 and len(failed) == 1
+    fob, theta, loss, _, d = failed[0]  # the search that pinned
     halvings = next(k for k in range(opt.WOLFE_TRIALS) if np.array_equal(theta + 0.5**k * d, theta))
     assert all(fob.value(theta + 0.5**k * d) >= loss for k in range(halvings))
     assert len(points) > 2
     assert len(set(points)) == len(points)
 
 
+def test_a_failed_search_ends_the_run_with_no_further_evaluation(monkeypatch):
+    # The failed search is the pin: the run ends "stalled" there, and no
+    # probe evaluates the objective around the pinned point.
+    failed, late = failed_searches(monkeypatch), []
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            if failed:
+                late.append(name)
+            return fn(self, *args)
+        return wrapper
+
+    for name in ("forward", "value", "values"):
+        monkeypatch.setattr(FlatObjective, name, counted(name, getattr(FlatObjective, name)))
+    _, traj = opt.train(*c09_seed2_pin())
+    assert traj.status == "stalled" and traj.n_iter == 429
+    assert f"{traj.rows[-1][1]:.11e}" == "1.00718735087e-02"  # 12 digits
+    assert len(failed) == 1 and late == []
+
+
 @pytest.mark.parametrize("run", [c01_seed5, c09_seed0])
 def test_runs_off_the_kinks_never_pin(run, monkeypatch):
-    # Neither run ever holds theta still, so neither may reach the stall path.
-    def refuse(*args):
-        raise AssertionError("stall path reached")
-
-    monkeypatch.setattr(opt, "_attempt_stall_escape", refuse)
+    # Neither run ever holds theta still, so no line search of either fails.
+    failed = failed_searches(monkeypatch)
     _, traj = opt.train(*run())
-    assert traj.status == "converged"
+    assert traj.status == "converged" and failed == []
 
 
 @pytest.mark.parametrize("cell", [(10, 11, 2), (10, 12, 1), (10, 12, 2)],
@@ -808,7 +769,7 @@ def wide_run():
 
 
 @pytest.mark.parametrize("run", [c09_seed7, wide_run], ids=["c09-seed7", "wide"])
-def test_newton_hessian_equals_the_per_row_oracle(run, monkeypatch):
+def test_every_lbfgs_direction_of_a_run_equals_the_two_loop_oracle(run, monkeypatch):
     # The quasi-Newton inverse Hessian that train applies, in compact form,
     # must equal the two-loop recursion over the rows of S and Y, one pair
     # at a time, on every memory the run builds, snaps and all; and it is
@@ -828,7 +789,7 @@ def test_newton_hessian_equals_the_per_row_oracle(run, monkeypatch):
         assert np.all(got[zero] == 0.0)
 
 
-def test_newton_finish_ends_the_c09_seed7_tail():
+def test_lbfgs_ends_the_c09_seed7_run_within_400_iterations():
     # BB descent alone took 3,528 iterations here, most of them in a tail
     # where the activation pattern no longer changes, and a Newton finish
     # that took over that tail ended it within 400.  The quasi-Newton
@@ -841,7 +802,7 @@ def test_newton_finish_ends_the_c09_seed7_tail():
     assert certify(net, ds, cfg).verdict == "ok"
 
 
-def test_c01_seed4_still_certifies_with_its_newton_steps():
+def test_c01_seed4_converges_and_certifies_under_lbfgs():
     # The one c01 run whose tail the old Newton finish took (two steps at
     # iterations 199-200).  Its quasi-Newton steps now take the whole run,
     # which must still end at a certified minimum.
